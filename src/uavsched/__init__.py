@@ -22,24 +22,12 @@ from .model import (
     TaskType,
     TrajectoryMap,
     Uav,
-    UavState,
     flight_time,
     makespan,
     nearest_recharge_station,
     task_upper_bound_time,
 )
-from .eat import (
-    PositionOccupancy,
-    RechargeChoice,
-    SlotOccupancy,
-    UavCandidate,
-    build_schedule,
-    check_sequence,
-    pick_earliest_uav,
-    select_recharge_station,
-    task_available_time,
-    uav_candidate,
-)
+from .eat import build_schedule, check_sequence
 from .validate import Violation, validate_schedule
 from .sequences import (
     PRIORITY_RULES,

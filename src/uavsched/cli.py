@@ -56,15 +56,11 @@ def _load_problem(path: str | None) -> ProblemInstance:
         raise InstanceError(f"instance file not found: {p}")
     if p.suffix.lower() == ".csv":
         # Task table only: pair it with the bundled lab environment.
-        tasks = read_task_csv(p)
-        instance = ProblemInstance(trajectory_map=sample_map(),
-                                   stations=sample_stations(),
-                                   tasks=tasks, uavs=sample_fleet(),
-                                   name=p.stem)
-    else:
-        instance = load_instance(p)
-    instance.validate()
-    return instance
+        return ProblemInstance(trajectory_map=sample_map(),
+                               stations=sample_stations(),
+                               tasks=read_task_csv(p), uavs=sample_fleet(),
+                               name=p.stem)
+    return load_instance(p)
 
 
 def _parse_sequence(text: str) -> list[int]:
@@ -142,9 +138,12 @@ def cmd_schedule(args) -> int:
 
 def cmd_search(args) -> int:
     instance = _load_problem(args.instance)
-    config = PsoConfig(c1=args.c1, c2=args.c2, swarm_size=args.particles,
-                       max_iterations=args.max_iter,
-                       convergence_window=args.window, rng_seed=args.seed)
+    try:
+        config = PsoConfig(c1=args.c1, c2=args.c2, swarm_size=args.particles,
+                           max_iterations=args.max_iter,
+                           convergence_window=args.window, rng_seed=args.seed)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     report = run_pso(instance, config)
     print(f"instance: {instance.name} ({len(instance.tasks)} tasks)")
     print(f"best sequence: {' '.join(str(t) for t in report.best_sequence)}")
@@ -215,7 +214,6 @@ def cmd_generate(args) -> int:
                    max_predecessors=args.max_preds, n_uavs=args.uavs,
                    slots_per_station=args.slots)
     instance = generate_instance(spec)
-    instance.validate()
     out = Path(args.out_dir) / "instance.json"
     save_instance(instance, out)
     print(f"instance: {instance.name} ({len(instance.tasks)} tasks, "

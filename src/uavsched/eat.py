@@ -11,8 +11,6 @@ station, where it waits on the ground instead and conserves battery.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .model import (
     Action,
     ActionKind,
@@ -20,238 +18,11 @@ from .model import (
     Schedule,
     SchedulingError,
     SequenceError,
-    Task,
-    UavState,
 )
 
-
-@dataclass
-class PositionOccupancy:
-    """Release timestamp per position; starts at 0 everywhere."""
-
-    release: dict[str, int]
-
-    @classmethod
-    def fresh(cls, instance: ProblemInstance) -> "PositionOccupancy":
-        return cls({p.id: 0 for p in instance.trajectory_map.positions})
-
-    def available_from(self, pos: str) -> int:
-        return self.release[pos]
-
-    def hold_until(self, pos: str, tstp: int):
-        # release times never move backwards
-        if tstp > self.release[pos]:
-            self.release[pos] = tstp
-
-
-class SlotOccupancy:
-    """Per-station recharge bay release times for one scheduling pass.
-
-    A bay is held from the start of recharging until the UAV actually
-    departs the station, including any post-recharge ground wait.
-    """
-
-    def __init__(self, instance: ProblemInstance):
-        self.release = {s.pos: [0] * s.slots for s in instance.stations}
-
-    def earliest_release(self, station_pos: str) -> int:
-        return min(self.release[station_pos])
-
-    def occupy(self, station_pos: str, until: int):
-        bays = self.release[station_pos]
-        bays[bays.index(min(bays))] = until
-
-
-@dataclass
-class RechargeChoice:
-    """A concrete recharge plan toward one task."""
-
-    station: str
-    charge_tstp: int        # arrival at the station
-    recharge_start: int     # after any wait for a free bay
-    recharge_end: int
-    prepared_tstp: int      # earliest execution start after the top-up
-
-
-@dataclass
-class UavCandidate:
-    """Earliest possible engagement of one UAV on one task."""
-
-    uav_id: str
-    start_tstp: int
-    end_tstp: int
-    needs_recharge: bool
-    recharge: RechargeChoice | None = None
-    prep_time: int = 0      # seconds from ready_time until execution start
-    prep_tstp: int = 0
-
-
-def task_available_time(task: Task, occupancy: PositionOccupancy,
-                        predecessor_ends: dict[int, int]) -> int:
-    """Earliest start permitted by position releases and finished parents."""
-    at = max(occupancy.available_from(task.start_pos),
-             occupancy.available_from(task.end_pos))
-    for p in task.predecessors:
-        try:
-            end = predecessor_ends[p]
-        except KeyError:
-            raise SequenceError(
-                f"task {task.id} scheduled before its predecessor {p}") from None
-        if end > at:
-            at = end
-    return at
-
-
-def select_recharge_station(state: UavState, task: Task, task_at: int,
-                            instance: ProblemInstance,
-                            slots: SlotOccupancy) -> RechargeChoice:
-    """Cheapest way to top up before the task.
-
-    Every reachable station is scored by the timestamp the UAV would be
-    ready to start executing after flying in, recharging (waiting for a
-    bay if needed) and flying on to the task start. Lowest prepared
-    timestamp wins; ties keep station declaration order. Stations the
-    current battery cannot reach are skipped; the nearest one is always
-    reachable because every engagement reserves its escape flight.
-    """
-    fm = instance.trajectory_map
-    uav = instance.uav(state.uav_id)
-    cap = uav.battery_capacity
-    duration = uav.recharge_duration
-    best: RechargeChoice | None = None
-    for st in instance.stations:
-        leg = fm.flight_time(state.cur_pos, st.pos)
-        if state.battery_used + leg > cap:
-            continue
-        charge_tstp = state.ready_time + leg
-        recharge_start = max(charge_tstp, slots.earliest_release(st.pos))
-        recharge_end = recharge_start + duration
-        prepared = max(recharge_end + fm.flight_time(st.pos, task.start_pos),
-                       task_at)
-        if best is None or prepared < best.prepared_tstp:
-            best = RechargeChoice(st.pos, charge_tstp, recharge_start,
-                                  recharge_end, prepared)
-    if best is None:
-        raise SchedulingError(
-            f"uav {state.uav_id} cannot reach any recharge station from "
-            f"{state.cur_pos} with {state.battery_used}s used")
-    return best
-
-
-def uav_candidate(state: UavState, task: Task, task_at: int,
-                  instance: ProblemInstance,
-                  slots: SlotOccupancy) -> UavCandidate:
-    """Earliest start this UAV can offer for the task.
-
-    Without a recharge the start is the arrival at the task, floored at
-    the task's availability; the battery must cover the flight, any
-    pre-execution hover, the execution itself and the escape flight to
-    the station nearest the end position. Otherwise the start comes from
-    the best recharge plan.
-    """
-    fm = instance.trajectory_map
-    cap = instance.uav(state.uav_id).battery_capacity
-    ft = fm.flight_time(state.cur_pos, task.start_pos)
-    arrival = state.ready_time + ft
-    start = max(arrival, task_at)
-    at_station = state.cur_pos in instance.station_positions()
-    # ground waits at a station cost no battery; airborne waits hover
-    airborne_prep = ft if at_station else start - state.ready_time
-    escape = instance.escape_seconds(task.end_pos)
-    needed = state.battery_used + airborne_prep + task.proc_time + escape
-    if needed <= cap:
-        return UavCandidate(
-            uav_id=state.uav_id,
-            start_tstp=start,
-            end_tstp=start + task.proc_time,
-            needs_recharge=False,
-            prep_time=start - state.ready_time,
-            prep_tstp=start,
-        )
-    choice = select_recharge_station(state, task, task_at, instance, slots)
-    return UavCandidate(
-        uav_id=state.uav_id,
-        start_tstp=choice.prepared_tstp,
-        end_tstp=choice.prepared_tstp + task.proc_time,
-        needs_recharge=True,
-        recharge=choice,
-        prep_time=choice.prepared_tstp - state.ready_time,
-        prep_tstp=choice.prepared_tstp,
-    )
-
-
-def pick_earliest_uav(candidates: list[UavCandidate]) -> UavCandidate:
-    """Smallest start timestamp; ties go to the earlier fleet position."""
-    if not candidates:
-        raise SchedulingError("no candidate UAVs")
-    best = candidates[0]
-    for cand in candidates[1:]:
-        if cand.start_tstp < best.start_tstp:
-            best = cand
-    return best
-
-
-def put_task_into_schedule(state: UavState, cand: UavCandidate, task: Task,
-                           instance: ProblemInstance,
-                           occupancy: PositionOccupancy, slots: SlotOccupancy,
-                           actions: list[Action]):
-    """Append the chosen engagement to the UAV timeline and advance state."""
-    fm = instance.trajectory_map
-    at_station = state.cur_pos in instance.station_positions()
-    start = cand.start_tstp
-    if cand.needs_recharge:
-        ch = cand.recharge
-        leg = fm.flight_time(state.cur_pos, ch.station)
-        if leg:
-            actions.append(Action(ActionKind.FLIGHT, state.ready_time,
-                                  ch.charge_tstp, state.cur_pos, ch.station))
-        if ch.recharge_start > ch.charge_tstp:
-            actions.append(Action(ActionKind.WAIT_ON_GROUND, ch.charge_tstp,
-                                  ch.recharge_start, ch.station, ch.station,
-                                  station=ch.station))
-        actions.append(Action(ActionKind.RECHARGE, ch.recharge_start,
-                              ch.recharge_end, ch.station, ch.station,
-                              station=ch.station))
-        out = fm.flight_time(ch.station, task.start_pos)
-        depart = start - out
-        if depart > ch.recharge_end:
-            actions.append(Action(ActionKind.WAIT_ON_GROUND, ch.recharge_end,
-                                  depart, ch.station, ch.station,
-                                  station=ch.station))
-        if out:
-            actions.append(Action(ActionKind.FLIGHT, depart, start,
-                                  ch.station, task.start_pos))
-        slots.occupy(ch.station, depart)
-        state.battery_used = out
-    elif at_station:
-        ft = fm.flight_time(state.cur_pos, task.start_pos)
-        depart = start - ft
-        if depart > state.ready_time:
-            actions.append(Action(ActionKind.WAIT_ON_GROUND, state.ready_time,
-                                  depart, state.cur_pos, state.cur_pos,
-                                  station=state.cur_pos))
-        if ft:
-            actions.append(Action(ActionKind.FLIGHT, depart, start,
-                                  state.cur_pos, task.start_pos))
-        state.battery_used += ft
-    else:
-        ft = fm.flight_time(state.cur_pos, task.start_pos)
-        arrival = state.ready_time + ft
-        if ft:
-            actions.append(Action(ActionKind.FLIGHT, state.ready_time,
-                                  arrival, state.cur_pos, task.start_pos))
-        if arrival < start:
-            actions.append(Action(ActionKind.HOVER, arrival, start,
-                                  task.start_pos, task.start_pos))
-        state.battery_used += start - state.ready_time
-    end = start + task.proc_time
-    actions.append(Action(ActionKind.TASK_EXEC, start, end,
-                          task.start_pos, task.end_pos, task_id=task.id))
-    state.battery_used += task.proc_time
-    state.cur_pos = task.end_pos
-    state.ready_time = end
-    occupancy.hold_until(task.start_pos, end)
-    occupancy.hold_until(task.end_pos, end)
+_FLIGHT, _EXEC, _HOVER, _WAIT, _RECHARGE = (
+    ActionKind.FLIGHT, ActionKind.TASK_EXEC, ActionKind.HOVER,
+    ActionKind.WAIT_ON_GROUND, ActionKind.RECHARGE)
 
 
 def check_sequence(instance: ProblemInstance, sequence) -> list[int]:
@@ -277,24 +48,138 @@ def build_schedule(instance: ProblemInstance, sequence) -> Schedule:
     listed task's predecessors must appear earlier in it); a permutation
     of all task ids yields a complete schedule.
     """
+    return _construct(instance, sequence, True)
+
+
+def build_makespan(instance: ProblemInstance, sequence) -> int:
+    """Makespan of build_schedule(instance, sequence) without recording
+    the timeline; 0 for an empty sequence."""
+    return _construct(instance, sequence, False)
+
+
+def _construct(instance: ProblemInstance, sequence, record: bool):
+    """The one EAT decision procedure, on the instance's compiled view.
+
+    Per task: the availability is the later of both endpoint releases and
+    every predecessor's end. Each UAV, in fleet order, offers its arrival
+    floored at the availability when the battery covers the flight, any
+    hover (ground waits at a station are free), the execution and the
+    escape flight; otherwise it offers the earliest start after a
+    recharge detour through a station it can still reach (ties keep
+    station order). The earliest offer wins; ties keep fleet order. A
+    recharge holds the station's earliest-free bay until departure.
+
+    Returns the Schedule when record is true, else the makespan.
+    """
     seq = check_sequence(instance, sequence)
-    states = [UavState(u.id, u.initial_pos) for u in instance.uavs]
-    capacity = {u.id: u.battery_capacity for u in instance.uavs}
-    occupancy = PositionOccupancy.fresh(instance)
-    slots = SlotOccupancy(instance)
-    predecessor_ends: dict[int, int] = {}
-    actions: dict[str, list[Action]] = {u.id: [] for u in instance.uavs}
+    view = instance.compiled()
+    secs, names, tasks = view.seconds, view.position_ids, view.tasks
+    is_station, station_pos = view.is_station, view.station_pos
+    caps, durations = view.uav_capacity, view.uav_recharge
+    bays = [[0] * n for n in view.station_slots]
+    bay_free = [0] * len(bays)          # earliest bay release per station
+    release = [0] * len(names)          # per position
+    pos = list(view.uav_start)
+    ready = [0] * len(pos)
+    used = [0] * len(pos)               # airborne seconds since recharge
+    fleet = range(len(pos))
+    stations = tuple(enumerate(station_pos))
+    timelines = [[] for _ in fleet]
+    ends: dict[int, int] = {}
     for tid in seq:
-        task = instance.task(tid)
-        task_at = task_available_time(task, occupancy, predecessor_ends)
-        candidates = [uav_candidate(s, task, task_at, instance, slots)
-                      for s in states]
-        chosen = pick_earliest_uav(candidates)
-        state = next(s for s in states if s.uav_id == chosen.uav_id)
-        put_task_into_schedule(state, chosen, task, instance, occupancy,
-                               slots, actions[state.uav_id])
-        predecessor_ends[tid] = chosen.end_tstp
-        if state.battery_used > capacity[state.uav_id]:
+        s, e, proc, escape, preds = tasks[tid]
+        at = release[s] if release[s] > release[e] else release[e]
+        for p in preds:
+            if ends[p] > at:
+                at = ends[p]
+        best = -1
+        for k in fleet:
+            here, t0, u, cap = pos[k], ready[k], used[k], caps[k]
+            row = secs[here]
+            ft = row[s]
+            start = t0 + ft if t0 + ft > at else at
+            airborne = ft if is_station[here] else start - t0
+            plan = None
+            if u + airborne + proc + escape > cap:
+                for j, sp in stations:
+                    leg = row[sp]
+                    if u + leg > cap:
+                        continue
+                    charge = t0 + leg
+                    begin = bay_free[j] if bay_free[j] > charge else charge
+                    done = begin + durations[k]
+                    prepared = done + secs[sp][s]
+                    if prepared < at:
+                        prepared = at
+                    if plan is None or prepared < plan[0]:
+                        plan = (prepared, j, charge, begin, done)
+                if plan is None:
+                    raise SchedulingError(
+                        f"uav {view.uav_ids[k]} cannot reach any recharge "
+                        f"station from {names[here]} with {u}s used")
+                start = plan[0]
+            if best < 0 or start < best_start:
+                best, best_start, best_plan = k, start, plan
+
+        k, start = best, best_start
+        here, t0 = pos[k], ready[k]
+        acts = timelines[k]
+        if best_plan is not None:
+            _, j, charge, begin, done = best_plan
+            sp = station_pos[j]
+            out = secs[sp][s]
+            depart = start - out
+            if record:
+                st = names[sp]
+                if charge > t0:
+                    acts.append(Action(_FLIGHT, t0, charge, names[here], st))
+                if begin > charge:
+                    acts.append(Action(_WAIT, charge, begin, st, st, station=st))
+                acts.append(Action(_RECHARGE, begin, done, st, st, station=st))
+                if depart > done:
+                    acts.append(Action(_WAIT, done, depart, st, st, station=st))
+                if out:
+                    acts.append(Action(_FLIGHT, depart, start, st, names[s]))
+            b = bays[j]
+            b[b.index(bay_free[j])] = depart
+            bay_free[j] = min(b)
+            used[k] = out
+        elif is_station[here]:
+            ft = secs[here][s]
+            depart = start - ft
+            if record:
+                if depart > t0:
+                    acts.append(Action(_WAIT, t0, depart, names[here],
+                                       names[here], station=names[here]))
+                if ft:
+                    acts.append(Action(_FLIGHT, depart, start, names[here],
+                                       names[s]))
+            used[k] += ft
+        else:
+            arrival = t0 + secs[here][s]
+            if record:
+                if arrival > t0:
+                    acts.append(Action(_FLIGHT, t0, arrival, names[here],
+                                       names[s]))
+                if arrival < start:
+                    acts.append(Action(_HOVER, arrival, start, names[s],
+                                       names[s]))
+            used[k] += start - t0
+        end = start + proc
+        if record:
+            acts.append(Action(_EXEC, start, end, names[s], names[e],
+                               task_id=tid))
+        used[k] += proc
+        if used[k] > caps[k]:
             raise SchedulingError(
-                f"internal accounting error: uav {state.uav_id} over budget")
-    return Schedule(instance=instance, actions=actions)
+                f"internal accounting error: uav {view.uav_ids[k]} over budget")
+        pos[k], ready[k] = e, end
+        if end > release[s]:
+            release[s] = end
+        if end > release[e]:
+            release[e] = end
+        ends[tid] = end
+    if record:
+        return Schedule(instance=instance,
+                        actions=dict(zip(view.uav_ids, timelines)))
+    return max(ready, default=0)

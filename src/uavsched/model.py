@@ -150,21 +150,6 @@ class Uav:
     recharge_duration: int = DEFAULT_RECHARGE_DURATION
 
 
-@dataclass
-class UavState:
-    """Mutable per-UAV scheduling state, confined to one construction pass.
-
-    battery_used counts airborne seconds (flight, hover, task execution)
-    since the last full recharge; waiting on the ground and recharging do
-    not consume battery.
-    """
-
-    uav_id: str
-    cur_pos: str
-    ready_time: int = 0
-    battery_used: int = 0
-
-
 class ActionKind(str, enum.Enum):
     FLIGHT = "flight"
     TASK_EXEC = "task_exec"
@@ -292,6 +277,27 @@ def transitive_reduction(edges: set[tuple[int, int]],
     return keep
 
 
+@dataclass(frozen=True)
+class CompiledInstance:
+    """Dense int-indexed view of a ProblemInstance for the constructor.
+
+    Positions are indices into the trajectory map; stations and UAVs
+    keep declaration order. A task maps to (start index, end index,
+    proc_time, escape seconds from its end, predecessor ids).
+    """
+
+    position_ids: tuple[str, ...]
+    seconds: tuple[tuple[int, ...], ...]
+    is_station: tuple[bool, ...]
+    station_pos: tuple[int, ...]
+    station_slots: tuple[int, ...]
+    tasks: dict[int, tuple[int, int, int, int, tuple[int, ...]]]
+    uav_ids: tuple[str, ...]
+    uav_start: tuple[int, ...]
+    uav_capacity: tuple[int, ...]
+    uav_recharge: tuple[int, ...]
+
+
 @dataclass
 class ProblemInstance:
     """An immutable scheduling problem: map, stations, tasks and fleet.
@@ -314,6 +320,7 @@ class ProblemInstance:
         self.uavs_by_id = {u.id: u for u in self.uavs}
         self._station_pos = frozenset(s.pos for s in self.stations)
         self._escape: dict[str, int] = {}
+        self._compiled: CompiledInstance | None = None
         self.validate()
 
     def task(self, task_id: int) -> Task:
@@ -342,6 +349,28 @@ class ProblemInstance:
                                             self.stations)
             self._escape[pos] = t
         return t
+
+    def compiled(self) -> CompiledInstance:
+        """The constructor's dense view, built on first use and cached."""
+        if self._compiled is None:
+            m = self.trajectory_map
+            idx = m.index
+            self._compiled = CompiledInstance(
+                position_ids=tuple(p.id for p in m.positions),
+                seconds=m.seconds,
+                is_station=tuple(p.id in self._station_pos
+                                 for p in m.positions),
+                station_pos=tuple(idx[s.pos] for s in self.stations),
+                station_slots=tuple(s.slots for s in self.stations),
+                tasks={t.id: (idx[t.start_pos], idx[t.end_pos], t.proc_time,
+                              self.escape_seconds(t.end_pos), t.predecessors)
+                       for t in self.tasks},
+                uav_ids=tuple(u.id for u in self.uavs),
+                uav_start=tuple(idx[u.initial_pos] for u in self.uavs),
+                uav_capacity=tuple(u.battery_capacity for u in self.uavs),
+                uav_recharge=tuple(u.recharge_duration for u in self.uavs),
+            )
+        return self._compiled
 
     def min_battery_capacity(self) -> int:
         return min(u.battery_capacity for u in self.uavs)

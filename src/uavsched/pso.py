@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .eat import build_schedule
-from .model import ProblemInstance, Schedule, makespan
+from .eat import build_makespan, build_schedule
+from .model import ProblemInstance, Schedule
 from .sequences import (
     apply_swaps,
     is_feasible_sequence,
@@ -79,11 +79,11 @@ def fitness(sequence, instance: ProblemInstance,
             memo: dict | None = None) -> int:
     """Makespan of the constructed schedule; optionally memoized."""
     if memo is None:
-        return makespan(build_schedule(instance, sequence))
+        return build_makespan(instance, sequence)
     key = tuple(sequence)
     value = memo.get(key)
     if value is None:
-        value = makespan(build_schedule(instance, sequence))
+        value = build_makespan(instance, sequence)
         memo[key] = value
     return value
 

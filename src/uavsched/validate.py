@@ -1,12 +1,13 @@
 """Structural checks for finished schedules.
 
 The validator re-derives every constraint from the instance instead of
-trusting the constructor: timeline continuity, flight durations against
-the matrix, task execution windows, precedence, position exclusivity,
-airborne battery budgets and recharge bay capacity. It returns an empty
-list exactly when the schedule is clean. Schedules covering only a
-subset of the task set are acceptable as long as every scheduled task's
-predecessors are scheduled too.
+trusting the constructor: known positions, timeline continuity, flight
+durations against the matrix, task execution windows, precedence,
+position exclusivity, airborne battery budgets and recharge bay
+capacity. It returns an empty list exactly when the schedule is clean;
+a position the map does not know is a violation, not an error. Schedules
+covering only a subset of the task set are acceptable as long as every
+scheduled task's predecessors are scheduled too.
 """
 
 from __future__ import annotations
@@ -49,9 +50,18 @@ def validate_schedule(schedule: Schedule) -> list[Violation]:
                               f"{uav_id}: {a.kind.value} ends at {a.end} "
                               f"before start {a.start}",
                               uav_id=uav_id, tstp=a.start))
+            unknown = [p for p in dict.fromkeys((a.from_pos, a.to_pos))
+                       if p not in fm.index]
+            for p in unknown:
+                add(Violation("unknown_position",
+                              f"{uav_id}: {a.kind.value} at {p!r}, which the "
+                              "trajectory map does not know",
+                              uav_id=uav_id, position=p, tstp=a.start))
             if a.kind == ActionKind.FLIGHT:
-                expect = fm.flight_time(a.from_pos, a.to_pos)
-                if a.end - a.start != expect:
+                # an unknown endpoint has no matrix entry to compare with
+                expect = None if unknown else fm.flight_time(a.from_pos,
+                                                             a.to_pos)
+                if expect is not None and a.end - a.start != expect:
                     add(Violation("flight_duration",
                                   f"{uav_id}: flight {a.from_pos}->{a.to_pos} "
                                   f"lasts {a.end - a.start}, matrix says {expect}",

@@ -118,7 +118,18 @@ class TestSearch:
 
     def test_bad_particle_count(self, capsys):
         code, _, err = run(capsys, ["search", "--particles", "2"])
-        assert code == 3
+        assert code == 1
+        assert "swarm_size" in err and "internal error" not in err
+
+    def test_fewer_particles_than_rules(self, capsys):
+        code, _, err = run(capsys, ["search", "--particles", "3"])
+        assert code == 1
+        assert "swarm_size must be at least 8" in err
+
+    def test_zero_convergence_window(self, capsys):
+        code, _, err = run(capsys, ["search", "--window", "0"])
+        assert code == 1
+        assert "convergence_window must be positive" in err
 
 
 class TestGenerate:

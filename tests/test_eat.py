@@ -1,19 +1,19 @@
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from uavsched.eat import (
-    PositionOccupancy,
-    SlotOccupancy,
-    build_schedule,
-    check_sequence,
-    pick_earliest_uav,
-    select_recharge_station,
-    task_available_time,
-    uav_candidate,
-    UavCandidate,
+from uavsched.datagen import GenSpec, generate_instance
+from uavsched.eat import build_schedule, check_sequence
+from uavsched.model import (
+    ActionKind,
+    RechargeStation,
+    SequenceError,
+    Uav,
+    worst_case_engagement_time,
 )
-from uavsched.model import Action, ActionKind, SequenceError, UavState
+from uavsched.pso import fitness
 from uavsched.sequences import repair
 from uavsched.validate import validate_schedule
 
@@ -36,6 +36,19 @@ F, T, H, W, R = (ActionKind.FLIGHT, ActionKind.TASK_EXEC, ActionKind.HOVER,
 def as_tuples(actions):
     return [(a.kind, a.start, a.end, a.from_pos, a.to_pos, a.task_id,
              a.station) for a in actions]
+
+
+def placed(instance, *positions):
+    """The instance with its fleet replaced by UAVs at these positions."""
+    uavs = tuple(Uav(f"UAV{i + 1}", pos, 1200, 2700)
+                 for i, pos in enumerate(positions))
+    return dataclasses.replace(instance, uavs=uavs)
+
+
+def timeline(instance, sequence, uav_id):
+    schedule = build_schedule(instance, sequence)
+    assert validate_schedule(schedule) == []
+    return as_tuples(schedule.actions[uav_id])
 
 
 class TestGoldenTrace:
@@ -75,122 +88,156 @@ class TestGoldenTrace:
 
 class TestTaskAvailableTime:
     def test_position_release_gates(self):
-        occ = PositionOccupancy({"a": 100, "b": 40})
-        t = haul(1, "a", "b", 10)
-        assert task_available_time(t, occ, {}) == 100
+        # t2 hauls b->a; UAV2 reaches b at 20 but a stays held by t1 until
+        # 120, so it waits on the ground at R2 and starts at 120.
+        inst = make_instance([inspect(1, "a", 100), haul(2, "b", "a", 60)])
+        assert timeline(inst, [1, 2], "UAV2") == [
+            (W, 0, 100, "R2", "R2", None, "R2"),
+            (F, 100, 120, "R2", "b", None, None),
+            (T, 120, 180, "b", "a", 2, None),
+        ]
 
     def test_predecessor_end_gates(self):
-        occ = PositionOccupancy({"a": 0, "b": 0})
-        t = haul(2, "a", "b", 10, preds=[1])
-        assert task_available_time(t, occ, {1: 250}) == 250
+        inst = make_instance([inspect(1, "b", 230),
+                              inspect(2, "a", 10, preds=[1])])
+        # t1 runs 20..250 on UAV2; t2 at the free position a waits for it
+        assert timeline(inst, [1, 2], "UAV1") == [
+            (W, 0, 230, "R1", "R1", None, "R1"),
+            (F, 230, 250, "R1", "a", None, None),
+            (T, 250, 260, "a", "a", 2, None),
+        ]
 
     def test_missing_predecessor_raises(self):
-        occ = PositionOccupancy({"a": 0, "b": 0})
-        t = haul(2, "a", "b", 10, preds=[1])
-        with pytest.raises(SequenceError):
-            task_available_time(t, occ, {})
+        inst = make_instance([haul(1, "a", "b", 10),
+                              haul(2, "a", "b", 10, preds=[1])])
+        with pytest.raises(SequenceError, match="predecessor 1"):
+            build_schedule(inst, [2])
 
 
 class TestUavCandidate:
     def test_direct_engagement_from_station(self):
         inst = make_instance([inspect(1, "a", 100)], n_uavs=1)
-        state = UavState("UAV1", "R1")
-        cand = uav_candidate(state, inst.task(1), 0, inst,
-                             SlotOccupancy(inst))
-        assert (cand.needs_recharge, cand.start_tstp, cand.end_tstp) == \
-            (False, 20, 120)
+        assert timeline(inst, [1], "UAV1") == [
+            (F, 0, 20, "R1", "a", None, None),
+            (T, 20, 120, "a", "a", 1, None),
+        ]
 
     def test_battery_shortfall_forces_recharge(self):
-        inst = make_instance([inspect(1, "a", 100)], n_uavs=1)
-        state = UavState("UAV1", "b", ready_time=500, battery_used=1100)
-        # 1100 used + 30 flight + 100 proc + 20 escape > 1200
-        cand = uav_candidate(state, inst.task(1), 0, inst,
-                             SlotOccupancy(inst))
-        assert cand.needs_recharge
-        ch = cand.recharge
-        # b->R1 40s then 20s on to a, b->R2 20s then 40s: both prepared
-        # at 3260, so the first-listed station wins.
-        assert (ch.station, ch.charge_tstp, ch.recharge_end) == \
-            ("R1", 540, 3240)
-        assert cand.start_tstp == 3260
+        inst = make_instance([inspect(1, "b", 1060), inspect(2, "a", 100)],
+                             n_uavs=1)
+        # After t1 UAV1 is at b with 1100 used: 1100 + 30 flight + 100
+        # proc + 20 escape > 1200. b->R1 40s then 20s on to a, b->R2 20s
+        # then 40s: both prepared at 3860, so the first-listed station
+        # wins.
+        assert timeline(inst, [1, 2], "UAV1")[2:] == [
+            (F, 1100, 1140, "b", "R1", None, None),
+            (R, 1140, 3840, "R1", "R1", None, "R1"),
+            (F, 3840, 3860, "R1", "a", None, None),
+            (T, 3860, 3960, "a", "a", 2, None),
+        ]
 
     def test_hover_wait_counts_against_battery(self):
-        inst = make_instance([inspect(1, "a", 1000)], n_uavs=1,
-                             battery=1200)
-        # Arrives at 30 but cannot start until 150: 120 hover + 1000
-        # proc + 20 escape + 30 flight = 1170 fits. At 151 it no longer
-        # fits and a recharge plan appears instead.
-        state = UavState("UAV1", "b")
-        fits = uav_candidate(state, inst.task(1), 150, inst,
-                             SlotOccupancy(inst))
-        assert not fits.needs_recharge and fits.start_tstp == 150
-        tight = uav_candidate(state, inst.task(1), 181, inst,
-                              SlotOccupancy(inst))
-        assert tight.needs_recharge
+        # UAV1 starts airborne at b; UAV2 runs t1 at a from 20, so t2 at a
+        # is available when t1 ends. Arriving at 30 and starting at 150
+        # means 120 hover: 30 + 120 + 1000 proc + 20 escape = 1170 fits
+        # (UAV2 ties at 150 and loses on fleet order).
+        fits = placed(make_instance([inspect(1, "a", 130),
+                                     inspect(2, "a", 1000)]), "b", "R1")
+        assert timeline(fits, [1, 2], "UAV1") == [
+            (F, 0, 30, "b", "a", None, None),
+            (H, 30, 150, "a", "a", None, None),
+            (T, 150, 1150, "a", "a", 2, None),
+        ]
+        # Available at 181 the hover makes it 1201: a recharge detour
+        # replaces it, although the flight alone would have fitted.
+        tight = placed(make_instance([inspect(1, "a", 161),
+                                      inspect(2, "a", 1000)]), "b", "R1")
+        assert timeline(tight, [1, 2], "UAV1") == [
+            (F, 0, 40, "b", "R1", None, None),
+            (R, 40, 2740, "R1", "R1", None, "R1"),
+            (F, 2740, 2760, "R1", "a", None, None),
+            (T, 2760, 3760, "a", "a", 2, None),
+        ]
 
     def test_ground_wait_at_station_is_free(self):
-        inst = make_instance([inspect(1, "a", 1000)], n_uavs=1,
-                             battery=1200)
-        # Same availability gap, but the UAV sits parked at R1: it
-        # waits on the ground, so only the 20s flight counts.
-        state = UavState("UAV1", "R1")
-        cand = uav_candidate(state, inst.task(1), 500, inst,
-                             SlotOccupancy(inst))
-        assert not cand.needs_recharge
-        assert cand.start_tstp == 500
+        # Same kind of availability gap, but UAV1 sits parked at R1: it
+        # waits on the ground, so only the 20s flight counts and no
+        # recharge is needed (500 s airborne would not have fitted).
+        inst = make_instance([inspect(1, "b", 480),
+                              inspect(2, "a", 1000, preds=[1])])
+        assert timeline(inst, [1, 2], "UAV1") == [
+            (W, 0, 480, "R1", "R1", None, "R1"),
+            (F, 480, 500, "R1", "a", None, None),
+            (T, 500, 1500, "a", "a", 2, None),
+        ]
+
+
+def bay_contention(t2_proc):
+    """UAV2 starts at b and recharges at R2 1160..3860 (single bays);
+    UAV1 ends t2 at b and then needs a recharge before t4 at a."""
+    tasks = [inspect(1, "b", 1140), inspect(2, "b", t2_proc),
+             inspect(3, "b", 1140), inspect(4, "a", 100)]
+    return placed(make_instance(tasks, slots=1), "R1", "b")
 
 
 class TestSelectRechargeStation:
     def test_prefers_earliest_prepared(self):
-        inst = make_instance([inspect(1, "a", 100)], n_uavs=1)
-        state = UavState("UAV1", "b", ready_time=0, battery_used=1100)
-        ch = select_recharge_station(state, inst.task(1), 0, inst,
-                                     SlotOccupancy(inst))
-        # via R2: 20 in, 2700 charge, 40 out -> prepared 2760
-        # via R1: 40 in, 2700 charge, 20 out -> prepared 2760; R1 wins ties
-        # but R2's arrival is earlier only for charge_tstp, prepared ties:
-        assert ch.prepared_tstp == 2760
-        assert ch.station == "R1"
+        # 1140 used at b: R2 is nearer (20s) but its only bay is held
+        # until 3860, so the detour through the free R1 starts t4 first.
+        assert timeline(bay_contention(1100), [1, 2, 3, 4], "UAV1")[3:] == [
+            (F, 2240, 2280, "b", "R1", None, None),
+            (R, 2280, 4980, "R1", "R1", None, "R1"),
+            (F, 4980, 5000, "R1", "a", None, None),
+            (T, 5000, 5100, "a", "a", 4, None),
+        ]
 
     def test_unreachable_station_skipped(self):
-        inst = make_instance([inspect(1, "a", 100)], n_uavs=1)
-        # 1170 used: R1 at 40s is beyond 1200-1170=30, R2 at 20s fits.
-        state = UavState("UAV1", "b", battery_used=1170)
-        ch = select_recharge_station(state, inst.task(1), 0, inst,
-                                     SlotOccupancy(inst))
-        assert ch.station == "R2"
+        # 1180 used at b: R1 at 40s is beyond 1200 - 1180 = 20, so the
+        # UAV goes to R2 although R1 would have got it to t4 sooner.
+        acts = timeline(bay_contention(1140), [1, 2, 3, 4], "UAV1")
+        assert {a[6] for a in acts if a[0] is R} == {"R2"}
 
     def test_busy_bay_delays_recharge_start(self):
-        inst = make_instance([inspect(1, "a", 100)], n_uavs=1, slots=1)
-        slots = SlotOccupancy(inst)
-        slots.occupy("R2", 900)
-        slots.occupy("R1", 5000)
-        state = UavState("UAV1", "b", battery_used=1170)
-        ch = select_recharge_station(state, inst.task(1), 0, inst, slots)
-        assert (ch.station, ch.charge_tstp, ch.recharge_start) == \
-            ("R2", 20, 900)
+        assert timeline(bay_contention(1140), [1, 2, 3, 4], "UAV1")[3:] == [
+            (F, 2280, 2300, "b", "R2", None, None),
+            (W, 2300, 3860, "R2", "R2", None, "R2"),
+            (R, 3860, 6560, "R2", "R2", None, "R2"),
+            (F, 6560, 6600, "R2", "a", None, None),
+            (T, 6600, 6700, "a", "a", 4, None),
+        ]
 
 
 class TestPickEarliestUav:
     def test_strictly_earlier_wins(self):
-        a = UavCandidate("UAV1", 100, 150, False)
-        b = UavCandidate("UAV2", 90, 140, False)
-        assert pick_earliest_uav([a, b]).uav_id == "UAV2"
+        # b is 20s from UAV2's R2 and 40s from UAV1's R1
+        s = build_schedule(make_instance([inspect(1, "b", 50)]), [1])
+        assert s.task_executions()[1][0] == "UAV2"
 
     def test_tie_keeps_fleet_order(self):
-        a = UavCandidate("UAV1", 100, 150, False)
-        b = UavCandidate("UAV2", 100, 140, False)
-        assert pick_earliest_uav([a, b]).uav_id == "UAV1"
+        # UAV2 and UAV3 both sit at R1, 20s from a; UAV1 needs 30s
+        inst = placed(make_instance([inspect(1, "a", 100)]), "b", "R1", "R1")
+        s = build_schedule(inst, [1])
+        assert s.task_executions()[1][0] == "UAV2"
+        assert s.actions["UAV3"] == []
 
 
 class TestSlotOccupancy:
-    def test_occupy_replaces_earliest_bay(self, lab):
-        slots = SlotOccupancy(lab)
-        assert slots.earliest_release("R1") == 0
-        slots.occupy("R1", 100)
-        assert slots.earliest_release("R1") == 0  # second bay still free
-        slots.occupy("R1", 300)
-        assert slots.earliest_release("R1") == 100
+    def test_occupy_replaces_earliest_bay(self):
+        # Two bays per station, all UAVs start at b. UAV2 and UAV3 both
+        # recharge at R1 from 40; UAV2 leaves at 2740, UAV3 holds its bay
+        # until 3880. UAV1 (R2 out of reach) gets the bay UAV2 freed.
+        tasks = [inspect(i, "a", 1140) for i in (1, 2, 3)]
+        tasks.append(inspect(4, "b", 1140))
+        inst = placed(make_instance(tasks, n_uavs=3, slots=2), "b", "b", "b")
+        assert timeline(inst, [1, 2, 3, 4], "UAV1")[2:5] == [
+            (F, 1170, 1190, "a", "R1", None, None),
+            (W, 1190, 2740, "R1", "R1", None, "R1"),
+            (R, 2740, 5440, "R1", "R1", None, "R1"),
+        ]
+        assert timeline(inst, [1, 2, 3, 4], "UAV3")[1:3] == [
+            (R, 40, 2740, "R1", "R1", None, "R1"),
+            (W, 2740, 3880, "R1", "R1", None, "R1"),
+        ]
 
 
 class TestCheckSequence:
@@ -261,3 +308,59 @@ def test_random_feasible_sequences_validate_clean(rnd):
     s = build_schedule(inst, seq)
     assert validate_schedule(s) == []
     assert len(s.task_executions()) == len(inst.tasks)
+
+
+@st.composite
+def mixed_fleet_draws(draw):
+    """A generated instance re-fleeted with per-UAV battery, recharge time
+    and start position, per-station bay counts, and a prefix-closed
+    sequence repaired into precedence order."""
+    spec = GenSpec(n_tasks=draw(st.integers(0, 25)),
+                   seed=draw(st.integers(0, 2**20)),
+                   max_predecessors=draw(st.integers(0, 3)),
+                   n_uavs=draw(st.integers(1, 4)))
+    inst = generate_instance(spec)
+    fm = inst.trajectory_map
+    need = max((worst_case_engagement_time(t, fm, inst.stations)
+                for t in inst.tasks), default=1)
+    uavs = tuple(
+        Uav(u.id, draw(st.sampled_from([p.id for p in fm.positions])),
+            draw(st.integers(need, need + 900)), draw(st.integers(100, 3200)))
+        for u in inst.uavs)
+    stations = tuple(RechargeStation(s.pos, draw(st.integers(1, 3)))
+                     for s in inst.stations)
+    inst = dataclasses.replace(inst, uavs=uavs, stations=stations)
+    seq = repair(draw(st.permutations([t.id for t in inst.tasks])), inst)
+    return inst, seq[:draw(st.integers(0, len(seq)))]
+
+
+class TestMakespanPathMatchesSchedule:
+    @settings(max_examples=150, deadline=None)
+    @given(mixed_fleet_draws())
+    def test_heterogeneous_fleets(self, draw):
+        inst, seq = draw
+        schedule = build_schedule(inst, seq)
+        assert fitness(seq, inst) == schedule.makespan()
+        assert fitness(seq, inst, {}) == schedule.makespan()
+        assert validate_schedule(schedule) == []
+        assert sorted(schedule.task_executions()) == sorted(seq)
+
+    @settings(max_examples=60, deadline=None)
+    @given(mixed_fleet_draws())
+    def test_malformed_sequences_fail_alike(self, draw):
+        inst, _ = draw
+        full = repair([t.id for t in inst.tasks], inst)
+        bad = []
+        if full:
+            bad.append((full + full[:1], "appears twice"))
+            bad.append((full + [max(full) + 1], "unknown task id"))
+        for i, tid in enumerate(full):
+            if inst.task(tid).predecessors:
+                bad.append(([tid] + full[:i] + full[i + 1:], "predecessor"))
+                break
+        for seq, message in bad:
+            with pytest.raises(SequenceError, match=message) as built:
+                build_schedule(inst, seq)
+            with pytest.raises(SequenceError) as scored:
+                fitness(seq, inst)
+            assert str(scored.value) == str(built.value)

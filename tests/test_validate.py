@@ -92,6 +92,46 @@ class TestPerActionRules:
         assert kinds(validate_schedule(s)) == {"ground_wait_position"}
 
 
+class TestUnknownPositions:
+    """A position the map does not know is reported, never raised."""
+
+    def unknown(self, schedule):
+        got = validate_schedule(schedule)
+        return [(v.kind, v.position) for v in got
+                if v.kind == "unknown_position"], kinds(got)
+
+    def test_flight_to_unknown_position(self, lab):
+        s = mutate(golden_schedule(lab), "UAV3", 2, to_pos="zz")
+        found, got = self.unknown(s)
+        assert found == [("unknown_position", "zz")]
+        assert "flight_duration" not in got
+
+    def test_flight_from_unknown_position(self, lab):
+        s = mutate(golden_schedule(lab), "UAV3", 2, from_pos="zz")
+        found, got = self.unknown(s)
+        assert found == [("unknown_position", "zz")]
+        assert got == {"unknown_position", "spatial_continuity"}
+
+    def test_hover_at_unknown_position(self, lab):
+        s = append(golden_schedule(lab), "UAV3",
+                   Action(H, 1125, 1200, "zz", "zz"))
+        found, _ = self.unknown(s)
+        assert found == [("unknown_position", "zz")]
+
+    def test_recharge_at_unknown_position(self, lab):
+        s = append(golden_schedule(lab), "UAV3",
+                   Action(R, 1125, 3825, "zz", "zz", station="zz"))
+        found, got = self.unknown(s)
+        assert found == [("unknown_position", "zz")]
+        assert "recharge_position" in got
+
+    def test_task_at_unknown_position(self, lab):
+        s = mutate(golden_schedule(lab), "UAV3", 3, to_pos="zz")
+        found, got = self.unknown(s)
+        assert found == [("unknown_position", "zz")]
+        assert "task_position" in got
+
+
 class TestTimelineRules:
     def test_gap_between_actions(self, lab):
         s = mutate(golden_schedule(lab), "UAV3", 3, start=891, end=1126)
