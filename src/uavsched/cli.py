@@ -173,23 +173,40 @@ def cmd_search(args) -> int:
     return EXIT_OK
 
 
-def _floats(text: str) -> tuple[float, ...]:
-    return tuple(float(t) for t in text.split(","))
+def _numbers(text: str, kind, flag: str) -> tuple:
+    try:
+        return tuple(kind(t) for t in text.split(","))
+    except ValueError:
+        raise UsageError(f"{flag} must be comma-separated {kind.__name__} "
+                         f"values: {text!r}") from None
 
 
-def _ints(text: str) -> tuple[int, ...]:
-    return tuple(int(t) for t in text.split(","))
-
-
-def cmd_experiment(args) -> int:
-    grid = ExperimentGrid(task_counts=_ints(args.tasks),
-                          c1_values=_floats(args.c1),
-                          c2_values=_floats(args.c2),
-                          swarm_sizes=_ints(args.particles),
+def _experiment_grid(args) -> ExperimentGrid:
+    """The grid from the command line, rejected as a usage error before
+    any run starts when a value cannot be run."""
+    grid = ExperimentGrid(task_counts=_numbers(args.tasks, int, "--tasks"),
+                          c1_values=_numbers(args.c1, float, "--c1"),
+                          c2_values=_numbers(args.c2, float, "--c2"),
+                          swarm_sizes=_numbers(args.particles, int,
+                                               "--particles"),
                           repetitions=args.reps,
                           max_iterations=args.max_iter,
                           base_seed=args.seed)
+    if grid.repetitions < 1:
+        raise UsageError("--reps must be at least 1")
+    if min(grid.task_counts) < 0:
+        raise UsageError("--tasks must be non-negative")
+    try:
+        for _, c1, c2, swarm in grid.cells():
+            PsoConfig(c1=c1, c2=c2, swarm_size=swarm,
+                      max_iterations=grid.max_iterations)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
+    return grid
 
+
+def cmd_experiment(args) -> int:
+    grid = _experiment_grid(args)
     total = len(grid.cells()) * grid.repetitions
     t0 = time.perf_counter()
 

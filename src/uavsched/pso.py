@@ -16,10 +16,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .eat import build_makespan, build_schedule
-from .model import ProblemInstance, Schedule
+from .model import PrecedenceGraph, ProblemInstance, Schedule
 from .sequences import (
+    Velocity,
     apply_swaps,
-    is_feasible_sequence,
     priority_orderings,
     repair,
     sequence_difference,
@@ -93,28 +93,29 @@ def _round_half_up(x: float) -> int:
 
 
 def update_velocity(velocity, particle, local_best, global_best,
-                    c1: float, c2: float, rng) -> list[tuple[int, int]]:
+                    c1: float, c2: float, rng) -> Velocity:
     """Next velocity: old pairs, then sampled cognitive and social pairs.
 
     The share of difference pairs absorbed is c * U with U drawn once
     per component, clamped at taking the whole list, rounded to the
     nearest count. Pairs equal (as unordered index sets) to one already
-    present are dropped.
+    present are dropped. The result is a copy of the old velocity with
+    pairs appended, so it keeps the old carried permutation.
     """
-    new = list(velocity)
-    have = {(min(i, j), max(i, j)) for i, j in new}
+    new = Velocity.lift(velocity).copy()
+    have = set(new)
 
     def absorb(diff, proportion):
         count = _round_half_up(min(1.0, proportion) * len(diff))
         if count <= 0:
             return
-        chosen = sorted(rng.choice(len(diff), size=count, replace=False))
-        for idx in chosen:
-            i, j = diff[idx]
-            key = (min(i, j), max(i, j))
-            if key not in have:
-                have.add(key)
-                new.append((i, j))
+        chosen = rng.choice(len(diff), size=count, replace=False).tolist()
+        for idx in sorted(chosen):
+            pair = diff[idx]
+            i, j = pair
+            if pair not in have and (j, i) not in have:
+                have.add(pair)
+                new.append(pair)
 
     u1 = rng.random()
     u2 = rng.random()
@@ -142,20 +143,32 @@ def _random_initial_velocity(n: int, cap: int, rng) -> list[tuple[int, int]]:
     return pairs
 
 
-def _mutate_preserving_precedence(sequence, instance, rng) -> list[int]:
-    """Random transpositions that individually keep the sequence feasible."""
+def _mutate_preserving_precedence(sequence, graph: PrecedenceGraph,
+                                  rng) -> list[int]:
+    """Random transpositions that individually keep the sequence feasible.
+
+    The sequence must be feasible. Swapping task a at lo with task b at
+    hi > lo then breaks precedence exactly when a direct predecessor of
+    b sits at lo..hi-1 or a direct successor of a at lo+1..hi, so each
+    attempt looks up only the positions of those tasks.
+    """
     seq = list(sequence)
     n = len(seq)
     if n < 2:
         return seq
-    attempts = max(1, n // 2)
-    for _ in range(attempts):
-        i, j = (int(v) for v in rng.integers(0, n, size=2))
+    preds, succs = graph.direct_predecessors, graph.direct_successors
+    pos = {tid: k for k, tid in enumerate(seq)}
+    for _ in range(max(1, n // 2)):
+        i, j = rng.integers(0, n, size=2).tolist()
         if i == j:
             continue
-        seq[i], seq[j] = seq[j], seq[i]
-        if not is_feasible_sequence(seq, instance):
-            seq[i], seq[j] = seq[j], seq[i]
+        lo, hi = (i, j) if i < j else (j, i)
+        a, b = seq[lo], seq[hi]
+        if (any(pos[p] >= lo for p in preds[b])
+                or any(pos[s] <= hi for s in succs[a])):
+            continue
+        seq[lo], seq[hi] = b, a
+        pos[a], pos[b] = hi, lo
     return seq
 
 
@@ -164,10 +177,11 @@ def generate_initial_swarm(instance: ProblemInstance, swarm_size: int,
     """Eight priority-rule particles, the rest feasible mutations of them."""
     rules = list(priority_orderings(instance).values())
     particles = [list(seq) for seq in rules[:swarm_size]]
+    graph = instance.graph()
     idx = 0
     while len(particles) < swarm_size:
         base = rules[idx % len(rules)]
-        particles.append(_mutate_preserving_precedence(base, instance, rng))
+        particles.append(_mutate_preserving_precedence(base, graph, rng))
         idx += 1
     return particles
 

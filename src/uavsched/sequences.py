@@ -2,7 +2,9 @@
 
 Sequences are lists of task ids. Velocities for the discrete swarm are
 ordered lists of index transpositions (swap pairs) applied left to
-right. Repair restores precedence feasibility with a stable greedy
+right; a `Velocity` also carries the composed index permutation of its
+pairs so that re-applying it after new pairs are appended costs O(n +
+new pairs). Repair restores precedence feasibility with a stable greedy
 decode that keeps the relative priority of every task as far as its
 predecessors allow.
 """
@@ -14,16 +16,60 @@ import heapq
 from .model import ProblemInstance, SequenceError
 
 
+class Velocity(list):
+    """Swap pairs plus the composed index permutation of a prefix of them.
+
+    Behaves as (and compares equal to) the plain list of (i, j) tuples.
+    Pairs are only ever appended, so `perm` (the composition of the first
+    `folded` pairs, or None) stays valid and `apply_swaps` folds in just
+    the pairs added since it last ran on this velocity.
+    """
+
+    __slots__ = ("perm", "folded")
+
+    def __init__(self, pairs=()):
+        super().__init__(pairs)
+        self.perm: list[int] | None = None
+        self.folded = 0
+
+    @classmethod
+    def lift(cls, pairs) -> Velocity:
+        """pairs itself if it is a Velocity, else a new one holding them."""
+        return pairs if isinstance(pairs, cls) else cls(map(tuple, pairs))
+
+    def copy(self) -> Velocity:
+        """Same pairs and carried permutation, sharing no mutable state."""
+        out = Velocity(self)
+        if self.perm is not None:
+            out.perm = self.perm.copy()
+            out.folded = self.folded
+        return out
+
+
 def apply_swaps(sequence, pairs) -> list[int]:
-    """Apply index transpositions left to right to a copy of sequence."""
-    out = list(sequence)
-    n = len(out)
-    for i, j in pairs:
+    """Apply index transpositions left to right to a copy of sequence.
+
+    pairs is lifted into a Velocity whose carried permutation is brought
+    up to date (rebuilt when the sequence length differs from the last
+    call); the result is ``out[k] = sequence[perm[k]]``.
+    """
+    v = Velocity.lift(pairs)
+    if not isinstance(sequence, (list, tuple)):
+        sequence = list(sequence)
+    n = len(sequence)
+    perm = v.perm
+    if perm is None or len(perm) != n:
+        perm = list(range(n))
+        v.folded = 0
+    v.perm = None  # invalid until the fold below completes
+    for i, j in v[v.folded:]:
         if not (0 <= i < n and 0 <= j < n):
             raise SequenceError(
                 f"swap pair ({i}, {j}) out of range for length {n}")
-        out[i], out[j] = out[j], out[i]
-    return out
+        perm[i], perm[j] = perm[j], perm[i]
+    v.perm = perm
+    v.folded = len(v)
+    return [sequence[k] for k in perm]
 
 
 def sequence_difference(target, current) -> list[tuple[int, int]]:
@@ -63,30 +109,45 @@ def is_feasible_sequence(sequence, instance: ProblemInstance) -> bool:
     return True
 
 
-def _greedy_order(items, predecessors, done: set[int]) -> list[int]:
+def _greedy_order(items, instance: ProblemInstance) -> list[int]:
     """Emit items in given priority order, each as soon as its
-    predecessors (within items or already done) are emitted."""
-    rank = {tid: i for i, tid in enumerate(items)}
-    pending = {tid: [p for p in predecessors[tid]
-                     if p not in done and p in rank]
-               for tid in items}
+    predecessors among items are emitted; predecessors outside items
+    count as already placed.
+
+    A cursor walks items in order and emits every task whose pending
+    count is zero; a task it has to skip goes onto a heap (by rank) once
+    its last predecessor is emitted, and the heap, holding only ranks
+    behind the cursor, always goes first.
+    """
+    rank = {tid: r for r, tid in enumerate(items)}
+    tasks = instance.tasks_by_id
+    pending = [0] * len(items)
     waiting_on: dict[int, list[int]] = {}
-    ready: list[tuple[int, int]] = []
-    for tid in items:
-        if pending[tid]:
-            for p in pending[tid]:
-                waiting_on.setdefault(p, []).append(tid)
-        else:
-            heapq.heappush(ready, (rank[tid], tid))
+    for r, tid in enumerate(items):
+        task = tasks.get(tid) or instance.task(tid)  # raises if unknown
+        for p in task.predecessors:
+            q = rank.get(p)
+            if q is not None:
+                pending[r] += 1
+                waiting_on.setdefault(q, []).append(r)
+    deferred: list[int] = []
+    cursor = 0
     out: list[int] = []
-    while ready:
-        _, tid = heapq.heappop(ready)
-        out.append(tid)
-        for follower in waiting_on.get(tid, ()):
-            rest = pending[follower]
-            rest.remove(tid)
-            if not rest:
-                heapq.heappush(ready, (rank[follower], follower))
+    while True:
+        if deferred:
+            r = heapq.heappop(deferred)
+        else:
+            while cursor < len(items) and pending[cursor]:
+                cursor += 1
+            if cursor == len(items):
+                break
+            r = cursor
+            cursor += 1
+        out.append(items[r])
+        for f in waiting_on.get(r, ()):
+            pending[f] -= 1
+            if not pending[f] and f < cursor:
+                heapq.heappush(deferred, f)
     if len(out) != len(items):
         stuck = sorted(set(items) - set(out))
         raise SequenceError(
@@ -105,8 +166,7 @@ def repair(sequence, instance: ProblemInstance) -> list[int]:
     seq = list(sequence)
     if len(set(seq)) != len(seq):
         raise SequenceError("sequence contains duplicate task ids")
-    preds = {tid: instance.task(tid).predecessors for tid in seq}
-    return _greedy_order(seq, preds, done=set())
+    return _greedy_order(seq, instance)
 
 
 def extend_sequence(prefix, instance: ProblemInstance) -> list[int]:
@@ -123,8 +183,7 @@ def extend_sequence(prefix, instance: ProblemInstance) -> list[int]:
                     f"task {tid} is sequenced before its predecessor {p}")
         seen.add(tid)
     rest = sorted(t.id for t in instance.tasks if t.id not in seen)
-    preds = {tid: instance.task(tid).predecessors for tid in rest}
-    return list(prefix) + _greedy_order(rest, preds, done=seen)
+    return list(prefix) + _greedy_order(rest, instance)
 
 
 PRIORITY_RULES = (

@@ -162,3 +162,23 @@ class TestExperiment:
         assert "10" in summary
         # a 10-task cell carries a reference row in the console table
         assert " base " in out
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--tasks", "x"], "--tasks must be comma-separated int"),
+        (["--tasks", "10,"], "--tasks must be comma-separated int"),
+        (["--tasks", "-1"], "--tasks must be non-negative"),
+        (["--c1", "a"], "--c1 must be comma-separated float"),
+        (["--reps", "0"], "--reps must be at least 1"),
+        (["--particles", "3"], "swarm_size must be at least 8"),
+        (["--particles", "40,3"], "swarm_size must be at least 8"),
+        (["--max-iter", "0"], "max_iterations must be positive"),
+        (["--c2", "-1"], "acceleration factors must be non-negative"),
+    ])
+    def test_bad_grid_is_usage_error(self, capsys, tmp_path, argv, message):
+        code, out, err = run(capsys, ["experiment", "--out-dir",
+                                      str(tmp_path), *argv])
+        assert code == 1
+        assert message in err and "internal error" not in err
+        # rejected before any run starts
+        assert out == "" and "runs" not in err
+        assert not (tmp_path / "runs.csv").exists()

@@ -1,16 +1,21 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from uavsched.datagen import GenSpec, generate_instance
 from uavsched.eat import build_schedule
+from uavsched.model import SequenceError
 from uavsched.pso import (
     PsoConfig,
+    _mutate_preserving_precedence,
     fitness,
     generate_initial_swarm,
     run_pso,
     update_velocity,
     velocity_cap,
 )
-from uavsched.sequences import apply_swaps, is_feasible_sequence
+from uavsched.sequences import Velocity, apply_swaps, is_feasible_sequence, repair
 
 from conftest import inspect, make_instance
 
@@ -117,6 +122,111 @@ class TestUpdateVelocity:
         v1 = update_velocity([], WORKED_PARTICLE, WORKED_LOCAL,
                              WORKED_GLOBAL, c1=1.0, c2=3.0, rng=rng)
         assert len(v1) == 6
+
+
+def swap_left_to_right(sequence, pairs):
+    """Plain reference: swap a copy pair by pair, rejecting bad indices."""
+    out = list(sequence)
+    n = len(out)
+    for i, j in pairs:
+        if not (0 <= i < n and 0 <= j < n):
+            raise SequenceError(f"swap pair ({i}, {j}) out of range")
+        out[i], out[j] = out[j], out[i]
+    return out
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except SequenceError:
+        return SequenceError
+
+
+class TestCarriedVelocity:
+    """A velocity carries the composed permutation of the pairs already
+    applied; applying it must still equal swapping its pairs in order."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_matches_plain_swaps_across_updates(self, data):
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        velocity = data.draw(st.lists(
+            st.tuples(st.integers(0, 7), st.integers(0, 7)), max_size=4))
+        for _ in range(data.draw(st.integers(1, 5), label="updates")):
+            # particles of varying length bring pairs that can fall out
+            # of range for a shorter sequence applied later
+            m = data.draw(st.integers(1, 10), label="particle length")
+            particle, local, best = (data.draw(st.permutations(range(m)))
+                                     for _ in range(3))
+            old = velocity
+            velocity = update_velocity(velocity, particle, local, best,
+                                       c1=1.0, c2=2.0, rng=rng)
+            assert isinstance(velocity, Velocity)
+            for _ in range(data.draw(st.integers(1, 2), label="applies")):
+                n = data.draw(st.integers(0, 10), label="sequence length")
+                seq = data.draw(st.permutations(range(100, 100 + n)))
+                # the old velocity is untouched by folding the new one
+                for v in (velocity, old):
+                    want = outcome(swap_left_to_right, seq, list(v))
+                    assert outcome(apply_swaps, seq, v) == want
+
+    def test_late_out_of_range_pair(self):
+        seq = list(range(10, 16))
+        v = update_velocity([(0, 1)], [0, 1, 2], [0, 2, 1], [0, 1, 2],
+                            c1=1.0, c2=0.0, rng=ScriptedRng([1.0, 0.0], [[0]]))
+        assert v == [(0, 1), (1, 2)]
+        assert apply_swaps(seq[:3], v) == swap_left_to_right(seq[:3], v)
+        # a later update from longer particles adds pair (2, 4)
+        longer = [0, 1, 2, 3, 4]
+        v2 = update_velocity(v, longer, [0, 1, 4, 3, 2], longer,
+                             c1=1.0, c2=0.0, rng=ScriptedRng([1.0, 0.0], [[0]]))
+        assert v2 == [(0, 1), (1, 2), (2, 4)]
+        with pytest.raises(SequenceError, match=r"\(2, 4\) out of range"):
+            apply_swaps(seq[:3], v2)
+        with pytest.raises(SequenceError):
+            apply_swaps(seq[:3], v2)
+        # the failed fold leaves nothing stale: other lengths still work
+        assert apply_swaps(seq, v2) == swap_left_to_right(seq, v2)
+        assert apply_swaps(seq[:3], v) == swap_left_to_right(seq[:3], v)
+
+    def test_plain_list_is_lifted(self):
+        seq = [5, 6, 7, 8]
+        pairs = [[0, 3], (1, 2)]
+        assert apply_swaps(seq, pairs) == [8, 7, 6, 5]
+        assert pairs == [[0, 3], (1, 2)]
+
+
+def reference_mutate(sequence, instance, rng):
+    """The mutation as first written: a full feasibility check per swap."""
+    seq = list(sequence)
+    n = len(seq)
+    if n < 2:
+        return seq
+    for _ in range(max(1, n // 2)):
+        i, j = (int(v) for v in rng.integers(0, n, size=2))
+        if i == j:
+            continue
+        seq[i], seq[j] = seq[j], seq[i]
+        if not is_feasible_sequence(seq, instance):
+            seq[i], seq[j] = seq[j], seq[i]
+    return seq
+
+
+class TestMutationWindowCheck:
+    @settings(max_examples=120, deadline=None)
+    @given(n=st.integers(0, 40), seed=st.integers(0, 10**6),
+           max_preds=st.integers(0, 4))
+    def test_matches_full_feasibility_check(self, n, seed, max_preds):
+        inst = generate_instance(GenSpec(n_tasks=n, seed=seed,
+                                         max_predecessors=max_preds))
+        ids = [t.id for t in inst.tasks]
+        order = np.random.default_rng(seed).permutation(len(ids))
+        base = repair([ids[k] for k in order], inst)
+        got = _mutate_preserving_precedence(
+            base, inst.graph(), np.random.default_rng(seed))
+        want = reference_mutate(base, inst, np.random.default_rng(seed))
+        assert got == want
+        assert is_feasible_sequence(got, inst)
 
 
 class TestInitialSwarm:

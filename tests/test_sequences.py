@@ -1,10 +1,16 @@
+import heapq
+from types import SimpleNamespace
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from uavsched.datagen import GenSpec, generate_instance
 from uavsched.model import SequenceError
 from uavsched.sequences import (
     PRIORITY_RULES,
+    _greedy_order,
     apply_swaps,
     extend_sequence,
     is_feasible_sequence,
@@ -115,6 +121,101 @@ class TestExtendSequence:
             extend_sequence([7], lab)
 
 
+def reference_greedy_order(items, predecessors, done):
+    """The decode as first written: every ready task goes on one heap."""
+    rank = {tid: i for i, tid in enumerate(items)}
+    pending = {tid: [p for p in predecessors[tid]
+                     if p not in done and p in rank]
+               for tid in items}
+    waiting_on = {}
+    ready = []
+    for tid in items:
+        if pending[tid]:
+            for p in pending[tid]:
+                waiting_on.setdefault(p, []).append(tid)
+        else:
+            heapq.heappush(ready, (rank[tid], tid))
+    out = []
+    while ready:
+        _, tid = heapq.heappop(ready)
+        out.append(tid)
+        for follower in waiting_on.get(tid, ()):
+            rest = pending[follower]
+            rest.remove(tid)
+            if not rest:
+                heapq.heappush(ready, (rank[follower], follower))
+    if len(out) != len(items):
+        stuck = sorted(set(items) - set(out))
+        raise SequenceError(
+            f"tasks {stuck} cannot be ordered: missing or cyclic predecessors")
+    return out
+
+
+def reference_repair(sequence, instance):
+    seq = list(sequence)
+    if len(set(seq)) != len(seq):
+        raise SequenceError("sequence contains duplicate task ids")
+    preds = {tid: instance.task(tid).predecessors for tid in seq}
+    return reference_greedy_order(seq, preds, done=set())
+
+
+def reference_extend(prefix, instance):
+    seen = set(prefix)
+    rest = sorted(t.id for t in instance.tasks if t.id not in seen)
+    preds = {tid: instance.task(tid).predecessors for tid in rest}
+    return list(prefix) + reference_greedy_order(rest, preds, done=seen)
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except SequenceError as exc:
+        return ("error", str(exc))
+
+
+class TestGreedyOrderMatchesReference:
+    """The cursor-and-deferred-heap decode against the all-heap one."""
+
+    instances = st.builds(
+        lambda n, seed, preds: generate_instance(
+            GenSpec(n_tasks=n, seed=seed, max_predecessors=preds)),
+        st.integers(0, 40), st.integers(0, 10**6), st.integers(0, 4))
+
+    @settings(max_examples=150, deadline=None)
+    @given(instances, st.data())
+    def test_repair(self, inst, data):
+        ids = [t.id for t in inst.tasks]
+        seq = data.draw(st.permutations(ids))
+        if ids:
+            # subsets, and sequences with a duplicate or an unknown id,
+            # must agree too
+            k = data.draw(st.integers(0, len(ids)))
+            seq = data.draw(st.sampled_from(
+                [seq, seq[:k], seq[:k] + [seq[0]], seq[:k] + [-1]]))
+        assert outcome(repair, seq, inst) == \
+            outcome(reference_repair, seq, inst)
+
+    @settings(max_examples=150, deadline=None)
+    @given(instances, st.data())
+    def test_extend_sequence(self, inst, data):
+        ids = [t.id for t in inst.tasks]
+        order = np.random.default_rng(len(ids)).permutation(len(ids))
+        feasible = repair([ids[k] for k in order], inst)
+        prefix = feasible[:data.draw(st.integers(0, len(ids)))]
+        assert extend_sequence(prefix, inst) == reference_extend(prefix, inst)
+
+    def test_cycle_message(self):
+        preds = {1: (), 2: (3,), 3: (2,), 4: (1, 3), 5: (5,)}
+        stub = SimpleNamespace(
+            tasks_by_id={t: SimpleNamespace(predecessors=p)
+                         for t, p in preds.items()})
+        items = [4, 3, 1, 5, 2]
+        with pytest.raises(SequenceError) as got:
+            _greedy_order(items, stub)
+        with pytest.raises(SequenceError) as want:
+            reference_greedy_order(items, preds, done=set())
+        assert str(got.value) == str(want.value)
+        assert "tasks [2, 3, 4, 5] cannot be ordered" in str(got.value)
 
 
 class TestPriorityRules:
