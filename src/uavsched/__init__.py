@@ -22,8 +22,6 @@ from .model import (
     TaskType,
     TrajectoryMap,
     Uav,
-    flight_time,
-    makespan,
     nearest_recharge_station,
     task_upper_bound_time,
 )

@@ -22,7 +22,7 @@ from .eat import build_schedule
 from .experiments import (ExperimentGrid, run_experiment, runs_csv_text,
                           summary_csv_text, summary_table_text)
 from .gantt import render_gantt_svg, render_history_svg
-from .io import (load_instance, read_task_csv, save_instance,
+from .io import (load_instance, read_task_csv, read_text, save_instance,
                  write_history_csv, write_report_json, write_schedule_csv,
                  write_text_atomic)
 from .model import InstanceError, ProblemInstance, SchedulingError
@@ -78,7 +78,7 @@ def _resolve_sequence(args, instance: ProblemInstance) -> list[int]:
     if args.sequence:
         seq = _parse_sequence(args.sequence)
     elif args.sequence_file:
-        seq = _parse_sequence(Path(args.sequence_file).read_text())
+        seq = _parse_sequence(read_text(args.sequence_file))
     else:
         rule = args.rule or PRIORITY_RULES[0]
         orderings = priority_orderings(instance)

@@ -10,11 +10,14 @@ from lower to higher ids and are transitively reduced.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
 from .model import (
+    CycleError,
+    PrecedenceGraph,
     ProblemInstance,
     RechargeStation,
     SchedulingError,
@@ -22,7 +25,6 @@ from .model import (
     TaskType,
     TrajectoryMap,
     Uav,
-    transitive_reduction,
     worst_case_engagement_time,
 )
 from .sampledata import sample_map
@@ -128,7 +130,7 @@ def generate_instance(spec: GenSpec,
     tasks = [_draw_task(tid, spec, fm, stations, capacity, work, weights, rng)
              for tid in range(1, spec.n_tasks + 1)]
 
-    edges: set[tuple[int, int]] = set()
+    preds_of: dict[int, tuple[int, ...]] = {t.id: () for t in tasks}
     for task in tasks:
         lower = task.id - 1
         if lower == 0 or spec.max_predecessors == 0:
@@ -138,13 +140,11 @@ def generate_instance(spec: GenSpec,
         if k == 0:
             continue
         preds = rng.choice(lower, size=k, replace=False) + 1
-        edges.update((int(p), task.id) for p in preds)
-    reduced = transitive_reduction(edges, [t.id for t in tasks])
-    preds_of: dict[int, list[int]] = {t.id: [] for t in tasks}
-    for u, v in reduced:
-        preds_of[v].append(u)
+        preds_of[task.id] = tuple(preds.tolist())
+    redundant = set(PrecedenceGraph(preds_of).redundant_edges())
     tasks = [Task(t.id, t.type, t.start_pos, t.end_pos, t.proc_time,
-                  tuple(preds_of[t.id])) for t in tasks]
+                  tuple(p for p in preds_of[t.id] if (p, t.id) not in redundant))
+             for t in tasks]
 
     name = spec.name or f"gen-{spec.n_tasks}t-s{spec.seed}"
     return ProblemInstance(trajectory_map=fm, stations=tuple(stations),
@@ -154,51 +154,29 @@ def generate_instance(spec: GenSpec,
 def validate_precedence(tasks) -> list[str]:
     """Report structural problems in a raw task list.
 
-    Returns human-readable findings: unknown predecessor references,
-    cycles, and redundant edges already implied by longer paths.
+    Returns human-readable findings: repeated task ids, unknown
+    predecessor references and self-dependencies, then either the tasks
+    caught in a cycle or the redundant edges already implied by longer
+    paths. The edges of repeated ids are pooled.
     """
-    problems: list[str] = []
-    ids = {t.id for t in tasks}
-    succs: dict[int, set[int]] = {t.id: set() for t in tasks}
-    indeg = {t.id: 0 for t in tasks}
+    counts = Counter(t.id for t in tasks)
+    problems = [f"task {tid} appears more than once"
+                for tid in sorted(tid for tid, c in counts.items() if c > 1)]
+    preds: dict[int, set[int]] = {tid: set() for tid in counts}
     for t in tasks:
         for p in t.predecessors:
-            if p not in ids:
+            if p not in counts:
                 problems.append(
                     f"task {t.id} references unknown predecessor {p}")
             elif p == t.id:
                 problems.append(f"task {t.id} depends on itself")
             else:
-                succs[p].add(t.id)
-                indeg[t.id] += 1
-    ready = [t for t, d in indeg.items() if d == 0]
-    seen = 0
-    indeg = dict(indeg)
-    while ready:
-        u = ready.pop()
-        seen += 1
-        for v in succs[u]:
-            indeg[v] -= 1
-            if indeg[v] == 0:
-                ready.append(v)
-    if seen != len(ids):
-        cyc = sorted(t for t, d in indeg.items() if d > 0)
-        problems.append(f"cycle among tasks {cyc}")
+                preds[t.id].add(p)
+    try:
+        redundant = PrecedenceGraph(preds).redundant_edges()
+    except CycleError as exc:
+        problems.append(f"cycle among tasks {exc.tasks}")
         return problems
-
-    reach: dict[int, set[int]] = {}
-
-    def reaches(u: int) -> set[int]:
-        if u not in reach:
-            reach[u] = set()
-            for v in succs[u]:
-                reach[u].add(v)
-                reach[u] |= reaches(v)
-        return reach[u]
-
-    for t in sorted(ids):
-        for v in sorted(succs[t]):
-            if any(v in reaches(w) for w in succs[t] if w != v):
-                problems.append(
-                    f"edge {t} -> {v} is redundant (implied by a longer path)")
+    problems += [f"edge {u} -> {v} is redundant (implied by a longer path)"
+                 for u, v in redundant]
     return problems

@@ -8,7 +8,6 @@ reported next to a fixed baseline so regressions stand out.
 from __future__ import annotations
 
 import statistics
-import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from itertools import product
@@ -93,12 +92,10 @@ def _run_one(args):
     instance = _instance_for(n_tasks, base_seed)
     config = PsoConfig(c1=c1, c2=c2, swarm_size=swarm,
                        max_iterations=max_iter, rng_seed=seed)
-    t0 = time.perf_counter()
     report = run_pso(instance, config)
-    ms = (time.perf_counter() - t0) * 1000.0
     return RunResult(run_index, n_tasks, c1, c2, swarm, rep, seed,
                      report.best_makespan, report.iterations_run,
-                     report.converged, ms)
+                     report.converged, report.wall_clock_ms)
 
 
 def run_experiment(grid: ExperimentGrid, jobs: int = 1,

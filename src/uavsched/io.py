@@ -9,9 +9,12 @@ from __future__ import annotations
 import csv
 import json
 import os
+from io import StringIO
 from pathlib import Path
 
 from .model import (
+    DEFAULT_BATTERY_CAPACITY,
+    DEFAULT_RECHARGE_DURATION,
     Action,
     ActionKind,
     InstanceError,
@@ -24,6 +27,7 @@ from .model import (
     TaskType,
     TrajectoryMap,
     Uav,
+    infer_task_type,
 )
 
 TASK_CSV_FIELDS = ("TaskID", "Start", "End", "ProcTime", "Precedence")
@@ -74,13 +78,18 @@ def instance_from_dict(doc: dict) -> ProblemInstance:
         uavs = tuple(Uav(
             id=u["id"],
             initial_pos=u["initial_pos"],
-            battery_capacity=int(u.get("battery_capacity", 1200)),
-            recharge_duration=int(u.get("recharge_duration", 2700)),
+            battery_capacity=int(u.get("battery_capacity",
+                                       DEFAULT_BATTERY_CAPACITY)),
+            recharge_duration=int(u.get("recharge_duration",
+                                        DEFAULT_RECHARGE_DURATION)),
         ) for u in doc["uavs"])
+        # Inside the try: a field of the wrong type (a list where a
+        # position id belongs) first fails here, in validation.
+        return ProblemInstance(trajectory_map=fm, stations=stations,
+                               tasks=tasks, uavs=uavs,
+                               name=doc.get("name", "instance"))
     except (KeyError, TypeError, ValueError) as exc:
         raise InstanceError(f"malformed instance document: {exc}") from exc
-    return ProblemInstance(trajectory_map=fm, stations=stations, tasks=tasks,
-                           uavs=uavs, name=doc.get("name", "instance"))
 
 
 def _canonical_json(doc: dict) -> str:
@@ -101,9 +110,19 @@ def save_instance(instance: ProblemInstance, path):
     write_text_atomic(path, _canonical_json(instance_to_dict(instance)))
 
 
+def read_text(path) -> str:
+    """A UTF-8 file's text, newlines untranslated; a missing, unreadable
+    or undecodable file raises InstanceError."""
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InstanceError(f"{path}: cannot read: {exc}") from exc
+
+
 def load_instance(path) -> ProblemInstance:
     try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+        doc = json.loads(read_text(path))
     except json.JSONDecodeError as exc:
         raise InstanceError(f"{path}: not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
@@ -111,36 +130,32 @@ def load_instance(path) -> ProblemInstance:
     return instance_from_dict(doc)
 
 
-def _infer_task_type(start: str, end: str, proc: int) -> TaskType:
-    if start != end:
-        return TaskType.MATERIAL_HANDLING
-    return (TaskType.SINGLE_INSPECTION if proc <= 80
-            else TaskType.COMPOUND_INSPECTION)
-
-
 def read_task_csv(path) -> tuple[Task, ...]:
     """Import tasks from the tabular format: TaskID, Start, End,
-    ProcTime, Precedence (semicolon-separated ids, '-' for none)."""
+    ProcTime, Precedence (semicolon-separated ids, '-' for none).
+
+    The task type follows from the row by `infer_task_type`.
+    """
     tasks = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        missing = set(TASK_CSV_FIELDS) - set(reader.fieldnames or ())
-        if missing:
-            raise InstanceError(
-                f"{path}: task CSV is missing columns {sorted(missing)}")
-        for row in reader:
-            try:
-                tid = int(row["TaskID"])
-                start = row["Start"].strip()
-                end = row["End"].strip()
-                proc = int(row["ProcTime"])
-                raw = (row["Precedence"] or "").strip()
-                preds = (tuple(int(p) for p in raw.split(";") if p.strip())
-                         if raw and raw != "-" else ())
-            except (TypeError, ValueError) as exc:
-                raise InstanceError(f"{path}: bad task row {row}: {exc}") from exc
-            tasks.append(Task(tid, _infer_task_type(start, end, proc),
-                              start, end, proc, preds))
+    reader = csv.DictReader(StringIO(read_text(path), newline=""))
+    missing = set(TASK_CSV_FIELDS) - set(reader.fieldnames or ())
+    if missing:
+        raise InstanceError(
+            f"{path}: task CSV is missing columns {sorted(missing)}")
+    for row in reader:
+        try:
+            tid = int(row["TaskID"])
+            start = row["Start"].strip()
+            end = row["End"].strip()
+            proc = int(row["ProcTime"])
+            raw = (row["Precedence"] or "").strip()
+            preds = (tuple(int(p) for p in raw.split(";") if p.strip())
+                     if raw and raw != "-" else ())
+        except (AttributeError, TypeError, ValueError) as exc:
+            # A short row leaves its last cells None (AttributeError).
+            raise InstanceError(f"{path}: bad task row {row}: {exc}") from exc
+        tasks.append(Task(tid, infer_task_type(start, end, proc),
+                          start, end, proc, preds))
     return tuple(tasks)
 
 
@@ -168,32 +183,31 @@ def write_schedule_csv(schedule: Schedule, path):
 def read_schedule_csv(path, instance: ProblemInstance) -> Schedule:
     actions: dict[str, list[Action]] = {u.id: [] for u in instance.uavs}
     station_pos = instance.station_positions()
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        missing = set(SCHEDULE_CSV_FIELDS) - set(reader.fieldnames or ())
-        if missing:
+    reader = csv.DictReader(StringIO(read_text(path), newline=""))
+    missing = set(SCHEDULE_CSV_FIELDS) - set(reader.fieldnames or ())
+    if missing:
+        raise InstanceError(
+            f"{path}: schedule CSV is missing columns {sorted(missing)}")
+    for row in reader:
+        try:
+            kind = ActionKind(row["action_kind"])
+            task_id = int(row["task_id"]) if row["task_id"] else None
+            action = Action(
+                kind=kind,
+                start=int(row["start"]),
+                end=int(row["end"]),
+                from_pos=row["from"],
+                to_pos=row["to"],
+                task_id=task_id,
+                station=(row["from"]
+                         if kind in (ActionKind.RECHARGE,
+                                     ActionKind.WAIT_ON_GROUND)
+                         and row["from"] in station_pos else None),
+            )
+        except (KeyError, TypeError, ValueError) as exc:
             raise InstanceError(
-                f"{path}: schedule CSV is missing columns {sorted(missing)}")
-        for row in reader:
-            try:
-                kind = ActionKind(row["action_kind"])
-                task_id = int(row["task_id"]) if row["task_id"] else None
-                action = Action(
-                    kind=kind,
-                    start=int(row["start"]),
-                    end=int(row["end"]),
-                    from_pos=row["from"],
-                    to_pos=row["to"],
-                    task_id=task_id,
-                    station=(row["from"]
-                             if kind in (ActionKind.RECHARGE,
-                                         ActionKind.WAIT_ON_GROUND)
-                             and row["from"] in station_pos else None),
-                )
-            except (KeyError, TypeError, ValueError) as exc:
-                raise InstanceError(
-                    f"{path}: bad schedule row {row}: {exc}") from exc
-            actions.setdefault(row["uav"], []).append(action)
+                f"{path}: bad schedule row {row}: {exc}") from exc
+        actions.setdefault(row["uav"], []).append(action)
     for acts in actions.values():
         acts.sort(key=lambda a: (a.start, a.end))
     return Schedule(instance=instance, actions=actions)

@@ -10,6 +10,7 @@ runs out.
 from __future__ import annotations
 
 import enum
+import heapq
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,6 +33,14 @@ class InstanceError(SchedulingError):
 
 class SequenceError(SchedulingError):
     """A task sequence is malformed or precedence-infeasible."""
+
+
+class CycleError(InstanceError):
+    """The precedence graph has a cycle; `tasks` are the ids caught in it."""
+
+    def __init__(self, tasks: list[int]):
+        super().__init__(f"precedence graph has a cycle among tasks {tasks}")
+        self.tasks = tasks
 
 
 class PositionKind(str, enum.Enum):
@@ -104,14 +113,22 @@ class TrajectoryMap:
                 and self.seconds == other.seconds)
 
 
-def flight_time(trajectory_map: TrajectoryMap, from_pos: str, to_pos: str) -> int:
-    return trajectory_map.flight_time(from_pos, to_pos)
-
-
 class TaskType(str, enum.Enum):
     SINGLE_INSPECTION = "single_inspection"
     COMPOUND_INSPECTION = "compound_inspection"
     MATERIAL_HANDLING = "material_handling"
+
+
+def infer_task_type(start_pos: str, end_pos: str, proc_time: int) -> TaskType:
+    """The type of a task given only its endpoints and duration.
+
+    Moving tasks are material handling; stationary ones are single
+    inspections up to 80 s and compound inspections above that.
+    """
+    if start_pos != end_pos:
+        return TaskType.MATERIAL_HANDLING
+    return (TaskType.SINGLE_INSPECTION if proc_time <= 80
+            else TaskType.COMPOUND_INSPECTION)
 
 
 @dataclass(frozen=True)
@@ -181,12 +198,17 @@ class Action:
 
 
 class PrecedenceGraph:
-    """Directed acyclic dependency structure over task ids."""
+    """Directed acyclic dependency structure over task ids.
 
-    def __init__(self, tasks: dict[int, Task]):
-        self.task_ids = sorted(tasks)
+    The one owner of reachability: topological order, transitive
+    closures and redundant-edge detection all live here.
+    """
+
+    def __init__(self, predecessors):
+        """predecessors maps each task id to the ids it depends on."""
+        self.task_ids = sorted(predecessors)
         self.direct_predecessors = {
-            t: frozenset(tasks[t].predecessors) for t in self.task_ids}
+            t: frozenset(predecessors[t]) for t in self.task_ids}
         succs: dict[int, set[int]] = {t: set() for t in self.task_ids}
         for t, preds in self.direct_predecessors.items():
             for p in preds:
@@ -196,27 +218,25 @@ class PrecedenceGraph:
 
     @classmethod
     def from_tasks(cls, tasks) -> PrecedenceGraph:
-        return cls({t.id: t for t in tasks})
+        return cls({t.id: t.predecessors for t in tasks})
 
     def topological_order(self) -> list[int]:
         """Kahn topological order (ids ascending among ready tasks).
 
-        Raises InstanceError naming the tasks left in a cycle.
+        Raises CycleError naming the tasks left in a cycle.
         """
-        indeg = {t: len(self.direct_predecessors[t]) for t in self.task_ids}
-        ready = sorted(t for t, d in indeg.items() if d == 0)
+        indeg = {t: len(p) for t, p in self.direct_predecessors.items()}
+        ready = [t for t in self.task_ids if not indeg[t]]  # sorted: a heap
         order = []
         while ready:
-            t = ready.pop(0)
+            t = heapq.heappop(ready)
             order.append(t)
-            for s in sorted(self.direct_successors[t]):
+            for s in self.direct_successors[t]:
                 indeg[s] -= 1
-                if indeg[s] == 0:
-                    ready.append(s)
-            ready.sort()
+                if not indeg[s]:
+                    heapq.heappush(ready, s)
         if len(order) != len(self.task_ids):
-            cyc = sorted(t for t in self.task_ids if t not in set(order))
-            raise InstanceError(f"precedence graph has a cycle among tasks {cyc}")
+            raise CycleError([t for t in self.task_ids if indeg[t]])
         return order
 
     def transitive_predecessors(self) -> dict[int, frozenset[int]]:
@@ -240,7 +260,8 @@ class PrecedenceGraph:
         return closure
 
     def redundant_edges(self) -> list[tuple[int, int]]:
-        """Direct edges already implied by a longer path."""
+        """Direct edges already implied by a longer path, ordered by
+        (source, target); raises CycleError on a cycle."""
         closure = self.transitive_successors()
         redundant = []
         for u in self.task_ids:
@@ -249,32 +270,6 @@ class PrecedenceGraph:
                        for w in self.direct_successors[u] if w != v):
                     redundant.append((u, v))
         return redundant
-
-
-def transitive_reduction(edges: set[tuple[int, int]],
-                         nodes: list[int]) -> set[tuple[int, int]]:
-    """Drop every edge implied by a longer path through the DAG."""
-    succs: dict[int, set[int]] = {n: set() for n in nodes}
-    for u, v in edges:
-        succs[u].add(v)
-    # closure by reverse topological sweep; nodes are DAG-ordered by id
-    # only when edges go low to high, so do a generic DFS memo instead
-    memo: dict[int, set[int]] = {}
-
-    def reach(u: int) -> set[int]:
-        if u not in memo:
-            memo[u] = set()
-            acc = memo[u]
-            for v in succs[u]:
-                acc.add(v)
-                acc |= reach(v)
-        return memo[u]
-
-    keep = set()
-    for u, v in edges:
-        if not any(v in reach(w) for w in succs[u] if w != v):
-            keep.add((u, v))
-    return keep
 
 
 @dataclass(frozen=True)
@@ -319,7 +314,6 @@ class ProblemInstance:
         self.tasks_by_id = {t.id: t for t in self.tasks}
         self.uavs_by_id = {u.id: u for u in self.uavs}
         self._station_pos = frozenset(s.pos for s in self.stations)
-        self._escape: dict[str, int] = {}
         self._compiled: CompiledInstance | None = None
         self.validate()
 
@@ -336,19 +330,10 @@ class ProblemInstance:
             raise InstanceError(f"unknown uav id {uav_id!r}") from None
 
     def graph(self) -> PrecedenceGraph:
-        return PrecedenceGraph(self.tasks_by_id)
+        return PrecedenceGraph.from_tasks(self.tasks)
 
     def station_positions(self) -> frozenset[str]:
         return self._station_pos
-
-    def escape_seconds(self, pos: str) -> int:
-        """Flight time from pos to its nearest recharge station (cached)."""
-        t = self._escape.get(pos)
-        if t is None:
-            _, t = nearest_recharge_station(self.trajectory_map, pos,
-                                            self.stations)
-            self._escape[pos] = t
-        return t
 
     def compiled(self) -> CompiledInstance:
         """The constructor's dense view, built on first use and cached."""
@@ -363,7 +348,9 @@ class ProblemInstance:
                 station_pos=tuple(idx[s.pos] for s in self.stations),
                 station_slots=tuple(s.slots for s in self.stations),
                 tasks={t.id: (idx[t.start_pos], idx[t.end_pos], t.proc_time,
-                              self.escape_seconds(t.end_pos), t.predecessors)
+                              nearest_recharge_station(m, t.end_pos,
+                                                       self.stations)[1],
+                              t.predecessors)
                        for t in self.tasks},
                 uav_ids=tuple(u.id for u in self.uavs),
                 uav_start=tuple(idx[u.initial_pos] for u in self.uavs),
@@ -422,9 +409,7 @@ class ProblemInstance:
                 raise InstanceError("instance has tasks but no UAVs")
             if not self.stations:
                 raise InstanceError("instance has tasks but no recharge stations")
-        graph = self.graph()
-        graph.topological_order()
-        redundant = graph.redundant_edges()
+        redundant = self.graph().redundant_edges()
         if redundant:
             raise InstanceError(
                 f"precedence graph has redundant edges {redundant}; "
@@ -502,7 +487,3 @@ class Schedule:
         """Latest action end over the whole fleet; 0 when empty."""
         ends = [a.end for acts in self.actions.values() for a in acts]
         return max(ends) if ends else 0
-
-
-def makespan(schedule: Schedule) -> int:
-    return schedule.makespan()

@@ -37,7 +37,6 @@ class PsoConfig:
     max_iterations: int = 40
     convergence_window: int = 10
     rng_seed: int = 0
-    initial_velocity_cap: int | None = None
 
     def __post_init__(self):
         if self.swarm_size < 8:
@@ -200,8 +199,7 @@ def run_pso(instance: ProblemInstance, config: PsoConfig | None = None) -> RunRe
     particle_rngs = [np.random.default_rng(s) for s in streams[1:]]
 
     n = len(instance.tasks)
-    cap = (config.initial_velocity_cap if config.initial_velocity_cap is not None
-           else velocity_cap(n))
+    cap = velocity_cap(n)
     memo: dict[tuple[int, ...], int] = {}
     particles = generate_initial_swarm(instance, config.swarm_size, rng_init)
     velocities = [_random_initial_velocity(n, cap, rng_init)

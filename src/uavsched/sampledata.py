@@ -14,9 +14,9 @@ from .model import (
     ProblemInstance,
     RechargeStation,
     Task,
-    TaskType,
     TrajectoryMap,
     Uav,
+    infer_task_type,
 )
 
 SAMPLE_POSITIONS = [
@@ -58,16 +58,9 @@ def sample_map() -> TrajectoryMap:
     return TrajectoryMap(SAMPLE_POSITIONS, SAMPLE_FLIGHT_SECONDS)
 
 
-def _infer_type(start: str, end: str, proc: int) -> TaskType:
-    if start != end:
-        return TaskType.MATERIAL_HANDLING
-    return (TaskType.SINGLE_INSPECTION if proc <= 80
-            else TaskType.COMPOUND_INSPECTION)
-
-
 def sample_tasks() -> tuple[Task, ...]:
     return tuple(
-        Task(tid, _infer_type(s, e, p), s, e, p, preds)
+        Task(tid, infer_task_type(s, e, p), s, e, p, preds)
         for tid, s, e, p, preds in SAMPLE_TASK_ROWS)
 
 

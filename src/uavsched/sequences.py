@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import heapq
 
+from .eat import check_sequence
 from .model import ProblemInstance, SequenceError
 
 
@@ -97,15 +98,12 @@ def sequence_difference(target, current) -> list[tuple[int, int]]:
 
 
 def is_feasible_sequence(sequence, instance: ProblemInstance) -> bool:
-    """True when every task appears after all of its predecessors."""
-    seen: set[int] = set()
-    for tid in sequence:
-        task = instance.tasks_by_id.get(tid)
-        if task is None or tid in seen:
-            return False
-        if any(p not in seen for p in task.predecessors):
-            return False
-        seen.add(tid)
+    """True when every task appears once, after all of its predecessors
+    (the rule check_sequence enforces)."""
+    try:
+        check_sequence(instance, sequence)
+    except SequenceError:
+        return False
     return True
 
 
@@ -171,19 +169,12 @@ def repair(sequence, instance: ProblemInstance) -> list[int]:
 
 def extend_sequence(prefix, instance: ProblemInstance) -> list[int]:
     """Complete a feasible prefix with the remaining tasks in id order,
-    deferring each until its predecessors are placed."""
-    seen: set[int] = set()
-    for tid in prefix:
-        task = instance.task(tid)
-        if tid in seen:
-            raise SequenceError(f"task {tid} appears twice in the sequence")
-        for p in task.predecessors:
-            if p not in seen:
-                raise SequenceError(
-                    f"task {tid} is sequenced before its predecessor {p}")
-        seen.add(tid)
-    rest = sorted(t.id for t in instance.tasks if t.id not in seen)
-    return list(prefix) + _greedy_order(rest, instance)
+    deferring each until its predecessors are placed. The prefix is
+    checked by check_sequence."""
+    seq = check_sequence(instance, prefix)
+    placed = set(seq)
+    rest = sorted(t for t in instance.tasks_by_id if t not in placed)
+    return seq + _greedy_order(rest, instance)
 
 
 PRIORITY_RULES = (

@@ -3,7 +3,8 @@ import json
 import pytest
 
 from uavsched.cli import main
-from uavsched.io import load_instance
+from uavsched.io import instance_to_dict, load_instance
+from uavsched.sampledata import sample_instance
 
 from conftest import GOLDEN_PREFIX
 
@@ -52,6 +53,55 @@ class TestInvalidInput:
         code, _, err = run(capsys, ["schedule", "--sequence", "4"])
         assert code == 2
         assert "predecessor" in err
+
+
+def _short_csv_row(tmp):
+    path = tmp / "tasks.csv"
+    path.write_text("TaskID,Start,End,ProcTime,Precedence\n1,a\n")
+    return ["--instance", str(path)]
+
+
+def _missing_sequence_file(tmp):
+    return ["--sequence-file", str(tmp / "missing.txt")]
+
+
+def _directory_instance(tmp):
+    return ["--instance", str(tmp)]
+
+
+def _latin1_instance(tmp):
+    path = tmp / "instance.json"
+    path.write_bytes('{"name": "caf\u00e9"}'.encode("latin-1"))
+    return ["--instance", str(path)]
+
+
+def _latin1_task_csv(tmp):
+    path = tmp / "tasks.csv"
+    path.write_bytes("TaskID,Start,End,ProcTime,Precedence\n"
+                     "1,a,a,30,\u00e9\n".encode("latin-1"))
+    return ["--instance", str(path)]
+
+
+def _list_as_task_start(tmp):
+    doc = instance_to_dict(sample_instance())
+    doc["tasks"][0]["start"] = ["a"]
+    path = tmp / "instance.json"
+    path.write_text(json.dumps(doc))
+    return ["--instance", str(path)]
+
+
+class TestBadInputFiles:
+    """Unreadable or malformed input files are input errors (exit 2),
+    never internal errors (exit 3)."""
+
+    @pytest.mark.parametrize("make_args", [
+        _short_csv_row, _missing_sequence_file, _directory_instance,
+        _latin1_instance, _latin1_task_csv, _list_as_task_start,
+    ])
+    def test_exits_2(self, capsys, tmp_path, make_args):
+        code, _, err = run(capsys, ["schedule", *make_args(tmp_path)])
+        assert code == 2, err
+        assert err.startswith("error: ")
 
 
 class TestSchedule:

@@ -2,9 +2,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from uavsched import datagen
 from uavsched.datagen import GenSpec, GenerationError, generate_instance, \
     validate_precedence
-from uavsched.model import Task, TaskType, worst_case_engagement_time
+from uavsched.model import (
+    PrecedenceGraph,
+    Task,
+    TaskType,
+    worst_case_engagement_time,
+)
 from uavsched.sampledata import sample_map
 
 from conftest import SMALL_MAP
@@ -164,3 +170,143 @@ class TestRawPrecedenceFindings:
     def test_clean_list(self):
         tasks = [self.mk(1), self.mk(2, [1]), self.mk(3, [2])]
         assert validate_precedence(tasks) == []
+
+    def test_repeated_id_is_not_a_cycle(self):
+        tasks = [self.mk(1), self.mk(2, [1]), self.mk(2, [1])]
+        assert validate_precedence(tasks) == ["task 2 appears more than once"]
+
+    def test_repeated_id_pools_edges(self):
+        tasks = [self.mk(1, [2]), self.mk(2), self.mk(1, [3]), self.mk(3, [1])]
+        assert validate_precedence(tasks) == [
+            "task 1 appears more than once", "cycle among tasks [1, 3]"]
+
+
+# Reference copies of the reachability code that PrecedenceGraph replaced:
+# the old validate_precedence (own Kahn pass and DFS) and
+# model.transitive_reduction.
+
+def reference_validate_precedence(tasks) -> list[str]:
+    problems: list[str] = []
+    ids = {t.id for t in tasks}
+    succs: dict[int, set[int]] = {t.id: set() for t in tasks}
+    indeg = {t.id: 0 for t in tasks}
+    for t in tasks:
+        for p in t.predecessors:
+            if p not in ids:
+                problems.append(
+                    f"task {t.id} references unknown predecessor {p}")
+            elif p == t.id:
+                problems.append(f"task {t.id} depends on itself")
+            else:
+                succs[p].add(t.id)
+                indeg[t.id] += 1
+    ready = [t for t, d in indeg.items() if d == 0]
+    seen = 0
+    while ready:
+        u = ready.pop()
+        seen += 1
+        for v in succs[u]:
+            indeg[v] -= 1
+            if indeg[v] == 0:
+                ready.append(v)
+    if seen != len(ids):
+        cyc = sorted(t for t, d in indeg.items() if d > 0)
+        problems.append(f"cycle among tasks {cyc}")
+        return problems
+    reach: dict[int, set[int]] = {}
+
+    def reaches(u):
+        if u not in reach:
+            reach[u] = set()
+            for v in succs[u]:
+                reach[u].add(v)
+                reach[u] |= reaches(v)
+        return reach[u]
+
+    for t in sorted(ids):
+        for v in sorted(succs[t]):
+            if any(v in reaches(w) for w in succs[t] if w != v):
+                problems.append(
+                    f"edge {t} -> {v} is redundant (implied by a longer path)")
+    return problems
+
+
+def reference_transitive_reduction(edges, nodes):
+    succs = {n: set() for n in nodes}
+    for u, v in edges:
+        succs[u].add(v)
+    memo: dict[int, set[int]] = {}
+
+    def reach(u):
+        if u not in memo:
+            memo[u] = set()
+            for v in succs[u]:
+                memo[u].add(v)
+                memo[u] |= reach(v)
+        return memo[u]
+
+    return {(u, v) for u, v in edges
+            if not any(v in reach(w) for w in succs[u] if w != v)}
+
+
+def edge_set(tasks):
+    return {(p, t.id) for t in tasks for p in t.predecessors}
+
+
+@st.composite
+def unique_id_task_lists(draw):
+    """Shuffled tasks with unique ids; predecessors may be unknown ids,
+    self-references or cycles."""
+    n = draw(st.integers(0, 9))
+    ids = draw(st.permutations(range(1, n + 1)))
+    return [Task(tid, TaskType.SINGLE_INSPECTION, "a", "a", 30, tuple(
+        draw(st.lists(st.integers(1, n + 2), max_size=4)))) for tid in ids]
+
+
+@st.composite
+def random_dags(draw):
+    """Tasks 1..n with edges from a random relabelling of a low-to-high
+    DAG, so edges need not run from lower to higher ids."""
+    n = draw(st.integers(1, 12))
+    label = draw(st.permutations(range(1, n + 1)))
+    preds = {tid: [] for tid in label}
+    for hi in range(n):
+        for lo in draw(st.sets(st.integers(0, hi - 1), max_size=hi)
+                       if hi else st.just(set())):
+            preds[label[hi]].append(label[lo])
+    return [Task(tid, TaskType.SINGLE_INSPECTION, "a", "a", 30,
+                 tuple(preds[tid])) for tid in sorted(preds)]
+
+
+class TestReachabilityMatchesReference:
+    @settings(max_examples=400, deadline=None)
+    @given(unique_id_task_lists())
+    def test_findings_equal(self, tasks):
+        assert validate_precedence(tasks) == \
+            reference_validate_precedence(tasks)
+
+    @settings(max_examples=300, deadline=None)
+    @given(random_dags())
+    def test_reduced_edges_equal(self, tasks):
+        edges = edge_set(tasks)
+        redundant = set(PrecedenceGraph.from_tasks(tasks).redundant_edges())
+        assert edges - redundant == reference_transitive_reduction(
+            edges, [t.id for t in tasks])
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 40), st.integers(0, 10_000), st.integers(0, 4))
+    def test_generation_keeps_reference_reduction(self, n, seed, max_preds):
+        drawn = []
+
+        class Recorder(PrecedenceGraph):
+            def __init__(self, predecessors):
+                drawn.append({(p, t) for t, ps in predecessors.items()
+                              for p in ps})
+                super().__init__(predecessors)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(datagen, "PrecedenceGraph", Recorder)
+            inst = gen(n, seed, max_predecessors=max_preds)
+        assert len(drawn) == 1
+        assert edge_set(inst.tasks) == reference_transitive_reduction(
+            drawn[0], [t.id for t in inst.tasks])

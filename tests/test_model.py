@@ -15,12 +15,12 @@ from uavsched.model import (
     TrajectoryMap,
     Uav,
     UnknownPositionError,
-    makespan,
+    infer_task_type,
     nearest_recharge_station,
     task_upper_bound_time,
-    transitive_reduction,
     worst_case_engagement_time,
 )
+from uavsched.io import read_task_csv
 
 from conftest import SMALL_MAP, haul, inspect, make_instance
 
@@ -64,10 +64,23 @@ class TestTask:
         t = Task(5, TaskType.SINGLE_INSPECTION, "a", "a", 10, (3, 1, 3))
         assert t.predecessors == (1, 3)
 
+    @pytest.mark.parametrize("start, end, proc, expected", [
+        ("a", "a", 80, TaskType.SINGLE_INSPECTION),
+        ("a", "a", 81, TaskType.COMPOUND_INSPECTION),
+        ("a", "b", 80, TaskType.MATERIAL_HANDLING),
+        ("a", "b", 81, TaskType.MATERIAL_HANDLING),
+    ])
+    def test_type_rule_boundaries(self, tmp_path, start, end, proc, expected):
+        assert infer_task_type(start, end, proc) == expected
+        path = tmp_path / "tasks.csv"
+        path.write_text("TaskID,Start,End,ProcTime,Precedence\n"
+                        f"1,{start},{end},{proc},-\n")
+        assert read_task_csv(path)[0].type == expected
+
 
 class TestPrecedenceGraph:
     def _graph(self, *tasks):
-        return PrecedenceGraph({t.id: t for t in tasks})
+        return PrecedenceGraph.from_tasks(tasks)
 
     def test_topological_order_respects_edges(self):
         g = self._graph(inspect(1, "a", 5), inspect(2, "a", 5, [1]),
@@ -94,10 +107,6 @@ class TestPrecedenceGraph:
         g = self._graph(inspect(1, "a", 5), inspect(2, "a", 5, [1]),
                         inspect(3, "a", 5, [1, 2]))
         assert g.redundant_edges() == [(1, 3)]
-
-    def test_transitive_reduction_strips_shortcut(self):
-        edges = {(1, 2), (2, 3), (1, 3)}
-        assert transitive_reduction(edges, [1, 2, 3]) == {(1, 2), (2, 3)}
 
 
 class TestInstanceValidation:
@@ -158,10 +167,15 @@ class TestInstanceValidation:
         with pytest.raises(Exception, match="unknown task"):
             lab.task(99)
 
-    def test_escape_seconds_cached_lookup(self, lab):
-        assert lab.escape_seconds("b") == lab.escape_seconds("b")
-        assert lab.escape_seconds("b") == min(
-            lab.trajectory_map.flight_time("b", s.pos) for s in lab.stations)
+    def test_compiled_escape_seconds(self, lab):
+        # Each task's compiled entry carries the flight from its end
+        # position to the nearest station.
+        compiled = lab.compiled()
+        assert compiled is lab.compiled()
+        for t in lab.tasks:
+            assert compiled.tasks[t.id][3] == min(
+                lab.trajectory_map.flight_time(t.end_pos, s.pos)
+                for s in lab.stations)
 
 
 class TestGeometryHelpers:
@@ -198,7 +212,7 @@ class TestGeometryHelpers:
 class TestSchedule:
     def test_makespan_empty(self, lab):
         s = Schedule(instance=lab, actions={u.id: [] for u in lab.uavs})
-        assert s.makespan() == 0 and makespan(s) == 0
+        assert s.makespan() == 0
 
     def test_makespan_and_order(self, lab):
         s = Schedule(instance=lab, actions={
