@@ -69,64 +69,90 @@ def _construct(instance: ProblemInstance, sequence, record: bool):
     station order). The earliest offer wins; ties keep fleet order. A
     recharge holds the station's earliest-free bay until departure.
 
+    A recharge offer starts no earlier than the availability or the end
+    of a recharge begun at once, whichever is later; when that bound
+    cannot beat the best offer so far and some station is in reach, the
+    station loop is skipped.
+
+    The walk only notices a malformed sequence (an unknown id or a
+    missing predecessor, a repeated id at the end); check_sequence then
+    names the first offending task, so errors are those of checking the
+    sequence up front.
+
     Returns the Schedule when record is true, else the makespan.
     """
-    seq = check_sequence(instance, sequence)
+    seq = [int(t) for t in sequence]
     view = instance.compiled()
     secs, names, tasks = view.seconds, view.position_ids, view.tasks
     is_station, station_pos = view.is_station, view.station_pos
+    nearest = view.nearest_leg
     caps, durations = view.uav_capacity, view.uav_recharge
+    left = list(caps)                   # battery seconds left
     bays = [[0] * n for n in view.station_slots]
     bay_free = [0] * len(bays)          # earliest bay release per station
     release = [0] * len(names)          # per position
     pos = list(view.uav_start)
     ready = [0] * len(pos)
-    used = [0] * len(pos)               # airborne seconds since recharge
     fleet = range(len(pos))
-    stations = tuple(enumerate(station_pos))
+    stations = tuple((j, sp, secs[sp]) for j, sp in enumerate(station_pos))
     timelines = [[] for _ in fleet]
     ends: dict[int, int] = {}
     for tid in seq:
-        s, e, proc, escape, preds = tasks[tid]
-        at = release[s] if release[s] > release[e] else release[e]
-        for p in preds:
-            if ends[p] > at:
-                at = ends[p]
+        try:
+            s, e, proc, escape, preds = tasks[tid]
+            need = proc + escape
+            at = release[s] if release[s] > release[e] else release[e]
+            for p in preds:
+                if ends[p] > at:
+                    at = ends[p]
+        except KeyError:
+            check_sequence(instance, seq)
+            raise
         best = -1
         for k in fleet:
-            here, t0, u, cap = pos[k], ready[k], used[k], caps[k]
+            here, t0, room = pos[k], ready[k], left[k]
             row = secs[here]
             ft = row[s]
             start = t0 + ft if t0 + ft > at else at
             airborne = ft if is_station[here] else start - t0
-            plan = None
-            if u + airborne + proc + escape > cap:
-                for j, sp in stations:
+            station = -1
+            if airborne + need > room:
+                dur = durations[k]
+                start = t0 + dur        # no recharge offer starts earlier
+                if start < at:
+                    start = at
+                if best >= 0 and start >= best_start and \
+                        nearest[here] <= room:
+                    continue            # cannot win; a station is in reach
+                for j, sp, out in stations:
                     leg = row[sp]
-                    if u + leg > cap:
+                    if leg > room:
                         continue
                     charge = t0 + leg
                     begin = bay_free[j] if bay_free[j] > charge else charge
-                    done = begin + durations[k]
-                    prepared = done + secs[sp][s]
+                    prepared = begin + dur + out[s]
                     if prepared < at:
                         prepared = at
-                    if plan is None or prepared < plan[0]:
-                        plan = (prepared, j, charge, begin, done)
-                if plan is None:
+                    if station < 0 or prepared < start:
+                        station, start = j, prepared
+                if station < 0:
+                    check_sequence(instance, seq)
                     raise SchedulingError(
                         f"uav {view.uav_ids[k]} cannot reach any recharge "
-                        f"station from {names[here]} with {u}s used")
-                start = plan[0]
+                        f"station from {names[here]} with "
+                        f"{caps[k] - room}s used")
             if best < 0 or start < best_start:
-                best, best_start, best_plan = k, start, plan
+                best, best_start, best_station = k, start, station
 
         k, start = best, best_start
         here, t0 = pos[k], ready[k]
         acts = timelines[k]
-        if best_plan is not None:
-            _, j, charge, begin, done = best_plan
+        if best_station >= 0:
+            j = best_station
             sp = station_pos[j]
+            charge = t0 + secs[here][sp]
+            begin = bay_free[j] if bay_free[j] > charge else charge
+            done = begin + durations[k]
             out = secs[sp][s]
             depart = start - out
             if record:
@@ -143,7 +169,7 @@ def _construct(instance: ProblemInstance, sequence, record: bool):
             b = bays[j]
             b[b.index(bay_free[j])] = depart
             bay_free[j] = min(b)
-            used[k] = out
+            left[k] = caps[k] - out
         elif is_station[here]:
             ft = secs[here][s]
             depart = start - ft
@@ -154,7 +180,7 @@ def _construct(instance: ProblemInstance, sequence, record: bool):
                 if ft:
                     acts.append(Action(_FLIGHT, depart, start, names[here],
                                        names[s]))
-            used[k] += ft
+            left[k] -= ft
         else:
             arrival = t0 + secs[here][s]
             if record:
@@ -164,13 +190,14 @@ def _construct(instance: ProblemInstance, sequence, record: bool):
                 if arrival < start:
                     acts.append(Action(_HOVER, arrival, start, names[s],
                                        names[s]))
-            used[k] += start - t0
+            left[k] -= start - t0
         end = start + proc
         if record:
             acts.append(Action(_EXEC, start, end, names[s], names[e],
                                task_id=tid))
-        used[k] += proc
-        if used[k] > caps[k]:
+        left[k] -= proc
+        if left[k] < 0:
+            check_sequence(instance, seq)
             raise SchedulingError(
                 f"internal accounting error: uav {view.uav_ids[k]} over budget")
         pos[k], ready[k] = e, end
@@ -179,6 +206,8 @@ def _construct(instance: ProblemInstance, sequence, record: bool):
         if end > release[e]:
             release[e] = end
         ends[tid] = end
+    if len(ends) != len(seq):
+        check_sequence(instance, seq)
     if record:
         return Schedule(instance=instance,
                         actions=dict(zip(view.uav_ids, timelines)))

@@ -60,31 +60,42 @@ def instance_to_dict(instance: ProblemInstance) -> dict:
     }
 
 
+def _name(value, what: str) -> str:
+    """value if it is a string; ids and position names must be."""
+    if not isinstance(value, str):
+        raise InstanceError(
+            f"malformed instance document: {what} must be a string, "
+            f"not {value!r}")
+    return value
+
+
 def instance_from_dict(doc: dict) -> ProblemInstance:
     try:
-        positions = [Position(p["id"], PositionKind(p.get("kind", "work")))
+        positions = [Position(_name(p["id"], "position id"),
+                              PositionKind(p.get("kind", "work")))
                      for p in doc["positions"]]
         fm = TrajectoryMap(positions, doc["flight_time"])
-        stations = tuple(RechargeStation(s["pos"], int(s.get("slots", 1)))
+        stations = tuple(RechargeStation(_name(s["pos"], "station pos"),
+                                         int(s.get("slots", 1)))
                          for s in doc["stations"])
         tasks = tuple(Task(
             id=int(t["id"]),
             type=TaskType(t["type"]),
-            start_pos=t["start"],
-            end_pos=t["end"],
+            start_pos=_name(t["start"], "task start"),
+            end_pos=_name(t["end"], "task end"),
             proc_time=int(t["proc_time"]),
             predecessors=tuple(int(p) for p in t.get("predecessors", ())),
         ) for t in doc["tasks"])
         uavs = tuple(Uav(
-            id=u["id"],
-            initial_pos=u["initial_pos"],
+            id=_name(u["id"], "uav id"),
+            initial_pos=_name(u["initial_pos"], "uav initial_pos"),
             battery_capacity=int(u.get("battery_capacity",
                                        DEFAULT_BATTERY_CAPACITY)),
             recharge_duration=int(u.get("recharge_duration",
                                         DEFAULT_RECHARGE_DURATION)),
         ) for u in doc["uavs"])
-        # Inside the try: a field of the wrong type (a list where a
-        # position id belongs) first fails here, in validation.
+        # Inside the try: validation may still meet a wrongly typed
+        # field and raise TypeError or ValueError.
         return ProblemInstance(trajectory_map=fm, stations=stations,
                                tasks=tasks, uavs=uavs,
                                name=doc.get("name", "instance"))

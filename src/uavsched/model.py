@@ -279,6 +279,9 @@ class CompiledInstance:
     Positions are indices into the trajectory map; stations and UAVs
     keep declaration order. A task maps to (start index, end index,
     proc_time, escape seconds from its end, predecessor ids).
+    `nearest_leg` is the flight time from each position to its nearest
+    station. Tasks also get dense indices (ascending id order), with the
+    indices of their direct predecessors and successors, ascending.
     """
 
     position_ids: tuple[str, ...]
@@ -286,7 +289,11 @@ class CompiledInstance:
     is_station: tuple[bool, ...]
     station_pos: tuple[int, ...]
     station_slots: tuple[int, ...]
+    nearest_leg: tuple[float, ...]
     tasks: dict[int, tuple[int, int, int, int, tuple[int, ...]]]
+    task_index: dict[int, int]
+    task_preds: tuple[tuple[int, ...], ...]
+    task_succs: tuple[tuple[int, ...], ...]
     uav_ids: tuple[str, ...]
     uav_start: tuple[int, ...]
     uav_capacity: tuple[int, ...]
@@ -340,18 +347,33 @@ class ProblemInstance:
         if self._compiled is None:
             m = self.trajectory_map
             idx = m.index
+            station_pos = tuple(idx[s.pos] for s in self.stations)
+            task_index = {t: k for k, t in enumerate(sorted(self.tasks_by_id))}
+            preds = tuple(tuple(task_index[p] for p in
+                                self.tasks_by_id[t].predecessors)
+                          for t in task_index)
+            succs: list[list[int]] = [[] for _ in preds]
+            for k, ps in enumerate(preds):
+                for p in ps:
+                    succs[p].append(k)
             self._compiled = CompiledInstance(
                 position_ids=tuple(p.id for p in m.positions),
                 seconds=m.seconds,
                 is_station=tuple(p.id in self._station_pos
                                  for p in m.positions),
-                station_pos=tuple(idx[s.pos] for s in self.stations),
+                station_pos=station_pos,
                 station_slots=tuple(s.slots for s in self.stations),
+                nearest_leg=tuple(min((row[sp] for sp in station_pos),
+                                      default=float("inf"))
+                                  for row in m.seconds),
                 tasks={t.id: (idx[t.start_pos], idx[t.end_pos], t.proc_time,
                               nearest_recharge_station(m, t.end_pos,
                                                        self.stations)[1],
                               t.predecessors)
                        for t in self.tasks},
+                task_index=task_index,
+                task_preds=preds,
+                task_succs=tuple(map(tuple, succs)),
                 uav_ids=tuple(u.id for u in self.uavs),
                 uav_start=tuple(idx[u.initial_pos] for u in self.uavs),
                 uav_capacity=tuple(u.battery_capacity for u in self.uavs),

@@ -98,11 +98,13 @@ def update_velocity(velocity, particle, local_best, global_best,
     The share of difference pairs absorbed is c * U with U drawn once
     per component, clamped at taking the whole list, rounded to the
     nearest count. Pairs equal (as unordered index sets) to one already
-    present are dropped. The result is a copy of the old velocity with
-    pairs appended, so it keeps the old carried permutation.
+    present are dropped, looked up in the velocity's carried pair mask.
+    The result is a copy of the old velocity with pairs appended, so it
+    keeps the old carried permutation and mask.
     """
     new = Velocity.lift(velocity).copy()
-    have = set(new)
+    n = len(particle)
+    have = new.pair_mask(n)
 
     def absorb(diff, proportion):
         count = _round_half_up(min(1.0, proportion) * len(diff))
@@ -112,14 +114,15 @@ def update_velocity(velocity, particle, local_best, global_best,
         for idx in sorted(chosen):
             pair = diff[idx]
             i, j = pair
-            if pair not in have and (j, i) not in have:
-                have.add(pair)
+            if not have[i * n + j]:
+                have[i * n + j] = have[j * n + i] = 1
                 new.append(pair)
 
     u1 = rng.random()
     u2 = rng.random()
     absorb(sequence_difference(local_best, particle), c1 * u1)
     absorb(sequence_difference(global_best, particle), c2 * u2)
+    new.masked = len(new)
     return new
 
 

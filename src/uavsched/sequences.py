@@ -23,15 +23,20 @@ class Velocity(list):
     Behaves as (and compares equal to) the plain list of (i, j) tuples.
     Pairs are only ever appended, so `perm` (the composition of the first
     `folded` pairs, or None) stays valid and `apply_swaps` folds in just
-    the pairs added since it last ran on this velocity.
+    the pairs added since it last ran on this velocity. Likewise `mask`,
+    an n*n bytearray with both orientations of each of the first
+    `masked` pairs set (pairs out of range for n are left out), lets
+    `update_velocity` dedup new pairs without rebuilding a set.
     """
 
-    __slots__ = ("perm", "folded")
+    __slots__ = ("perm", "folded", "mask", "masked")
 
     def __init__(self, pairs=()):
         super().__init__(pairs)
         self.perm: list[int] | None = None
         self.folded = 0
+        self.mask: bytearray | None = None
+        self.masked = 0
 
     @classmethod
     def lift(cls, pairs) -> Velocity:
@@ -39,12 +44,29 @@ class Velocity(list):
         return pairs if isinstance(pairs, cls) else cls(map(tuple, pairs))
 
     def copy(self) -> Velocity:
-        """Same pairs and carried permutation, sharing no mutable state."""
+        """Same pairs and carried state, sharing no mutable state."""
         out = Velocity(self)
         if self.perm is not None:
             out.perm = self.perm.copy()
             out.folded = self.folded
+        if self.mask is not None:
+            out.mask = self.mask.copy()
+            out.masked = self.masked
         return out
+
+    def pair_mask(self, n: int) -> bytearray:
+        """The dedup mask for indices below n, holding every pair so far
+        (rebuilt when n differs from the last call)."""
+        mask = self.mask
+        if mask is None or len(mask) != n * n:
+            mask = bytearray(n * n)
+            self.masked = 0
+        for i, j in self[self.masked:]:
+            if 0 <= i < n and 0 <= j < n:
+                mask[i * n + j] = mask[j * n + i] = 1
+        self.mask = mask
+        self.masked = len(self)
+        return mask
 
 
 def apply_swaps(sequence, pairs) -> list[int]:
@@ -80,17 +102,26 @@ def sequence_difference(target, current) -> list[tuple[int, int]]:
     disagrees with the target, swap the target's element into place.
     Applying the result to current yields target; the list never exceeds
     len - 1 pairs and skips positions already in agreement.
+
+    With distinct items in current, the walk itself checks that target
+    is a permutation of it: a wanted item that is missing, or already
+    placed further left, is not. Repeated ids are checked up front by
+    comparing the sorted sequences.
     """
-    if sorted(current) != sorted(target):
-        raise SequenceError("sequences are not permutations of each other")
     work = list(current)
     pos = {t: i for i, t in enumerate(work)}
+    n = len(work)
+    repeated = len(pos) != n
+    if len(target) != n or (repeated and sorted(work) != sorted(target)):
+        raise SequenceError("sequences are not permutations of each other")
     pairs: list[tuple[int, int]] = []
     for i, want in enumerate(target):
         have = work[i]
         if have == want:
             continue
-        j = pos[want]
+        j = pos.get(want, -1)
+        if j < i and not repeated:
+            raise SequenceError("sequences are not permutations of each other")
         pairs.append((i, j))
         work[i], work[j] = want, have
         pos[want], pos[have] = i, j
@@ -112,22 +143,38 @@ def _greedy_order(items, instance: ProblemInstance) -> list[int]:
     predecessors among items are emitted; predecessors outside items
     count as already placed.
 
-    A cursor walks items in order and emits every task whose pending
-    count is zero; a task it has to skip goes onto a heap (by rank) once
-    its last predecessor is emitted, and the heap, holding only ranks
-    behind the cursor, always goes first.
+    Runs on the compiled view's dense task indices: `rank` maps each to
+    its place in items (-1 when absent). A cursor walks items in order
+    and emits every task whose pending count is zero; a task it has to
+    skip goes onto a heap (by rank) once its last predecessor is
+    emitted, and the heap, holding only ranks behind the cursor, always
+    goes first. Repeated ids raise before unknown ones.
     """
-    rank = {tid: r for r, tid in enumerate(items)}
-    tasks = instance.tasks_by_id
-    pending = [0] * len(items)
-    waiting_on: dict[int, list[int]] = {}
-    for r, tid in enumerate(items):
-        task = tasks.get(tid) or instance.task(tid)  # raises if unknown
-        for p in task.predecessors:
-            q = rank.get(p)
-            if q is not None:
-                pending[r] += 1
-                waiting_on.setdefault(q, []).append(r)
+    view = instance.compiled()
+    index, preds, succs = view.task_index, view.task_preds, view.task_succs
+    n = len(items)
+    rank = [-1] * len(preds)
+    try:
+        dense = [index[tid] for tid in items]
+    except KeyError:
+        dense = None
+    else:
+        for r, d in enumerate(dense):
+            rank[d] = r
+    # a repeated id leaves more ranks unset than there are absent tasks
+    if dense is None or rank.count(-1) != len(preds) - n:
+        if len(set(items)) != n:
+            raise SequenceError("sequence contains duplicate task ids")
+        for tid in items:
+            instance.task(tid)  # raises: unknown id
+    if n == len(preds):     # every task: all predecessors count
+        pending = [len(preds[d]) for d in dense]
+    else:
+        pending = [0] * n
+        for r, d in enumerate(dense):
+            for p in preds[d]:
+                if rank[p] >= 0:
+                    pending[r] += 1
     deferred: list[int] = []
     cursor = 0
     out: list[int] = []
@@ -135,17 +182,19 @@ def _greedy_order(items, instance: ProblemInstance) -> list[int]:
         if deferred:
             r = heapq.heappop(deferred)
         else:
-            while cursor < len(items) and pending[cursor]:
+            while cursor < n and pending[cursor]:
                 cursor += 1
-            if cursor == len(items):
+            if cursor == n:
                 break
             r = cursor
             cursor += 1
         out.append(items[r])
-        for f in waiting_on.get(r, ()):
-            pending[f] -= 1
-            if not pending[f] and f < cursor:
-                heapq.heappush(deferred, f)
+        for f in succs[dense[r]]:
+            q = rank[f]
+            if q >= 0:
+                pending[q] -= 1
+                if not pending[q] and q < cursor:
+                    heapq.heappush(deferred, q)
     if len(out) != len(items):
         stuck = sorted(set(items) - set(out))
         raise SequenceError(
@@ -159,12 +208,9 @@ def repair(sequence, instance: ProblemInstance) -> list[int]:
     Tasks keep their relative priority; one that arrives before a
     predecessor is deferred until the predecessor has been emitted.
     Feasible inputs pass through unchanged and the operation is
-    idempotent.
+    idempotent. Repeated ids raise SequenceError.
     """
-    seq = list(sequence)
-    if len(set(seq)) != len(seq):
-        raise SequenceError("sequence contains duplicate task ids")
-    return _greedy_order(seq, instance)
+    return _greedy_order(list(sequence), instance)
 
 
 def extend_sequence(prefix, instance: ProblemInstance) -> list[int]:

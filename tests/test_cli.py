@@ -90,6 +90,41 @@ def _list_as_task_start(tmp):
     return ["--instance", str(path)]
 
 
+def _mutated_instance(edit):
+    def make_args(tmp):
+        doc = instance_to_dict(sample_instance())
+        edit(doc)
+        path = tmp / "instance.json"
+        path.write_text(json.dumps(doc))
+        return ["--instance", str(path)]
+    make_args.__name__ = edit.__name__
+    return make_args
+
+
+def _null_uav_id(doc):
+    doc["uavs"][0]["id"] = None
+
+
+def _int_uav_id(doc):
+    doc["uavs"][1]["id"] = 7
+
+
+def _null_uav_initial_pos(doc):
+    doc["uavs"][0]["initial_pos"] = None
+
+
+def _int_position_id(doc):
+    doc["positions"][0]["id"] = 3
+
+
+def _null_station_pos(doc):
+    doc["stations"][0]["pos"] = None
+
+
+def _null_task_end(doc):
+    doc["tasks"][0]["end"] = None
+
+
 class TestBadInputFiles:
     """Unreadable or malformed input files are input errors (exit 2),
     never internal errors (exit 3)."""
@@ -97,11 +132,20 @@ class TestBadInputFiles:
     @pytest.mark.parametrize("make_args", [
         _short_csv_row, _missing_sequence_file, _directory_instance,
         _latin1_instance, _latin1_task_csv, _list_as_task_start,
+        *map(_mutated_instance, (_null_uav_id, _int_uav_id,
+                                 _null_uav_initial_pos, _int_position_id,
+                                 _null_station_pos, _null_task_end)),
     ])
     def test_exits_2(self, capsys, tmp_path, make_args):
         code, _, err = run(capsys, ["schedule", *make_args(tmp_path)])
         assert code == 2, err
         assert err.startswith("error: ")
+
+    def test_non_string_id_is_named(self, capsys, tmp_path):
+        args = _mutated_instance(_null_uav_id)(tmp_path)
+        code, _, err = run(capsys, ["schedule", *args])
+        assert code == 2
+        assert "uav id must be a string, not None" in err
 
 
 class TestSchedule:

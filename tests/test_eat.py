@@ -5,11 +5,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from uavsched.datagen import GenSpec, generate_instance
-from uavsched.eat import build_schedule, check_sequence
+from uavsched.eat import build_makespan, build_schedule, check_sequence
 from uavsched.model import (
+    Action,
     ActionKind,
+    Position,
+    PositionKind,
     RechargeStation,
+    Schedule,
+    SchedulingError,
     SequenceError,
+    TrajectoryMap,
     Uav,
     worst_case_engagement_time,
 )
@@ -364,3 +370,214 @@ class TestMakespanPathMatchesSchedule:
             with pytest.raises(SequenceError) as scored:
                 fitness(seq, inst)
             assert str(scored.value) == str(built.value)
+
+
+def reference_construct(instance, sequence, record):
+    """The constructor as it was before recharge pruning: the sequence is
+    checked up front and every UAV's station loop runs in full."""
+    seq = check_sequence(instance, sequence)
+    view = instance.compiled()
+    secs, names, tasks = view.seconds, view.position_ids, view.tasks
+    is_station, station_pos = view.is_station, view.station_pos
+    caps, durations = view.uav_capacity, view.uav_recharge
+    bays = [[0] * n for n in view.station_slots]
+    bay_free = [0] * len(bays)
+    release = [0] * len(names)
+    pos = list(view.uav_start)
+    ready = [0] * len(pos)
+    used = [0] * len(pos)
+    fleet = range(len(pos))
+    stations = tuple(enumerate(station_pos))
+    timelines = [[] for _ in fleet]
+    ends = {}
+    for tid in seq:
+        s, e, proc, escape, preds = tasks[tid]
+        at = release[s] if release[s] > release[e] else release[e]
+        for p in preds:
+            if ends[p] > at:
+                at = ends[p]
+        best = -1
+        for k in fleet:
+            here, t0, u, cap = pos[k], ready[k], used[k], caps[k]
+            row = secs[here]
+            ft = row[s]
+            start = t0 + ft if t0 + ft > at else at
+            airborne = ft if is_station[here] else start - t0
+            plan = None
+            if u + airborne + proc + escape > cap:
+                for j, sp in stations:
+                    leg = row[sp]
+                    if u + leg > cap:
+                        continue
+                    charge = t0 + leg
+                    begin = bay_free[j] if bay_free[j] > charge else charge
+                    done = begin + durations[k]
+                    prepared = done + secs[sp][s]
+                    if prepared < at:
+                        prepared = at
+                    if plan is None or prepared < plan[0]:
+                        plan = (prepared, j, charge, begin, done)
+                if plan is None:
+                    raise SchedulingError(
+                        f"uav {view.uav_ids[k]} cannot reach any recharge "
+                        f"station from {names[here]} with {u}s used")
+                start = plan[0]
+            if best < 0 or start < best_start:
+                best, best_start, best_plan = k, start, plan
+        k, start = best, best_start
+        here, t0 = pos[k], ready[k]
+        acts = timelines[k]
+        if best_plan is not None:
+            _, j, charge, begin, done = best_plan
+            sp = station_pos[j]
+            out = secs[sp][s]
+            depart = start - out
+            if record:
+                st = names[sp]
+                if charge > t0:
+                    acts.append(Action(F, t0, charge, names[here], st))
+                if begin > charge:
+                    acts.append(Action(W, charge, begin, st, st, station=st))
+                acts.append(Action(R, begin, done, st, st, station=st))
+                if depart > done:
+                    acts.append(Action(W, done, depart, st, st, station=st))
+                if out:
+                    acts.append(Action(F, depart, start, st, names[s]))
+            b = bays[j]
+            b[b.index(bay_free[j])] = depart
+            bay_free[j] = min(b)
+            used[k] = out
+        elif is_station[here]:
+            ft = secs[here][s]
+            depart = start - ft
+            if record:
+                if depart > t0:
+                    acts.append(Action(W, t0, depart, names[here],
+                                       names[here], station=names[here]))
+                if ft:
+                    acts.append(Action(F, depart, start, names[here],
+                                       names[s]))
+            used[k] += ft
+        else:
+            arrival = t0 + secs[here][s]
+            if record:
+                if arrival > t0:
+                    acts.append(Action(F, t0, arrival, names[here], names[s]))
+                if arrival < start:
+                    acts.append(Action(H, arrival, start, names[s], names[s]))
+            used[k] += start - t0
+        end = start + proc
+        if record:
+            acts.append(Action(T, start, end, names[s], names[e], task_id=tid))
+        used[k] += proc
+        if used[k] > caps[k]:
+            raise SchedulingError(
+                f"internal accounting error: uav {view.uav_ids[k]} over budget")
+        pos[k], ready[k] = e, end
+        if end > release[s]:
+            release[s] = end
+        if end > release[e]:
+            release[e] = end
+        ends[tid] = end
+    if record:
+        return Schedule(instance=instance,
+                        actions=dict(zip(view.uav_ids, timelines)))
+    return max(ready, default=0)
+
+
+def with_far_position(instance, legs, hops):
+    """The instance with one more work position, "far": hops[i] seconds
+    from the i-th work position and legs[j] from the j-th station, which
+    may put every station out of a fresh battery's reach."""
+    fm = instance.trajectory_map
+    station_at = {s.pos: j for j, s in enumerate(instance.stations)}
+    extra = []
+    for i, p in enumerate(fm.positions):
+        extra.append(legs[station_at[p.id]] if p.id in station_at
+                     else hops[i % len(hops)])
+    seconds = [list(row) + [extra[i]] for i, row in enumerate(fm.seconds)]
+    seconds.append(extra + [0])
+    far = TrajectoryMap(fm.positions + (Position("far", PositionKind.WORK),),
+                        seconds)
+    return dataclasses.replace(instance, trajectory_map=far)
+
+
+@st.composite
+def pruning_draws(draw):
+    """Heterogeneous fleets (per-UAV battery, recharge time and start
+    position, 1-3 bays per station) on a map with a "far" position that
+    may be beyond a fresh battery's reach of every station, and a
+    repaired sequence, maybe cut, maybe made malformed."""
+    spec = GenSpec(n_tasks=draw(st.integers(0, 30)),
+                   seed=draw(st.integers(0, 2**20)),
+                   max_predecessors=draw(st.integers(0, 3)),
+                   n_uavs=draw(st.integers(1, 4)))
+    inst = generate_instance(spec)
+    legs = [draw(st.integers(1, 3000)) for _ in inst.stations]
+    hops = draw(st.lists(st.integers(1, 60), min_size=1, max_size=4))
+    inst = with_far_position(inst, legs, hops)
+    fm = inst.trajectory_map
+    need = max((worst_case_engagement_time(t, fm, inst.stations)
+                for t in inst.tasks), default=1)
+    uavs = tuple(
+        Uav(u.id, draw(st.sampled_from(["far"] + [p.id for p in fm.positions])),
+            draw(st.integers(need, need + 900)), draw(st.integers(100, 3200)))
+        for u in inst.uavs)
+    stations = tuple(RechargeStation(s.pos, draw(st.integers(1, 3)))
+                     for s in inst.stations)
+    inst = dataclasses.replace(inst, uavs=uavs, stations=stations)
+    seq = repair(draw(st.permutations([t.id for t in inst.tasks])), inst)
+    seq = seq[:draw(st.integers(len(seq) // 2, len(seq)))]
+    if seq:
+        k = draw(st.integers(0, len(seq)))
+        seq = draw(st.sampled_from([
+            seq, seq[:k] + [seq[0]] + seq[k:], seq[:k] + [-1] + seq[k:],
+            seq[::-1]]))
+    return inst, seq
+
+
+def constructed(fn, *args):
+    try:
+        got = fn(*args)
+    except SchedulingError as exc:
+        return type(exc), str(exc)
+    if isinstance(got, Schedule):
+        return {uav: as_tuples(acts) for uav, acts in got.actions.items()}
+    return got
+
+
+class TestPrunedConstructorMatchesReference:
+    """Skipping recharge plans that cannot win, and checking the
+    sequence during the walk, change no schedule and no error."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(pruning_draws())
+    def test_schedules_makespans_and_errors(self, draw):
+        inst, seq = draw
+        for record in (True, False):
+            assert constructed(build_schedule if record else build_makespan,
+                               inst, seq) == \
+                constructed(reference_construct, inst, seq, record)
+
+    def test_unreachable_start_error(self):
+        # UAV2 starts at "far", 2000 s from both stations. UAV1 flies
+        # t1; t2 at a is then available at 181 and needs 1000 s, so both
+        # UAVs need a recharge first and UAV2 can reach no station. With
+        # a 5000 s recharge UAV2's bound (5000) cannot beat UAV1's 2921,
+        # but the reach guard keeps its station loop and the error.
+        base = with_far_position(
+            make_instance([inspect(1, "a", 161), inspect(2, "a", 1000)]),
+            [2000, 2000], [20])
+        for recharge in (2700, 5000):
+            inst = dataclasses.replace(base, uavs=(
+                Uav("UAV1", "R1", 1200, 2700),
+                Uav("UAV2", "far", 1200, recharge)))
+            assert constructed(build_schedule, inst, [1, 2]) == \
+                constructed(reference_construct, inst, [1, 2], True)
+            with pytest.raises(SchedulingError, match=(
+                    "uav UAV2 cannot reach any recharge station from far "
+                    "with 0s used")):
+                build_makespan(inst, [1, 2])
+            # a malformed sequence is still reported first
+            with pytest.raises(SequenceError, match="task 1 appears twice"):
+                build_makespan(inst, [1, 2, 1])

@@ -15,7 +15,13 @@ from uavsched.pso import (
     update_velocity,
     velocity_cap,
 )
-from uavsched.sequences import Velocity, apply_swaps, is_feasible_sequence, repair
+from uavsched.sequences import (
+    Velocity,
+    apply_swaps,
+    is_feasible_sequence,
+    repair,
+    sequence_difference,
+)
 
 from conftest import inspect, make_instance
 
@@ -194,6 +200,89 @@ class TestCarriedVelocity:
         pairs = [[0, 3], (1, 2)]
         assert apply_swaps(seq, pairs) == [8, 7, 6, 5]
         assert pairs == [[0, 3], (1, 2)]
+
+
+def reference_update(velocity, particle, local_best, global_best, c1, c2,
+                     rng):
+    """update_velocity as first written: a set of the old pairs, checked
+    in both orientations."""
+    new = [tuple(p) for p in velocity]
+    have = set(new)
+
+    def absorb(diff, proportion):
+        count = int(min(1.0, proportion) * len(diff) + 0.5)
+        if count <= 0:
+            return
+        chosen = rng.choice(len(diff), size=count, replace=False).tolist()
+        for idx in sorted(chosen):
+            pair = diff[idx]
+            i, j = pair
+            if pair not in have and (j, i) not in have:
+                have.add(pair)
+                new.append(pair)
+
+    u1 = rng.random()
+    u2 = rng.random()
+    absorb(sequence_difference(local_best, particle), c1 * u1)
+    absorb(sequence_difference(global_best, particle), c2 * u2)
+    return new
+
+
+class TestCarriedPairMask:
+    """A velocity's carried dedup mask drops exactly the pairs a set of
+    its pairs, checked in both orientations, would drop."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_matches_set_dedup_across_updates(self, data):
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        # initial pairs in both orientations, some out of range for the
+        # first particles; a plain list of lists is lifted
+        pairs = data.draw(st.lists(st.lists(st.integers(0, 9), min_size=2,
+                                            max_size=2), max_size=8))
+        velocity = data.draw(st.sampled_from(
+            [pairs, Velocity(map(tuple, pairs))]))
+        want = [tuple(p) for p in pairs]
+        c1, c2 = data.draw(st.sampled_from([(1.0, 2.0), (3.0, 3.0)]))
+        for _ in range(data.draw(st.integers(1, 5), label="updates")):
+            # the particle length may change between updates
+            m = data.draw(st.integers(1, 8), label="particle length")
+            particle, local, best = (data.draw(st.permutations(range(m)))
+                                     for _ in range(3))
+            old, old_want = velocity, want
+            velocity = update_velocity(velocity, particle, local, best,
+                                       c1, c2, rng)
+            want = reference_update(want, particle, local, best, c1, c2,
+                                    ref_rng)
+            assert list(velocity) == want
+            # a second update of the old velocity sees none of the pairs
+            # the first one appended
+            branch = np.random.default_rng(seed + 1)
+            assert update_velocity(old, particle, local, best, c1, c2,
+                                   branch) == \
+                reference_update(old_want, particle, local, best, c1, c2,
+                                 np.random.default_rng(seed + 1))
+
+    def test_reversed_initial_pair_blocks(self):
+        # (11, 10) carried over blocks the social pair (10, 11)
+        rng = ScriptedRng(uniforms=[0.0, 0.5],
+                          selections=[[0, 1, 2, 3, 4, 5]])
+        v1 = update_velocity([(11, 10)], WORKED_PARTICLE, WORKED_LOCAL,
+                             WORKED_GLOBAL, c1=1.0, c2=2.0, rng=rng)
+        assert v1 == [(11, 10), (0, 1), (1, 3), (2, 3), (4, 7), (5, 7)]
+
+    def test_mask_rebuilt_on_length_change(self):
+        # (0, 3) is out of range for 3-long particles, so the mask built
+        # there leaves it out; rebuilt at length 4, it must block the
+        # cognitive pair (0, 3)
+        v = update_velocity([(0, 3)], [0, 1, 2], [0, 1, 2], [0, 1, 2],
+                            c1=1.0, c2=2.0, rng=ScriptedRng([0.5, 0.5]))
+        assert v == [(0, 3)]
+        v2 = update_velocity(v, [3, 1, 2, 0], [0, 1, 2, 3], [0, 1, 2, 3],
+                             c1=1.0, c2=0.0,
+                             rng=ScriptedRng([1.0, 0.0], [[0]]))
+        assert v2 == [(0, 3)]
 
 
 def reference_mutate(sequence, instance, rng):

@@ -74,6 +74,74 @@ class TestSequenceDifference:
         assert len(pairs) <= len(target) - 1
 
 
+def reference_sequence_difference(target, current):
+    """The difference as first written: a sorted-multiset check up front."""
+    if sorted(current) != sorted(target):
+        raise SequenceError("sequences are not permutations of each other")
+    work = list(current)
+    pos = {t: i for i, t in enumerate(work)}
+    pairs = []
+    for i, want in enumerate(target):
+        have = work[i]
+        if have == want:
+            continue
+        j = pos[want]
+        pairs.append((i, j))
+        work[i], work[j] = want, have
+        pos[want], pos[have] = i, j
+    return pairs
+
+
+@st.composite
+def difference_inputs(draw):
+    """Permutations of one id set, then maybe a length mismatch, an
+    unknown id or a repeated id in either argument."""
+    ids = draw(st.lists(st.integers(0, 30), unique=True, max_size=12))
+    target = draw(st.permutations(ids))
+    current = draw(st.permutations(ids))
+    for _ in range(draw(st.integers(0, 2))):
+        edit = draw(st.sampled_from(
+            ["drop", "append", "unknown", "repeat"]))
+        which = draw(st.sampled_from(["target", "current"]))
+        seq = list(target if which == "target" else current)
+        if edit == "drop" and seq:
+            del seq[draw(st.integers(0, len(seq) - 1))]
+        elif edit == "append":
+            seq.append(draw(st.integers(0, 30)))
+        elif edit == "unknown" and seq:
+            seq[draw(st.integers(0, len(seq) - 1))] = 99
+        elif edit == "repeat" and len(seq) > 1:
+            i, j = draw(st.lists(st.integers(0, len(seq) - 1), min_size=2,
+                                 max_size=2, unique=True))
+            seq[i] = seq[j]
+        if which == "target":
+            target = seq
+        else:
+            current = seq
+    return target, current
+
+
+class TestSequenceDifferenceMatchesReference:
+    """The walk's permutation check against the sorted comparison."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(difference_inputs())
+    def test_same_pairs_or_same_error(self, args):
+        assert outcome(sequence_difference, *args) == \
+            outcome(reference_sequence_difference, *args)
+
+    @pytest.mark.parametrize("target, current", [
+        ([1, 2, 3], [1, 2]), ([1, 2], [1, 2, 3]), ([1, 2, 9], [1, 2, 3]),
+        ([1, 1, 2], [1, 2, 3]), ([1, 2, 3], [1, 1, 2]),
+        ([2, 1, 1], [1, 2, 1]), ([3, 1, 2], [3, 1, 1]),
+        # the sorted check passes, then the walk meets a stale position
+        ([1, 1, 2, 3], [2, 3, 1, 1]),
+    ])
+    def test_scripted(self, target, current):
+        assert outcome(sequence_difference, target, current) == \
+            outcome(reference_sequence_difference, target, current)
+
+
 class TestRepair:
     def test_feasible_passthrough(self, lab):
         seq = [t.id for t in lab.tasks]
@@ -187,11 +255,12 @@ class TestGreedyOrderMatchesReference:
         ids = [t.id for t in inst.tasks]
         seq = data.draw(st.permutations(ids))
         if ids:
-            # subsets, and sequences with a duplicate or an unknown id,
-            # must agree too
+            # subsets (all but one task among them), and sequences with
+            # a duplicate or an unknown id, must agree too
             k = data.draw(st.integers(0, len(ids)))
             seq = data.draw(st.sampled_from(
-                [seq, seq[:k], seq[:k] + [seq[0]], seq[:k] + [-1]]))
+                [seq, seq[:k], seq[:k] + seq[k + 1:], seq[:k] + [seq[0]],
+                 seq[:k] + [-1]]))
         assert outcome(repair, seq, inst) == \
             outcome(reference_repair, seq, inst)
 
@@ -205,10 +274,16 @@ class TestGreedyOrderMatchesReference:
         assert extend_sequence(prefix, inst) == reference_extend(prefix, inst)
 
     def test_cycle_message(self):
+        # No valid instance has a cycle, so a stub carries the compiled
+        # view's dense task fields for these predecessor lists.
         preds = {1: (), 2: (3,), 3: (2,), 4: (1, 3), 5: (5,)}
-        stub = SimpleNamespace(
-            tasks_by_id={t: SimpleNamespace(predecessors=p)
-                         for t, p in preds.items()})
+        index = {t: k for k, t in enumerate(sorted(preds))}
+        dense = tuple(tuple(index[p] for p in preds[t]) for t in index)
+        view = SimpleNamespace(
+            task_index=index, task_preds=dense,
+            task_succs=tuple(tuple(k for k, ps in enumerate(dense) if d in ps)
+                             for d in range(len(dense))))
+        stub = SimpleNamespace(compiled=lambda: view)
         items = [4, 3, 1, 5, 2]
         with pytest.raises(SequenceError) as got:
             _greedy_order(items, stub)
