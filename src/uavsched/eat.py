@@ -11,6 +11,8 @@ station, where it waits on the ground instead and conserves battery.
 
 from __future__ import annotations
 
+import heapq
+
 from .model import (
     Action,
     ActionKind,
@@ -48,20 +50,39 @@ def build_schedule(instance: ProblemInstance, sequence) -> Schedule:
     listed task's predecessors must appear earlier in it); a permutation
     of all task ids yields a complete schedule.
     """
-    return _construct(instance, sequence, True)
+    return _construct(instance, _dense_sequence(instance, sequence), True)
 
 
 def build_makespan(instance: ProblemInstance, sequence) -> int:
     """Makespan of build_schedule(instance, sequence) without recording
     the timeline; 0 for an empty sequence."""
-    return _construct(instance, sequence, False)
+    return _construct(instance, _dense_sequence(instance, sequence), False)
 
 
-def _construct(instance: ProblemInstance, sequence, record: bool):
+def _dense_sequence(instance: ProblemInstance, sequence) -> list[int]:
+    """The sequence's task ids as the compiled view's dense indices; an
+    unknown id raises check_sequence's error."""
+    seq = [int(t) for t in sequence]
+    index = instance.compiled().task_index
+    try:
+        return [index[t] for t in seq]
+    except KeyError:
+        check_sequence(instance, seq)
+        raise
+
+
+def _check_dense(instance: ProblemInstance, dense):
+    """check_sequence on a dense sequence, for the constructor's errors."""
+    ids = list(instance.compiled().task_index)
+    check_sequence(instance, [ids[d] for d in dense])
+
+
+def _construct(instance: ProblemInstance, dense, record: bool):
     """The one EAT decision procedure, on the instance's compiled view.
 
-    Per task: the availability is the later of both endpoint releases and
-    every predecessor's end. Each UAV, in fleet order, offers its arrival
+    dense lists dense task indices (`compiled().task_index`). Per task:
+    the availability is the later of both endpoint releases and every
+    predecessor's end. Each UAV, in fleet order, offers its arrival
     floored at the availability when the battery covers the flight, any
     hover (ground waits at a station are free), the execution and the
     escape flight; otherwise it offers the earliest start after a
@@ -72,48 +93,64 @@ def _construct(instance: ProblemInstance, sequence, record: bool):
     A recharge offer starts no earlier than the availability or the end
     of a recharge begun at once, whichever is later; when that bound
     cannot beat the best offer so far and some station is in reach, the
-    station loop is skipped.
+    station loop is skipped. Once an offer equals the availability,
+    later UAVs can only tie, so the fleet loop stops there, unless a
+    later UAV started out of every station's reach: it is still
+    evaluated, so a recharge it cannot make still raises. (Only such a
+    UAV can be out of reach, and only before its first task, since
+    every offer keeps the escape flight.)
 
-    The walk only notices a malformed sequence (an unknown id or a
-    missing predecessor, a repeated id at the end); check_sequence then
-    names the first offending task, so errors are those of checking the
-    sequence up front.
+    A station's bays are a count of bays never used, free from 0, and a
+    min-heap of the release times of the used ones, so memory follows
+    the recharges made, not the slot count.
+
+    The walk only notices a malformed sequence (a missing predecessor,
+    a repeated task at the end); check_sequence then names the first
+    offending task, so errors are those of checking the sequence up
+    front.
 
     Returns the Schedule when record is true, else the makespan.
     """
-    seq = [int(t) for t in sequence]
     view = instance.compiled()
     secs, names, tasks = view.seconds, view.position_ids, view.tasks
     is_station, station_pos = view.is_station, view.station_pos
     nearest = view.nearest_leg
     caps, durations = view.uav_capacity, view.uav_recharge
     left = list(caps)                   # battery seconds left
-    bays = [[0] * n for n in view.station_slots]
-    bay_free = [0] * len(bays)          # earliest bay release per station
+    unused = list(view.station_slots)   # per station: bays never used
+    bays = [[] for _ in unused]         # per station: heap of used releases
+    bay_free = [0] * len(unused)        # earliest bay release per station
     release = [0] * len(names)          # per position
     pos = list(view.uav_start)
     ready = [0] * len(pos)
     fleet = range(len(pos))
+    # the last UAV in fleet order that starts out of every station's
+    # reach, or -1
+    stranded = max((k for k in fleet if nearest[pos[k]] > left[k]),
+                   default=-1)
     stations = tuple((j, sp, secs[sp]) for j, sp in enumerate(station_pos))
     timelines = [[] for _ in fleet]
-    ends: dict[int, int] = {}
-    for tid in seq:
+    ids = list(view.task_index) if record else None
+    ends: list[int | None] = [None] * len(tasks)
+    for d in dense:
+        s, e, proc, escape, preds = tasks[d]
+        need = proc + escape
+        at = release[s] if release[s] > release[e] else release[e]
         try:
-            s, e, proc, escape, preds = tasks[tid]
-            need = proc + escape
-            at = release[s] if release[s] > release[e] else release[e]
             for p in preds:
                 if ends[p] > at:
                     at = ends[p]
-        except KeyError:
-            check_sequence(instance, seq)
+        except TypeError:               # ends[p] is None: p not placed
+            _check_dense(instance, dense)
             raise
         best = -1
+        col = secs[s]                   # symmetric: col[p] is p -> s
         for k in fleet:
             here, t0, room = pos[k], ready[k], left[k]
-            row = secs[here]
-            ft = row[s]
-            start = t0 + ft if t0 + ft > at else at
+            ft = col[here]
+            start = t0 + ft
+            if start < at:
+                start = at
             airborne = ft if is_station[here] else start - t0
             station = -1
             if airborne + need > room:
@@ -125,7 +162,7 @@ def _construct(instance: ProblemInstance, sequence, record: bool):
                         nearest[here] <= room:
                     continue            # cannot win; a station is in reach
                 for j, sp, out in stations:
-                    leg = row[sp]
+                    leg = out[here]
                     if leg > room:
                         continue
                     charge = t0 + leg
@@ -136,13 +173,15 @@ def _construct(instance: ProblemInstance, sequence, record: bool):
                     if station < 0 or prepared < start:
                         station, start = j, prepared
                 if station < 0:
-                    check_sequence(instance, seq)
+                    _check_dense(instance, dense)
                     raise SchedulingError(
                         f"uav {view.uav_ids[k]} cannot reach any recharge "
                         f"station from {names[here]} with "
                         f"{caps[k] - room}s used")
             if best < 0 or start < best_start:
                 best, best_start, best_station = k, start, station
+                if start == at and k >= stranded:
+                    break               # later UAVs can only tie
 
         k, start = best, best_start
         here, t0 = pos[k], ready[k]
@@ -167,8 +206,12 @@ def _construct(instance: ProblemInstance, sequence, record: bool):
                 if out:
                     acts.append(Action(_FLIGHT, depart, start, st, names[s]))
             b = bays[j]
-            b[b.index(bay_free[j])] = depart
-            bay_free[j] = min(b)
+            if unused[j]:
+                unused[j] -= 1
+                heapq.heappush(b, depart)
+            else:
+                heapq.heapreplace(b, depart)
+            bay_free[j] = 0 if unused[j] else b[0]
             left[k] = caps[k] - out
         elif is_station[here]:
             ft = secs[here][s]
@@ -194,10 +237,10 @@ def _construct(instance: ProblemInstance, sequence, record: bool):
         end = start + proc
         if record:
             acts.append(Action(_EXEC, start, end, names[s], names[e],
-                               task_id=tid))
+                               task_id=ids[d]))
         left[k] -= proc
         if left[k] < 0:
-            check_sequence(instance, seq)
+            _check_dense(instance, dense)
             raise SchedulingError(
                 f"internal accounting error: uav {view.uav_ids[k]} over budget")
         pos[k], ready[k] = e, end
@@ -205,9 +248,9 @@ def _construct(instance: ProblemInstance, sequence, record: bool):
             release[s] = end
         if end > release[e]:
             release[e] = end
-        ends[tid] = end
-    if len(ends) != len(seq):
-        check_sequence(instance, seq)
+        ends[d] = end
+    if ends.count(None) != len(ends) - len(dense):
+        _check_dense(instance, dense)
     if record:
         return Schedule(instance=instance,
                         actions=dict(zip(view.uav_ids, timelines)))

@@ -69,6 +69,17 @@ def _name(value, what: str) -> str:
     return value
 
 
+def _task_id(value, what: str) -> int:
+    """value as a task id; int() would silently truncate a boolean or a
+    non-integral number, so those are rejected."""
+    if isinstance(value, bool) or (isinstance(value, float)
+                                   and not value.is_integer()):
+        raise InstanceError(
+            f"malformed instance document: {what} must be an integer, "
+            f"not {value!r}")
+    return int(value)
+
+
 def instance_from_dict(doc: dict) -> ProblemInstance:
     try:
         positions = [Position(_name(p["id"], "position id"),
@@ -79,12 +90,13 @@ def instance_from_dict(doc: dict) -> ProblemInstance:
                                          int(s.get("slots", 1)))
                          for s in doc["stations"])
         tasks = tuple(Task(
-            id=int(t["id"]),
+            id=_task_id(t["id"], "task id"),
             type=TaskType(t["type"]),
             start_pos=_name(t["start"], "task start"),
             end_pos=_name(t["end"], "task end"),
             proc_time=int(t["proc_time"]),
-            predecessors=tuple(int(p) for p in t.get("predecessors", ())),
+            predecessors=tuple(_task_id(p, "predecessor id")
+                               for p in t.get("predecessors", ())),
         ) for t in doc["tasks"])
         uavs = tuple(Uav(
             id=_name(u["id"], "uav id"),
@@ -99,7 +111,9 @@ def instance_from_dict(doc: dict) -> ProblemInstance:
         return ProblemInstance(trajectory_map=fm, stations=stations,
                                tasks=tasks, uavs=uavs,
                                name=doc.get("name", "instance"))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        # OverflowError: int() of an infinite number such as 1e999, or a
+        # flight time beyond int64
         raise InstanceError(f"malformed instance document: {exc}") from exc
 
 
@@ -132,10 +146,14 @@ def read_text(path) -> str:
 
 
 def load_instance(path) -> ProblemInstance:
+    text = read_text(path)
     try:
-        doc = json.loads(read_text(path))
-    except json.JSONDecodeError as exc:
+        doc = json.loads(text)
+    except ValueError as exc:   # JSONDecodeError, or an integer too long
         raise InstanceError(f"{path}: not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise InstanceError(f"{path}: not valid JSON: nested too deeply") \
+            from exc
     if not isinstance(doc, dict):
         raise InstanceError(f"{path}: expected a JSON object")
     return instance_from_dict(doc)

@@ -277,11 +277,13 @@ class CompiledInstance:
     """Dense int-indexed view of a ProblemInstance for the constructor.
 
     Positions are indices into the trajectory map; stations and UAVs
-    keep declaration order. A task maps to (start index, end index,
-    proc_time, escape seconds from its end, predecessor ids).
-    `nearest_leg` is the flight time from each position to its nearest
-    station. Tasks also get dense indices (ascending id order), with the
-    indices of their direct predecessors and successors, ascending.
+    keep declaration order. Tasks get dense indices in ascending id
+    order: `task_index` maps each id to its index and lists the ids in
+    that order. `tasks[d]` is task d's (start index, end index,
+    proc_time, escape seconds from its end, predecessor indices), and
+    `task_preds`/`task_succs` hold the indices of its direct
+    predecessors and successors, ascending. `nearest_leg` is the flight
+    time from each position to its nearest station.
     """
 
     position_ids: tuple[str, ...]
@@ -290,7 +292,7 @@ class CompiledInstance:
     station_pos: tuple[int, ...]
     station_slots: tuple[int, ...]
     nearest_leg: tuple[float, ...]
-    tasks: dict[int, tuple[int, int, int, int, tuple[int, ...]]]
+    tasks: tuple[tuple[int, int, int, int, tuple[int, ...]], ...]
     task_index: dict[int, int]
     task_preds: tuple[tuple[int, ...], ...]
     task_succs: tuple[tuple[int, ...], ...]
@@ -349,9 +351,9 @@ class ProblemInstance:
             idx = m.index
             station_pos = tuple(idx[s.pos] for s in self.stations)
             task_index = {t: k for k, t in enumerate(sorted(self.tasks_by_id))}
-            preds = tuple(tuple(task_index[p] for p in
-                                self.tasks_by_id[t].predecessors)
-                          for t in task_index)
+            ordered = [self.tasks_by_id[t] for t in task_index]
+            preds = tuple(tuple(task_index[p] for p in t.predecessors)
+                          for t in ordered)
             succs: list[list[int]] = [[] for _ in preds]
             for k, ps in enumerate(preds):
                 for p in ps:
@@ -366,11 +368,10 @@ class ProblemInstance:
                 nearest_leg=tuple(min((row[sp] for sp in station_pos),
                                       default=float("inf"))
                                   for row in m.seconds),
-                tasks={t.id: (idx[t.start_pos], idx[t.end_pos], t.proc_time,
-                              nearest_recharge_station(m, t.end_pos,
-                                                       self.stations)[1],
-                              t.predecessors)
-                       for t in self.tasks},
+                tasks=tuple((idx[t.start_pos], idx[t.end_pos], t.proc_time,
+                             nearest_recharge_station(m, t.end_pos,
+                                                      self.stations)[1], ps)
+                            for t, ps in zip(ordered, preds)),
                 task_index=task_index,
                 task_preds=preds,
                 task_succs=tuple(map(tuple, succs)),

@@ -15,15 +15,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .eat import build_makespan, build_schedule
-from .model import PrecedenceGraph, ProblemInstance, Schedule
+from .eat import _construct, build_makespan, build_schedule
+from .model import ProblemInstance, Schedule
 from .sequences import (
     Velocity,
+    _decode,
+    _difference,
+    _relabel,
     apply_swaps,
     priority_orderings,
     repair,
-    sequence_difference,
 )
+
+# The benchmark's tracer (benchmark/run.py) wraps `fitness`,
+# `update_velocity`, `repair`, `apply_swaps`, `priority_orderings` and
+# `build_schedule` as names of this module, so they stay bound here.
 
 
 @dataclass
@@ -101,27 +107,46 @@ def update_velocity(velocity, particle, local_best, global_best,
     present are dropped, looked up in the velocity's carried pair mask.
     The result is a copy of the old velocity with pairs appended, so it
     keeps the old carried permutation and mask.
+
+    The sequences are relabelled as in `sequence_difference`, so a best
+    that is not a permutation of the particle raises SequenceError
+    before any draw; `_step_velocity` does the rest.
     """
+    work, (local, best), distinct = _relabel(particle, local_best,
+                                             global_best)
+    return _step_velocity(velocity, work, local, best, c1, c2, rng,
+                          distinct)
+
+
+def _step_velocity(velocity, particle, local_best, global_best,
+                   c1: float, c2: float, rng, strict: bool = True) -> Velocity:
+    """update_velocity on labels below len(particle), such as dense task
+    indices: one position list of the particle serves both difference
+    walks (strict as in `_difference`)."""
     new = Velocity.lift(velocity).copy()
     n = len(particle)
     have = new.pair_mask(n)
+    append = new.append
+    pos = [0] * n
+    for k, t in enumerate(particle):
+        pos[t] = k
 
     def absorb(diff, proportion):
         count = _round_half_up(min(1.0, proportion) * len(diff))
         if count <= 0:
             return
-        chosen = rng.choice(len(diff), size=count, replace=False).tolist()
-        for idx in sorted(chosen):
-            pair = diff[idx]
-            i, j = pair
+        chosen = rng.choice(len(diff), size=count, replace=False)
+        chosen.sort()
+        for idx in chosen.tolist():
+            i, j = pair = diff[idx]
             if not have[i * n + j]:
                 have[i * n + j] = have[j * n + i] = 1
-                new.append(pair)
+                append(pair)
 
     u1 = rng.random()
     u2 = rng.random()
-    absorb(sequence_difference(local_best, particle), c1 * u1)
-    absorb(sequence_difference(global_best, particle), c2 * u2)
+    absorb(_difference(local_best, particle[:], pos[:], strict), c1 * u1)
+    absorb(_difference(global_best, particle[:], pos, strict), c2 * u2)
     new.masked = len(new)
     return new
 
@@ -145,20 +170,20 @@ def _random_initial_velocity(n: int, cap: int, rng) -> list[tuple[int, int]]:
     return pairs
 
 
-def _mutate_preserving_precedence(sequence, graph: PrecedenceGraph,
-                                  rng) -> list[int]:
+def _mutate_preserving_precedence(sequence, preds, succs, rng) -> list[int]:
     """Random transpositions that individually keep the sequence feasible.
 
-    The sequence must be feasible. Swapping task a at lo with task b at
-    hi > lo then breaks precedence exactly when a direct predecessor of
-    b sits at lo..hi-1 or a direct successor of a at lo+1..hi, so each
-    attempt looks up only the positions of those tasks.
+    The sequence must be feasible; preds and succs give each of its
+    items' direct predecessors and successors (by id or by dense index,
+    as the sequence holds). Swapping task a at lo with task b at hi > lo
+    then breaks precedence exactly when a direct predecessor of b sits
+    at lo..hi-1 or a direct successor of a at lo+1..hi, so each attempt
+    looks up only the positions of those tasks.
     """
     seq = list(sequence)
     n = len(seq)
     if n < 2:
         return seq
-    preds, succs = graph.direct_predecessors, graph.direct_successors
     pos = {tid: k for k, tid in enumerate(seq)}
     for _ in range(max(1, n // 2)):
         i, j = rng.integers(0, n, size=2).tolist()
@@ -177,13 +202,24 @@ def _mutate_preserving_precedence(sequence, graph: PrecedenceGraph,
 def generate_initial_swarm(instance: ProblemInstance, swarm_size: int,
                            rng) -> list[list[int]]:
     """Eight priority-rule particles, the rest feasible mutations of them."""
-    rules = list(priority_orderings(instance).values())
+    ids = list(instance.compiled().task_index)
+    return [[ids[d] for d in p]
+            for p in _initial_swarm(instance, swarm_size, rng)]
+
+
+def _initial_swarm(instance: ProblemInstance, swarm_size: int,
+                   rng) -> list[list[int]]:
+    """generate_initial_swarm in the compiled view's dense task indices."""
+    view = instance.compiled()
+    index = view.task_index
+    rules = [[index[t] for t in seq]
+             for seq in priority_orderings(instance).values()]
     particles = [list(seq) for seq in rules[:swarm_size]]
-    graph = instance.graph()
     idx = 0
     while len(particles) < swarm_size:
         base = rules[idx % len(rules)]
-        particles.append(_mutate_preserving_precedence(base, graph, rng))
+        particles.append(_mutate_preserving_precedence(
+            base, view.task_preds, view.task_succs, rng))
         idx += 1
     return particles
 
@@ -193,7 +229,10 @@ def run_pso(instance: ProblemInstance, config: PsoConfig | None = None) -> RunRe
 
     Deterministic for a given (instance, config): the seed fans out into
     one stream for swarm construction and one per particle, so results
-    do not depend on evaluation order.
+    do not depend on evaluation order. Particles, bests and the memo
+    hold the compiled view's dense task indices, whose ascending order
+    is that of the ids, so every tie breaks as it would on ids; only the
+    report is in task ids.
     """
     t0 = time.perf_counter()
     config = config or PsoConfig()
@@ -201,13 +240,22 @@ def run_pso(instance: ProblemInstance, config: PsoConfig | None = None) -> RunRe
     rng_init = np.random.default_rng(streams[0])
     particle_rngs = [np.random.default_rng(s) for s in streams[1:]]
 
-    n = len(instance.tasks)
+    view = instance.compiled()
+    n = len(view.tasks)
     cap = velocity_cap(n)
     memo: dict[tuple[int, ...], int] = {}
-    particles = generate_initial_swarm(instance, config.swarm_size, rng_init)
+
+    def score(seq) -> int:
+        key = tuple(seq)
+        value = memo.get(key)
+        if value is None:
+            value = memo[key] = _construct(instance, seq, False)
+        return value
+
+    particles = _initial_swarm(instance, config.swarm_size, rng_init)
     velocities = [_random_initial_velocity(n, cap, rng_init)
                   for _ in particles]
-    fits = [fitness(p, instance, memo) for p in particles]
+    fits = [score(p) for p in particles]
     local_best = [list(p) for p in particles]
     local_fit = list(fits)
     g_idx = min(range(len(fits)), key=lambda i: fits[i])
@@ -224,12 +272,12 @@ def run_pso(instance: ProblemInstance, config: PsoConfig | None = None) -> RunRe
         iterations = it
         improved = False
         for i, rng in enumerate(particle_rngs):
-            velocities[i] = update_velocity(
+            velocities[i] = _step_velocity(
                 velocities[i], particles[i], local_best[i], global_best,
                 config.c1, config.c2, rng)
-            moved = repair(apply_swaps(particles[i], velocities[i]), instance)
+            moved = _decode(apply_swaps(particles[i], velocities[i]), view)
             particles[i] = moved
-            f = fitness(moved, instance, memo)
+            f = score(moved)
             fits[i] = f
             if f < local_fit[i]:
                 local_fit[i] = f
@@ -247,12 +295,14 @@ def run_pso(instance: ProblemInstance, config: PsoConfig | None = None) -> RunRe
             if stagnation >= config.convergence_window:
                 converged = True
                 break
+    ids = list(view.task_index)
+    best_sequence = [ids[d] for d in global_best]
     wall_ms = (time.perf_counter() - t0) * 1000.0
     return RunReport(
         config=config,
-        best_sequence=list(global_best),
+        best_sequence=best_sequence,
         best_makespan=global_fit,
-        best_schedule=build_schedule(instance, global_best),
+        best_schedule=build_schedule(instance, best_sequence),
         history=history,
         iterations_run=iterations,
         converged=converged,

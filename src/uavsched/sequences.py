@@ -1,12 +1,14 @@
 """Permutation algebra for task sequences.
 
-Sequences are lists of task ids. Velocities for the discrete swarm are
-ordered lists of index transpositions (swap pairs) applied left to
-right; a `Velocity` also carries the composed index permutation of its
-pairs so that re-applying it after new pairs are appended costs O(n +
-new pairs). Repair restores precedence feasibility with a stable greedy
-decode that keeps the relative priority of every task as far as its
-predecessors allow.
+Sequences are lists of task ids; the difference walk and the greedy
+decode run on dense labels (the swarm passes the compiled view's task
+indices), and the public functions convert ids for them. Velocities for
+the discrete swarm are ordered lists of index transpositions (swap
+pairs) applied left to right; a `Velocity` also carries the composed
+index permutation of its pairs so that re-applying it after new pairs
+are appended costs O(n + new pairs). Repair restores precedence
+feasibility with a stable greedy decode that keeps the relative
+priority of every task as far as its predecessors allow.
 """
 
 from __future__ import annotations
@@ -95,6 +97,9 @@ def apply_swaps(sequence, pairs) -> list[int]:
     return [sequence[k] for k in perm]
 
 
+_NOT_PERMUTATIONS = "sequences are not permutations of each other"
+
+
 def sequence_difference(target, current) -> list[tuple[int, int]]:
     """Ordered swap pairs turning current into target.
 
@@ -103,25 +108,57 @@ def sequence_difference(target, current) -> list[tuple[int, int]]:
     Applying the result to current yields target; the list never exceeds
     len - 1 pairs and skips positions already in agreement.
 
-    With distinct items in current, the walk itself checks that target
-    is a permutation of it: a wanted item that is missing, or already
-    placed further left, is not. Repeated ids are checked up front by
-    comparing the sorted sequences.
+    Items are relabelled (see `_relabel`) and walked by `_difference`.
+    With distinct items in current, the relabelling and the walk check
+    that target is a permutation of it; repeated items are checked up
+    front by comparing the sorted sequences.
     """
-    work = list(current)
-    pos = {t: i for i, t in enumerate(work)}
-    n = len(work)
-    repeated = len(pos) != n
-    if len(target) != n or (repeated and sorted(work) != sorted(target)):
-        raise SequenceError("sequences are not permutations of each other")
+    work, (want,), distinct = _relabel(current, target)
+    return _difference(want, work, list(range(len(work))), distinct)
+
+
+def _relabel(current, *targets):
+    """current and each target with every item replaced by its last
+    position in current, and whether current's items are distinct.
+
+    Distinct items turn current into 0..n-1; with repeated ones, label
+    x sits at position x in current at first, as a dict of positions
+    would have it. Raises SequenceError when
+    a target differs in length or holds an item missing from current,
+    and, for repeated items in current, when the sorted sequences differ.
+    """
+    current = list(current)
+    label = {t: i for i, t in enumerate(current)}
+    n = len(current)
+    distinct = len(label) == n
+    out = []
+    for target in targets:
+        if len(target) != n or (not distinct
+                                and sorted(current) != sorted(target)):
+            raise SequenceError(_NOT_PERMUTATIONS)
+        try:
+            out.append([label[t] for t in target])
+        except KeyError:
+            raise SequenceError(_NOT_PERMUTATIONS) from None
+    return [label[t] for t in current], out, distinct
+
+
+def _difference(target, work, pos, strict: bool = True):
+    """The difference walk on labels that index pos.
+
+    work is a copy of current and pos[x] the position of label x in it;
+    the walk updates both in place. When strict, a wanted label already
+    placed further left raises SequenceError: with distinct labels in
+    current, target is then not a permutation of it.
+    """
     pairs: list[tuple[int, int]] = []
     for i, want in enumerate(target):
         have = work[i]
         if have == want:
             continue
-        j = pos.get(want, -1)
-        if j < i and not repeated:
-            raise SequenceError("sequences are not permutations of each other")
+        j = pos[want]
+        if j < i and strict:
+            raise SequenceError(_NOT_PERMUTATIONS)
         pairs.append((i, j))
         work[i], work[j] = want, have
         pos[want], pos[have] = i, j
@@ -139,34 +176,43 @@ def is_feasible_sequence(sequence, instance: ProblemInstance) -> bool:
 
 
 def _greedy_order(items, instance: ProblemInstance) -> list[int]:
-    """Emit items in given priority order, each as soon as its
-    predecessors among items are emitted; predecessors outside items
-    count as already placed.
-
-    Runs on the compiled view's dense task indices: `rank` maps each to
-    its place in items (-1 when absent). A cursor walks items in order
-    and emits every task whose pending count is zero; a task it has to
-    skip goes onto a heap (by rank) once its last predecessor is
-    emitted, and the heap, holding only ranks behind the cursor, always
-    goes first. Repeated ids raise before unknown ones.
-    """
+    """`_decode` of a list of task ids: repeated ids raise before
+    unknown ones."""
     view = instance.compiled()
-    index, preds, succs = view.task_index, view.task_preds, view.task_succs
-    n = len(items)
-    rank = [-1] * len(preds)
+    index = view.task_index
     try:
         dense = [index[tid] for tid in items]
     except KeyError:
-        dense = None
-    else:
-        for r, d in enumerate(dense):
-            rank[d] = r
-    # a repeated id leaves more ranks unset than there are absent tasks
-    if dense is None or rank.count(-1) != len(preds) - n:
-        if len(set(items)) != n:
-            raise SequenceError("sequence contains duplicate task ids")
+        if len(set(items)) != len(items):
+            raise SequenceError("sequence contains duplicate task ids") from None
         for tid in items:
             instance.task(tid)  # raises: unknown id
+        raise
+    return _decode(dense, view, items)
+
+
+def _decode(dense, view, labels=None) -> list[int]:
+    """Emit the tasks of dense (compiled-view indices) in the given
+    priority order, each as soon as its predecessors among them are
+    emitted; predecessors outside dense count as already placed.
+
+    The task at rank r comes out as labels[r] (dense[r] by default).
+    `rank` maps each task to its place in dense (-1 when absent). A
+    cursor walks dense in order and emits every task whose pending count
+    is zero; a task it has to skip goes onto a heap (by rank) once its
+    last predecessor is emitted, and the heap, holding only ranks behind
+    the cursor, always goes first. A repeated task raises.
+    """
+    preds, succs = view.task_preds, view.task_succs
+    if labels is None:
+        labels = dense
+    n = len(dense)
+    rank = [-1] * len(preds)
+    for r, d in enumerate(dense):
+        rank[d] = r
+    # a repeated task leaves more ranks unset than there are absent tasks
+    if rank.count(-1) != len(preds) - n:
+        raise SequenceError("sequence contains duplicate task ids")
     if n == len(preds):     # every task: all predecessors count
         pending = [len(preds[d]) for d in dense]
     else:
@@ -188,15 +234,16 @@ def _greedy_order(items, instance: ProblemInstance) -> list[int]:
                 break
             r = cursor
             cursor += 1
-        out.append(items[r])
+        out.append(labels[r])
         for f in succs[dense[r]]:
             q = rank[f]
             if q >= 0:
                 pending[q] -= 1
                 if not pending[q] and q < cursor:
                     heapq.heappush(deferred, q)
-    if len(out) != len(items):
-        stuck = sorted(set(items) - set(out))
+    if len(out) != n:
+        ids = list(view.task_index)
+        stuck = sorted(ids[dense[r]] for r in range(n) if pending[r])
         raise SequenceError(
             f"tasks {stuck} cannot be ordered: missing or cyclic predecessors")
     return out

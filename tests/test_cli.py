@@ -1,6 +1,11 @@
 import json
+import signal
+from contextlib import redirect_stderr, redirect_stdout
+from io import StringIO
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from uavsched.cli import main
 from uavsched.io import instance_to_dict, load_instance
@@ -125,6 +130,38 @@ def _null_task_end(doc):
     doc["tasks"][0]["end"] = None
 
 
+RAW = "@raw@"   # stands for a raw JSON token that json.dumps cannot write
+
+
+def _raw_instance(where, token):
+    """The bundled instance with the value at where (a key path) written
+    as the raw token."""
+    def make_args(tmp):
+        doc = instance_to_dict(sample_instance())
+        *path, last = where
+        node = doc
+        for key in path:
+            node = node[key]
+        node[last] = RAW
+        file = tmp / "instance.json"
+        file.write_text(json.dumps(doc).replace(f'"{RAW}"', token))
+        return ["--instance", str(file)]
+    make_args.__name__ = f"{'.'.join(map(str, where))}={token}"
+    return make_args
+
+
+def _deeply_nested(tmp):
+    path = tmp / "instance.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    return ["--instance", str(path)]
+
+
+def _overlong_integer(tmp):
+    path = tmp / "instance.json"
+    path.write_text('{"name": ' + "9" * 5000 + "}")
+    return ["--instance", str(path)]
+
+
 class TestBadInputFiles:
     """Unreadable or malformed input files are input errors (exit 2),
     never internal errors (exit 3)."""
@@ -135,17 +172,152 @@ class TestBadInputFiles:
         *map(_mutated_instance, (_null_uav_id, _int_uav_id,
                                  _null_uav_initial_pos, _int_position_id,
                                  _null_station_pos, _null_task_end)),
-    ])
+        # int() of 1e999 (infinity) raises OverflowError
+        _raw_instance(("tasks", 0, "proc_time"), "1e999"),
+        _raw_instance(("flight_time", 0, 1), "1e999"),
+        _raw_instance(("uavs", 0, "battery_capacity"), "1e999"),
+        _raw_instance(("stations", 0, "slots"), "-1e999"),
+        _raw_instance(("flight_time", 0, 1), "1e300"),
+        # json.loads: RecursionError, and ValueError on 5000 digits
+        _deeply_nested, _overlong_integer,
+        # ids that int() would truncate to a valid id
+        _raw_instance(("tasks", 11, "id"), "12.5"),
+        _raw_instance(("tasks", 0, "id"), "true"),
+        _raw_instance(("tasks", 3, "predecessors", 0), "1.7"),
+        _raw_instance(("tasks", 3, "predecessors", 0), "true"),
+    ], ids=lambda f: f.__name__)
     def test_exits_2(self, capsys, tmp_path, make_args):
         code, _, err = run(capsys, ["schedule", *make_args(tmp_path)])
         assert code == 2, err
         assert err.startswith("error: ")
+
+    @pytest.mark.parametrize("where, token, message", [
+        (("tasks", 11, "id"), "12.5",
+         "task id must be an integer, not 12.5"),
+        (("tasks", 3, "predecessors", 0), "true",
+         "predecessor id must be an integer, not True"),
+    ])
+    def test_bad_task_id_is_named(self, capsys, tmp_path, where, token,
+                                  message):
+        code, _, err = run(capsys, ["schedule",
+                                    *_raw_instance(where, token)(tmp_path)])
+        assert code == 2
+        assert message in err
+
+    def test_integral_float_id_is_an_id(self, capsys, tmp_path):
+        # 2.0 names task 2 exactly; only fractions and booleans are
+        # rejected
+        code, out, err = run(capsys, ["schedule", *_raw_instance(
+            ("tasks", 1, "id"), "2.0")(tmp_path)])
+        assert code == 0, err
+        assert "makespan:" in out
 
     def test_non_string_id_is_named(self, capsys, tmp_path):
         args = _mutated_instance(_null_uav_id)(tmp_path)
         code, _, err = run(capsys, ["schedule", *args])
         assert code == 2
         assert "uav id must be a string, not None" in err
+
+
+class _Expired(BaseException):
+    """Raised by the case timer; not an Exception, so main cannot map it
+    to an exit code."""
+
+
+CASE_SECONDS = 2.0
+WRONG_TYPES = [None, True, "x", "", [], {}, 0, -1, 1.7]
+RAW_NUMBERS = ["1e999", "-1e999", "1e308", "NaN", "-Infinity", "1e-999",
+               str(10**9), str(10**30), "9" * 400]
+BAD_IDS = ["1.7", "true", "12.5", '"1"', "-0.5"]
+
+
+def _nodes(doc):
+    """(container, key) of every value in the document."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc)
+    for key, value in list(items):
+        yield doc, key
+        if isinstance(value, (dict, list)):
+            yield from _nodes(value)
+
+
+@st.composite
+def fuzzed_instances(draw):
+    """The bundled instance JSON after one to three mutations: a wrong
+    type, a deleted key, an extreme number or a bad task id written as a
+    raw token, deep nesting or huge bay counts; then maybe truncated or
+    wrapped in brackets."""
+    doc = instance_to_dict(sample_instance())
+    raw = []
+
+    def token(text):
+        raw.append(text)
+        return f"@raw{len(raw) - 1}@"
+
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(
+            ["type", "delete", "number", "id", "nest", "slots"]))
+        if kind == "id":
+            task = draw(st.sampled_from(doc.get("tasks") or [{}]))
+            if isinstance(task, dict):
+                preds = task.get("predecessors")
+                bad = token(draw(st.sampled_from(BAD_IDS)))
+                if isinstance(preds, list) and preds and draw(st.booleans()):
+                    preds[0] = bad
+                else:
+                    task["id"] = bad
+            continue
+        if kind == "slots":
+            for station in doc.get("stations") or []:
+                if isinstance(station, dict):
+                    station["slots"] = token(str(10**9))
+            continue
+        parent, key = draw(st.sampled_from(list(_nodes(doc))))
+        if kind == "type":
+            parent[key] = draw(st.sampled_from(WRONG_TYPES))
+        elif kind == "delete":
+            del parent[key]
+        elif kind == "number":
+            parent[key] = token(draw(st.sampled_from(RAW_NUMBERS)))
+        else:
+            depth = draw(st.sampled_from([10, 2000, 100_000]))
+            parent[key] = token("[" * depth + "]" * depth)
+    text = json.dumps(doc)
+    for i, value in enumerate(raw):
+        text = text.replace(f'"@raw{i}@"', value)
+    if draw(st.booleans()):
+        text = text[:draw(st.integers(0, len(text)))]
+    elif draw(st.booleans()):
+        depth = draw(st.sampled_from([1, 100_000]))
+        text = "[" * depth + text + "]" * depth
+    return text
+
+
+def _bounded_main(argv):
+    """main(argv) with its output captured, stopped after CASE_SECONDS."""
+    def expire(signum, frame):
+        raise _Expired(f"{argv} ran longer than {CASE_SECONDS}s")
+
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, CASE_SECONDS)
+    try:
+        with redirect_stdout(StringIO()), redirect_stderr(StringIO()) as err:
+            return main(argv), err.getvalue()
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)
+
+
+class TestFuzzedInstance:
+    """No mutation of the bundled instance file makes schedule exit 3
+    (internal error) or run away."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(text=fuzzed_instances())
+    def test_exit_code_is_0_1_or_2(self, tmp_path_factory, text):
+        path = tmp_path_factory.getbasetemp() / "fuzzed_instance.json"
+        path.write_text(text)
+        code, err = _bounded_main(["schedule", "--instance", str(path)])
+        assert code in (0, 1, 2), err
 
 
 class TestSchedule:
@@ -166,6 +338,12 @@ class TestSchedule:
         assert code == 0
         assert (tmp_path / "schedule.csv").exists()
         assert (tmp_path / "schedule.svg").exists()
+
+    def test_billion_bays_run_quickly(self, tmp_path):
+        # a list of 10**9 bay releases per station would take 8 GB
+        args = _raw_instance(("stations", 0, "slots"), str(10**9))(tmp_path)
+        code, err = _bounded_main(["schedule", *args])
+        assert code == 0, err
 
     def test_csv_instance_uses_bundled_environment(self, capsys, tmp_path):
         from uavsched.io import write_task_csv

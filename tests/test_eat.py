@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -372,12 +373,26 @@ class TestMakespanPathMatchesSchedule:
             assert str(scored.value) == str(built.value)
 
 
+def id_task_table(instance):
+    """Task id -> (start index, end index, proc_time, escape seconds,
+    predecessor ids), the constructor's task table before dense indices,
+    built from the instance alone."""
+    fm = instance.trajectory_map
+    return {t.id: (fm.index[t.start_pos], fm.index[t.end_pos], t.proc_time,
+                   min(fm.flight_time(t.end_pos, s.pos)
+                       for s in instance.stations), t.predecessors)
+            for t in instance.tasks}
+
+
 def reference_construct(instance, sequence, record):
     """The constructor as it was before recharge pruning: the sequence is
-    checked up front and every UAV's station loop runs in full."""
+    checked up front, tasks are looked up by id, each station keeps one
+    release per bay, and every UAV of the fleet is evaluated with its
+    station loop in full."""
     seq = check_sequence(instance, sequence)
     view = instance.compiled()
-    secs, names, tasks = view.seconds, view.position_ids, view.tasks
+    secs, names = view.seconds, view.position_ids
+    tasks = id_task_table(instance)
     is_station, station_pos = view.is_station, view.station_pos
     caps, durations = view.uav_capacity, view.uav_recharge
     bays = [[0] * n for n in view.station_slots]
@@ -581,3 +596,79 @@ class TestPrunedConstructorMatchesReference:
             # a malformed sequence is still reported first
             with pytest.raises(SequenceError, match="task 1 appears twice"):
                 build_makespan(inst, [1, 2, 1])
+
+    def test_unreachable_start_after_an_offer_at_availability(self):
+        # UAV1 finishes t1 at a at 181 and offers t2 at its availability,
+        # 181, so later UAVs can only tie. UAV2, later in fleet order,
+        # starts at "far" with every station out of reach and needs a
+        # recharge for t2 (181 s airborne + 1000 s + 20 s escape > 1200 s):
+        # the fleet loop must not stop before it, so the error stands.
+        base = with_far_position(
+            make_instance([inspect(1, "a", 161), inspect(2, "a", 1000)]),
+            [2000, 2000], [20])
+        inst = dataclasses.replace(base, uavs=(
+            Uav("UAV1", "R1", 2400, 2700), Uav("UAV2", "far", 1200, 2700)))
+        assert constructed(build_makespan, inst, [1, 2]) == \
+            constructed(reference_construct, inst, [1, 2], False)
+        with pytest.raises(SchedulingError, match=(
+                "uav UAV2 cannot reach any recharge station from far "
+                "with 0s used")):
+            build_schedule(inst, [1, 2])
+        # with UAV2 placed where it reaches a station, UAV1 wins at 181
+        ok = dataclasses.replace(inst, uavs=(
+            Uav("UAV1", "R1", 2400, 2700), Uav("UAV2", "b", 1200, 2700)))
+        assert constructed(build_schedule, ok, [1, 2]) == \
+            constructed(reference_construct, ok, [1, 2], True)
+        assert timeline(ok, [1, 2], "UAV1")[-1][:3] == (T, 181, 1181)
+
+
+def with_slots(instance, slots):
+    """The instance with every station's bay count replaced by
+    slots[j] (a sequence) or slots (an int)."""
+    if isinstance(slots, int):
+        slots = [slots] * len(instance.stations)
+    return dataclasses.replace(instance, stations=tuple(
+        RechargeStation(s.pos, k) for s, k in zip(instance.stations, slots)))
+
+
+class TestHugeBayCounts:
+    """A station's bays are a count of unused ones plus the releases of
+    the used ones: more bays than tasks schedule as n_tasks + 1 bays do,
+    in memory that does not grow with the count."""
+
+    def test_million_bays_in_little_memory(self):
+        inst = generate_instance(GenSpec(n_tasks=40, seed=3))
+        seq = repair([t.id for t in inst.tasks], inst)
+        huge = with_slots(inst, 10**6)
+        huge.compiled()
+        tracemalloc.start()
+        try:
+            schedule = build_schedule(huge, seq)
+            makespan = build_makespan(huge, seq)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # a list of 10**6 bay releases alone takes 8 MB
+        assert peak < 1_000_000, peak
+        enough = with_slots(inst, len(inst.tasks) + 1)
+        assert any(a.kind == R for acts in schedule.actions.values()
+                   for a in acts)
+        assert constructed(lambda: schedule) == \
+            constructed(reference_construct, enough, seq, True)
+        assert makespan == build_makespan(enough, seq) == schedule.makespan()
+
+    @settings(max_examples=80, deadline=None)
+    @given(pruning_draws(), st.data())
+    def test_match_reference_with_enough_bays(self, draw, data):
+        inst, seq = draw
+        huge = data.draw(st.lists(st.booleans(), min_size=len(inst.stations),
+                                  max_size=len(inst.stations)))
+        counts = [s.slots for s in inst.stations]
+        big = with_slots(inst, [10**6 if h else k
+                                for h, k in zip(huge, counts)])
+        enough = with_slots(inst, [len(inst.tasks) + 1 if h else k
+                                   for h, k in zip(huge, counts)])
+        for record in (True, False):
+            assert constructed(build_schedule if record else build_makespan,
+                               big, seq) == \
+                constructed(reference_construct, enough, seq, record)

@@ -173,7 +173,7 @@ class TestInstanceValidation:
         compiled = lab.compiled()
         assert compiled is lab.compiled()
         for t in lab.tasks:
-            assert compiled.tasks[t.id][3] == min(
+            assert compiled.tasks[compiled.task_index[t.id]][3] == min(
                 lab.trajectory_map.flight_time(t.end_pos, s.pos)
                 for s in lab.stations)
 

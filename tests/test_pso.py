@@ -9,6 +9,7 @@ from uavsched.model import SequenceError
 from uavsched.pso import (
     PsoConfig,
     _mutate_preserving_precedence,
+    _step_velocity,
     fitness,
     generate_initial_swarm,
     run_pso,
@@ -20,7 +21,6 @@ from uavsched.sequences import (
     apply_swaps,
     is_feasible_sequence,
     repair,
-    sequence_difference,
 )
 
 from conftest import inspect, make_instance
@@ -202,10 +202,29 @@ class TestCarriedVelocity:
         assert pairs == [[0, 3], (1, 2)]
 
 
+def reference_difference(target, current):
+    """sequence_difference as first written: a sorted-multiset check,
+    then a walk with an id -> position dict."""
+    if sorted(current) != sorted(target):
+        raise SequenceError("sequences are not permutations of each other")
+    work = list(current)
+    pos = {t: i for i, t in enumerate(work)}
+    pairs = []
+    for i, want in enumerate(target):
+        have = work[i]
+        if have == want:
+            continue
+        j = pos[want]
+        pairs.append((i, j))
+        work[i], work[j] = want, have
+        pos[want], pos[have] = i, j
+    return pairs
+
+
 def reference_update(velocity, particle, local_best, global_best, c1, c2,
                      rng):
     """update_velocity as first written: a set of the old pairs, checked
-    in both orientations."""
+    in both orientations, and a dict-based difference walk per best."""
     new = [tuple(p) for p in velocity]
     have = set(new)
 
@@ -223,8 +242,8 @@ def reference_update(velocity, particle, local_best, global_best, c1, c2,
 
     u1 = rng.random()
     u2 = rng.random()
-    absorb(sequence_difference(local_best, particle), c1 * u1)
-    absorb(sequence_difference(global_best, particle), c2 * u2)
+    absorb(reference_difference(local_best, particle), c1 * u1)
+    absorb(reference_difference(global_best, particle), c2 * u2)
     return new
 
 
@@ -285,6 +304,47 @@ class TestCarriedPairMask:
         assert v2 == [(0, 3)]
 
 
+class TestDenseVelocityStep:
+    """The swarm's velocity step on dense task indices, and the public
+    update on arbitrary ids, append what the reference appends and
+    leave the generator where the reference leaves it."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_matches_reference_with_rng_draws(self, data):
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        m = data.draw(st.integers(1, 40), label="tasks")
+        particle, local, best = (data.draw(st.permutations(range(m)))
+                                 for _ in range(3))
+        pairs = data.draw(st.lists(st.tuples(st.integers(0, m - 1),
+                                             st.integers(0, m - 1)),
+                                   max_size=10))
+        c1, c2 = data.draw(st.sampled_from([(1.0, 2.0), (0.5, 3.0)]))
+        ref_rng = np.random.default_rng(seed)
+        want = reference_update(pairs, particle, local, best, c1, c2,
+                                ref_rng)
+        dense_rng = np.random.default_rng(seed)
+        got = _step_velocity(Velocity(pairs), list(particle), list(local),
+                             list(best), c1, c2, dense_rng)
+        assert list(got) == want
+        assert dense_rng.bit_generator.state == ref_rng.bit_generator.state
+        # the same step on sparse, unordered ids through the public name
+        ids = data.draw(st.lists(st.integers(-50, 10**6), min_size=m,
+                                 max_size=m, unique=True))
+        id_rng = np.random.default_rng(seed)
+        relabel = [[ids[d] for d in seq] for seq in (particle, local, best)]
+        assert list(update_velocity(pairs, *relabel, c1, c2, id_rng)) == want
+        assert id_rng.bit_generator.state == ref_rng.bit_generator.state
+
+    def test_best_that_is_not_a_permutation_raises(self):
+        with pytest.raises(SequenceError, match="not permutations"):
+            update_velocity([], [1, 2, 3], [1, 2, 4], [1, 2, 3], 1.0, 2.0,
+                            np.random.default_rng(0))
+        with pytest.raises(SequenceError, match="not permutations"):
+            update_velocity([], [1, 2, 3], [1, 2, 3], [1, 1, 2], 1.0, 2.0,
+                            np.random.default_rng(0))
+
+
 def reference_mutate(sequence, instance, rng):
     """The mutation as first written: a full feasibility check per swap."""
     seq = list(sequence)
@@ -311,8 +371,10 @@ class TestMutationWindowCheck:
         ids = [t.id for t in inst.tasks]
         order = np.random.default_rng(seed).permutation(len(ids))
         base = repair([ids[k] for k in order], inst)
+        graph = inst.graph()
         got = _mutate_preserving_precedence(
-            base, inst.graph(), np.random.default_rng(seed))
+            base, graph.direct_predecessors, graph.direct_successors,
+            np.random.default_rng(seed))
         want = reference_mutate(base, inst, np.random.default_rng(seed))
         assert got == want
         assert is_feasible_sequence(got, inst)

@@ -10,6 +10,7 @@ from uavsched.datagen import GenSpec, generate_instance
 from uavsched.model import SequenceError
 from uavsched.sequences import (
     PRIORITY_RULES,
+    _decode,
     _greedy_order,
     apply_swaps,
     extend_sequence,
@@ -272,6 +273,16 @@ class TestGreedyOrderMatchesReference:
         feasible = repair([ids[k] for k in order], inst)
         prefix = feasible[:data.draw(st.integers(0, len(ids)))]
         assert extend_sequence(prefix, inst) == reference_extend(prefix, inst)
+
+    @settings(max_examples=100, deadline=None)
+    @given(instances, st.data())
+    def test_dense_decode(self, inst, data):
+        # the swarm decodes whole permutations of dense indices
+        view = inst.compiled()
+        seq = data.draw(st.permutations([t.id for t in inst.tasks]))
+        dense = [view.task_index[t] for t in seq]
+        want = [view.task_index[t] for t in reference_repair(seq, inst)]
+        assert _decode(dense, view) == want
 
     def test_cycle_message(self):
         # No valid instance has a cycle, so a stub carries the compiled
