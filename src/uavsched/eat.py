@@ -53,12 +53,6 @@ def build_schedule(instance: ProblemInstance, sequence) -> Schedule:
     return _construct(instance, _dense_sequence(instance, sequence), True)
 
 
-def build_makespan(instance: ProblemInstance, sequence) -> int:
-    """Makespan of build_schedule(instance, sequence) without recording
-    the timeline; 0 for an empty sequence."""
-    return _construct(instance, _dense_sequence(instance, sequence), False)
-
-
 def _dense_sequence(instance: ProblemInstance, sequence) -> list[int]:
     """The sequence's task ids as the compiled view's dense indices; an
     unknown id raises check_sequence's error."""

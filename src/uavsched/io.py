@@ -69,9 +69,10 @@ def _name(value, what: str) -> str:
     return value
 
 
-def _task_id(value, what: str) -> int:
-    """value as a task id; int() would silently truncate a boolean or a
-    non-integral number, so those are rejected."""
+def _integer(value, what: str) -> int:
+    """value as an integer field (ids, times, counts); int() would
+    silently truncate a boolean or a non-integral number, so those are
+    rejected."""
     if isinstance(value, bool) or (isinstance(value, float)
                                    and not value.is_integer()):
         raise InstanceError(
@@ -85,26 +86,30 @@ def instance_from_dict(doc: dict) -> ProblemInstance:
         positions = [Position(_name(p["id"], "position id"),
                               PositionKind(p.get("kind", "work")))
                      for p in doc["positions"]]
-        fm = TrajectoryMap(positions, doc["flight_time"])
+        fm = TrajectoryMap(positions,
+                           [[_integer(v, "flight time") for v in row]
+                            for row in doc["flight_time"]])
         stations = tuple(RechargeStation(_name(s["pos"], "station pos"),
-                                         int(s.get("slots", 1)))
+                                         _integer(s.get("slots", 1), "slots"))
                          for s in doc["stations"])
         tasks = tuple(Task(
-            id=_task_id(t["id"], "task id"),
+            id=_integer(t["id"], "task id"),
             type=TaskType(t["type"]),
             start_pos=_name(t["start"], "task start"),
             end_pos=_name(t["end"], "task end"),
-            proc_time=int(t["proc_time"]),
-            predecessors=tuple(_task_id(p, "predecessor id")
+            proc_time=_integer(t["proc_time"], "proc_time"),
+            predecessors=tuple(_integer(p, "predecessor id")
                                for p in t.get("predecessors", ())),
         ) for t in doc["tasks"])
         uavs = tuple(Uav(
             id=_name(u["id"], "uav id"),
             initial_pos=_name(u["initial_pos"], "uav initial_pos"),
-            battery_capacity=int(u.get("battery_capacity",
-                                       DEFAULT_BATTERY_CAPACITY)),
-            recharge_duration=int(u.get("recharge_duration",
-                                        DEFAULT_RECHARGE_DURATION)),
+            battery_capacity=_integer(u.get("battery_capacity",
+                                            DEFAULT_BATTERY_CAPACITY),
+                                      "battery_capacity"),
+            recharge_duration=_integer(u.get("recharge_duration",
+                                             DEFAULT_RECHARGE_DURATION),
+                                       "recharge_duration"),
         ) for u in doc["uavs"])
         # Inside the try: validation may still meet a wrongly typed
         # field and raise TypeError or ValueError.

@@ -350,6 +350,9 @@ class ProblemInstance:
             m = self.trajectory_map
             idx = m.index
             station_pos = tuple(idx[s.pos] for s in self.stations)
+            nearest_leg = tuple(min((row[sp] for sp in station_pos),
+                                    default=float("inf"))
+                                for row in m.seconds)
             task_index = {t: k for k, t in enumerate(sorted(self.tasks_by_id))}
             ordered = [self.tasks_by_id[t] for t in task_index]
             preds = tuple(tuple(task_index[p] for p in t.predecessors)
@@ -365,12 +368,9 @@ class ProblemInstance:
                                  for p in m.positions),
                 station_pos=station_pos,
                 station_slots=tuple(s.slots for s in self.stations),
-                nearest_leg=tuple(min((row[sp] for sp in station_pos),
-                                      default=float("inf"))
-                                  for row in m.seconds),
+                nearest_leg=nearest_leg,
                 tasks=tuple((idx[t.start_pos], idx[t.end_pos], t.proc_time,
-                             nearest_recharge_station(m, t.end_pos,
-                                                      self.stations)[1], ps)
+                             nearest_leg[idx[t.end_pos]], ps)
                             for t, ps in zip(ordered, preds)),
                 task_index=task_index,
                 task_preds=preds,

@@ -4,7 +4,9 @@ Particles are precedence-feasible permutations; velocities are ordered
 lists of index swap pairs. Each iteration a particle keeps its previous
 pairs, then absorbs randomly chosen pairs from its differences to the
 particle's own best and to the swarm best, the proportions steered by
-the cognitive and social factors. Fitness is the makespan of the
+the cognitive and social factors. `run_pso` holds each velocity as the
+composed index permutation of its pairs and an n*n mask of the pairs
+absorbed so far, both updated in place. Fitness is the makespan of the
 schedule the list constructor builds for the sequence.
 """
 
@@ -15,10 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .eat import _construct, build_makespan, build_schedule
+from .eat import _construct, _dense_sequence, build_schedule
 from .model import ProblemInstance, Schedule
 from .sequences import (
-    Velocity,
     _decode,
     _difference,
     _relabel,
@@ -80,17 +81,10 @@ def velocity_cap(n_tasks: int) -> int:
     return 30
 
 
-def fitness(sequence, instance: ProblemInstance,
-            memo: dict | None = None) -> int:
-    """Makespan of the constructed schedule; optionally memoized."""
-    if memo is None:
-        return build_makespan(instance, sequence)
-    key = tuple(sequence)
-    value = memo.get(key)
-    if value is None:
-        value = build_makespan(instance, sequence)
-        memo[key] = value
-    return value
+def fitness(sequence, instance: ProblemInstance) -> int:
+    """Makespan of build_schedule(instance, sequence) without recording
+    the timeline; 0 for an empty sequence."""
+    return _construct(instance, _dense_sequence(instance, sequence), False)
 
 
 def _round_half_up(x: float) -> int:
@@ -98,35 +92,45 @@ def _round_half_up(x: float) -> int:
 
 
 def update_velocity(velocity, particle, local_best, global_best,
-                    c1: float, c2: float, rng) -> Velocity:
+                    c1: float, c2: float, rng) -> list[tuple[int, int]]:
     """Next velocity: old pairs, then sampled cognitive and social pairs.
 
     The share of difference pairs absorbed is c * U with U drawn once
     per component, clamped at taking the whole list, rounded to the
     nearest count. Pairs equal (as unordered index sets) to one already
-    present are dropped, looked up in the velocity's carried pair mask.
-    The result is a copy of the old velocity with pairs appended, so it
-    keeps the old carried permutation and mask.
+    present are dropped.
 
     The sequences are relabelled as in `sequence_difference`, so a best
     that is not a permutation of the particle raises SequenceError
-    before any draw; `_step_velocity` does the rest.
+    before any draw; `_step_velocity` does the rest on a pair mask of
+    the old pairs (those out of range for the particle are left out, as
+    no new pair can equal them).
     """
     work, (local, best), distinct = _relabel(particle, local_best,
                                              global_best)
-    return _step_velocity(velocity, work, local, best, c1, c2, rng,
-                          distinct)
+    pairs = [tuple(p) for p in velocity]
+    n = len(work)
+    mask = bytearray(n * n)
+    for i, j in pairs:
+        if 0 <= i < n and 0 <= j < n:
+            mask[i * n + j] = mask[j * n + i] = 1
+    return pairs + _step_velocity(mask, work, local, best, c1, c2, rng,
+                                  distinct)
 
 
-def _step_velocity(velocity, particle, local_best, global_best,
-                   c1: float, c2: float, rng, strict: bool = True) -> Velocity:
-    """update_velocity on labels below len(particle), such as dense task
-    indices: one position list of the particle serves both difference
-    walks (strict as in `_difference`)."""
-    new = Velocity.lift(velocity).copy()
+def _step_velocity(mask, particle, local_best, global_best,
+                   c1: float, c2: float, rng,
+                   strict: bool = True) -> list[tuple[int, int]]:
+    """The pairs update_velocity appends, on labels below
+    n = len(particle) such as dense task indices.
+
+    mask holds n*n bytes with both orientations of every pair in the
+    velocity set; a pair found there is dropped and each new pair is
+    marked. One position list of the particle serves both difference
+    walks (strict as in `_difference`).
+    """
     n = len(particle)
-    have = new.pair_mask(n)
-    append = new.append
+    new: list[tuple[int, int]] = []
     pos = [0] * n
     for k, t in enumerate(particle):
         pos[t] = k
@@ -139,35 +143,35 @@ def _step_velocity(velocity, particle, local_best, global_best,
         chosen.sort()
         for idx in chosen.tolist():
             i, j = pair = diff[idx]
-            if not have[i * n + j]:
-                have[i * n + j] = have[j * n + i] = 1
-                append(pair)
+            if not mask[i * n + j]:
+                mask[i * n + j] = mask[j * n + i] = 1
+                new.append(pair)
 
     u1 = rng.random()
     u2 = rng.random()
     absorb(_difference(local_best, particle[:], pos[:], strict), c1 * u1)
     absorb(_difference(global_best, particle[:], pos, strict), c2 * u2)
-    new.masked = len(new)
     return new
 
 
-def _random_initial_velocity(n: int, cap: int, rng) -> list[tuple[int, int]]:
+def _random_initial_velocity(n: int, cap: int,
+                             rng) -> tuple[list[int], bytearray]:
+    """Between 1 and cap distinct random swap pairs (none when n < 2),
+    as their composed index permutation and n*n pair mask."""
+    perm = list(range(n))
+    mask = bytearray(n * n)
     if n < 2 or cap < 1:
-        return []
+        return perm, mask
     count = int(rng.integers(1, cap + 1))
     count = min(count, n * (n - 1) // 2)
-    pairs: list[tuple[int, int]] = []
-    seen: set[tuple[int, int]] = set()
-    while len(pairs) < count:
+    while count:
         i, j = (int(v) for v in rng.integers(0, n, size=2))
-        if i == j:
+        if i == j or mask[i * n + j]:
             continue
-        key = (min(i, j), max(i, j))
-        if key in seen:
-            continue
-        seen.add(key)
-        pairs.append((i, j))
-    return pairs
+        mask[i * n + j] = mask[j * n + i] = 1
+        perm[i], perm[j] = perm[j], perm[i]
+        count -= 1
+    return perm, mask
 
 
 def _mutate_preserving_precedence(sequence, preds, succs, rng) -> list[int]:
@@ -272,10 +276,13 @@ def run_pso(instance: ProblemInstance, config: PsoConfig | None = None) -> RunRe
         iterations = it
         improved = False
         for i, rng in enumerate(particle_rngs):
-            velocities[i] = _step_velocity(
-                velocities[i], particles[i], local_best[i], global_best,
-                config.c1, config.c2, rng)
-            moved = _decode(apply_swaps(particles[i], velocities[i]), view)
+            perm, mask = velocities[i]
+            particle = particles[i]
+            for a, b in _step_velocity(mask, particle, local_best[i],
+                                       global_best, config.c1, config.c2,
+                                       rng):
+                perm[a], perm[b] = perm[b], perm[a]
+            moved = _decode([particle[k] for k in perm], view)
             particles[i] = moved
             f = score(moved)
             fits[i] = f

@@ -4,11 +4,9 @@ Sequences are lists of task ids; the difference walk and the greedy
 decode run on dense labels (the swarm passes the compiled view's task
 indices), and the public functions convert ids for them. Velocities for
 the discrete swarm are ordered lists of index transpositions (swap
-pairs) applied left to right; a `Velocity` also carries the composed
-index permutation of its pairs so that re-applying it after new pairs
-are appended costs O(n + new pairs). Repair restores precedence
-feasibility with a stable greedy decode that keeps the relative
-priority of every task as far as its predecessors allow.
+pairs) applied left to right. Repair restores precedence feasibility
+with a stable greedy decode that keeps the relative priority of every
+task as far as its predecessors allow.
 """
 
 from __future__ import annotations
@@ -19,82 +17,16 @@ from .eat import check_sequence
 from .model import ProblemInstance, SequenceError
 
 
-class Velocity(list):
-    """Swap pairs plus the composed index permutation of a prefix of them.
-
-    Behaves as (and compares equal to) the plain list of (i, j) tuples.
-    Pairs are only ever appended, so `perm` (the composition of the first
-    `folded` pairs, or None) stays valid and `apply_swaps` folds in just
-    the pairs added since it last ran on this velocity. Likewise `mask`,
-    an n*n bytearray with both orientations of each of the first
-    `masked` pairs set (pairs out of range for n are left out), lets
-    `update_velocity` dedup new pairs without rebuilding a set.
-    """
-
-    __slots__ = ("perm", "folded", "mask", "masked")
-
-    def __init__(self, pairs=()):
-        super().__init__(pairs)
-        self.perm: list[int] | None = None
-        self.folded = 0
-        self.mask: bytearray | None = None
-        self.masked = 0
-
-    @classmethod
-    def lift(cls, pairs) -> Velocity:
-        """pairs itself if it is a Velocity, else a new one holding them."""
-        return pairs if isinstance(pairs, cls) else cls(map(tuple, pairs))
-
-    def copy(self) -> Velocity:
-        """Same pairs and carried state, sharing no mutable state."""
-        out = Velocity(self)
-        if self.perm is not None:
-            out.perm = self.perm.copy()
-            out.folded = self.folded
-        if self.mask is not None:
-            out.mask = self.mask.copy()
-            out.masked = self.masked
-        return out
-
-    def pair_mask(self, n: int) -> bytearray:
-        """The dedup mask for indices below n, holding every pair so far
-        (rebuilt when n differs from the last call)."""
-        mask = self.mask
-        if mask is None or len(mask) != n * n:
-            mask = bytearray(n * n)
-            self.masked = 0
-        for i, j in self[self.masked:]:
-            if 0 <= i < n and 0 <= j < n:
-                mask[i * n + j] = mask[j * n + i] = 1
-        self.mask = mask
-        self.masked = len(self)
-        return mask
-
-
 def apply_swaps(sequence, pairs) -> list[int]:
-    """Apply index transpositions left to right to a copy of sequence.
-
-    pairs is lifted into a Velocity whose carried permutation is brought
-    up to date (rebuilt when the sequence length differs from the last
-    call); the result is ``out[k] = sequence[perm[k]]``.
-    """
-    v = Velocity.lift(pairs)
-    if not isinstance(sequence, (list, tuple)):
-        sequence = list(sequence)
-    n = len(sequence)
-    perm = v.perm
-    if perm is None or len(perm) != n:
-        perm = list(range(n))
-        v.folded = 0
-    v.perm = None  # invalid until the fold below completes
-    for i, j in v[v.folded:]:
+    """Apply index transpositions left to right to a copy of sequence."""
+    out = list(sequence)
+    n = len(out)
+    for i, j in pairs:
         if not (0 <= i < n and 0 <= j < n):
             raise SequenceError(
                 f"swap pair ({i}, {j}) out of range for length {n}")
-        perm[i], perm[j] = perm[j], perm[i]
-    v.perm = perm
-    v.folded = len(v)
-    return [sequence[k] for k in perm]
+        out[i], out[j] = out[j], out[i]
+    return out
 
 
 _NOT_PERMUTATIONS = "sequences are not permutations of each other"

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from uavsched.cli import main
-from uavsched.io import instance_to_dict, load_instance
+from uavsched.io import TASK_CSV_FIELDS, instance_to_dict, load_instance
 from uavsched.sampledata import sample_instance
 
 from conftest import GOLDEN_PREFIX
@@ -130,6 +130,12 @@ def _null_task_end(doc):
     doc["tasks"][0]["end"] = None
 
 
+def _fractional_asymmetric_flight_times(doc):
+    # symmetric only after int() truncates both entries to 108
+    doc["flight_time"][0][1] = 108.9
+    doc["flight_time"][1][0] = 108.2
+
+
 RAW = "@raw@"   # stands for a raw JSON token that json.dumps cannot write
 
 
@@ -185,6 +191,12 @@ class TestBadInputFiles:
         _raw_instance(("tasks", 0, "id"), "true"),
         _raw_instance(("tasks", 3, "predecessors", 0), "1.7"),
         _raw_instance(("tasks", 3, "predecessors", 0), "true"),
+        # integer fields that int() would truncate, or read as 0 or 1
+        _raw_instance(("tasks", 0, "proc_time"), "30.7"),
+        _raw_instance(("stations", 0, "slots"), "true"),
+        _raw_instance(("uavs", 0, "battery_capacity"), "1200.5"),
+        _raw_instance(("uavs", 0, "recharge_duration"), "true"),
+        _mutated_instance(_fractional_asymmetric_flight_times),
     ], ids=lambda f: f.__name__)
     def test_exits_2(self, capsys, tmp_path, make_args):
         code, _, err = run(capsys, ["schedule", *make_args(tmp_path)])
@@ -199,6 +211,21 @@ class TestBadInputFiles:
     ])
     def test_bad_task_id_is_named(self, capsys, tmp_path, where, token,
                                   message):
+        code, _, err = run(capsys, ["schedule",
+                                    *_raw_instance(where, token)(tmp_path)])
+        assert code == 2
+        assert message in err
+
+    @pytest.mark.parametrize("where, token, message", [
+        (("tasks", 0, "proc_time"), "30.7",
+         "proc_time must be an integer, not 30.7"),
+        (("stations", 0, "slots"), "true",
+         "slots must be an integer, not True"),
+        (("flight_time", 1, 0), "108.2",
+         "flight time must be an integer, not 108.2"),
+    ])
+    def test_bad_integer_field_is_named(self, capsys, tmp_path, where,
+                                        token, message):
         code, _, err = run(capsys, ["schedule",
                                     *_raw_instance(where, token)(tmp_path)])
         assert code == 2
@@ -317,6 +344,118 @@ class TestFuzzedInstance:
         path = tmp_path_factory.getbasetemp() / "fuzzed_instance.json"
         path.write_text(text)
         code, err = _bounded_main(["schedule", "--instance", str(path)])
+        assert code in (0, 1, 2), err
+
+
+BAD_CELLS = ["", " ", "x", "\x00", '"', '"a', 'a"b', "1.5", "-1", "0",
+             " 3 ", "1e999", "NaN", str(10**9), str(10**30), "9" * 5000,
+             "1;;2", "-;1", ",", "\n", "\r"]
+
+
+def _damaged_text(draw, text):
+    """text with maybe a NUL or a lone quote inserted, then maybe
+    truncated."""
+    for junk in ("\x00", '"'):
+        if draw(st.booleans()):
+            at = draw(st.integers(0, len(text)))
+            text = text[:at] + junk + text[at:]
+    if draw(st.booleans()):
+        text = text[:draw(st.integers(0, len(text)))]
+    return text
+
+
+@st.composite
+def fuzzed_task_csvs(draw):
+    """The bundled tasks as a task CSV after one to three mutations: a
+    bad cell (fractional, huge, empty, quoted, NUL), an unknown,
+    repeated or self id, or a deleted, repeated, shortened or lengthened
+    row; then maybe damaged by `_damaged_text`."""
+    rows = [list(TASK_CSV_FIELDS)] + [
+        [str(t.id), t.start_pos, t.end_pos, str(t.proc_time),
+         ";".join(map(str, t.predecessors)) or "-"]
+        for t in sample_instance().tasks]
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(["cell", "id", "row"]))
+        r = draw(st.integers(0, len(rows) - 1))
+        row = rows[r]
+        if kind == "cell" and row:
+            row[draw(st.integers(0, len(row) - 1))] = draw(
+                st.sampled_from(BAD_CELLS))
+        elif kind == "id" and r and len(row) == len(TASK_CSV_FIELDS):
+            other = rows[draw(st.integers(1, len(rows) - 1))]
+            tid = draw(st.sampled_from(["999", other[0], row[0]]))
+            if draw(st.booleans()):
+                row[0] = tid            # unknown or repeated task id
+            else:                       # unknown, other or self predecessor
+                row[4] = tid if row[4] == "-" else f"{row[4]};{tid}"
+        elif kind == "row":
+            edit = draw(st.sampled_from(["delete", "repeat", "short", "long"]))
+            if edit == "delete":
+                del rows[r]
+            elif edit == "repeat":
+                rows.insert(r, list(row))
+            elif edit == "short":
+                del row[draw(st.integers(0, len(row))):]
+            else:
+                row.append(draw(st.sampled_from(BAD_CELLS)))
+        if not rows:
+            rows.append([])
+    return _damaged_text(draw, "\n".join(",".join(row) for row in rows))
+
+
+@st.composite
+def fuzzed_sequence_files(draw):
+    """A full feasible sequence of the bundled tasks after one to three
+    mutations: a bad token, an unknown, repeated or dropped id, two ids
+    swapped (breaking precedence) or odd separators; then maybe damaged
+    by `_damaged_text`."""
+    tokens = [str(t) for t in (3, 2, 1, 4, 6, 5, 7, 8, 9, 10, 11, 12)]
+    seps = [","] * (len(tokens) - 1)
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(["bad", "id", "drop", "swap", "sep"]))
+        k = draw(st.integers(0, len(tokens) - 1)) if tokens else 0
+        if kind == "bad" and tokens:
+            tokens[k] = draw(st.sampled_from(BAD_CELLS + ["3.0", "+3"]))
+        elif kind == "id" and tokens:
+            tokens[k] = draw(st.sampled_from(["0", "13", "999", *tokens]))
+        elif kind == "drop" and tokens:
+            del tokens[k]
+            if seps:
+                del seps[min(k, len(seps) - 1)]
+        elif kind == "swap" and tokens:
+            j = draw(st.integers(0, len(tokens) - 1))
+            tokens[k], tokens[j] = tokens[j], tokens[k]
+        elif kind == "sep" and seps:
+            seps[draw(st.integers(0, len(seps) - 1))] = draw(
+                st.sampled_from([" ", "\n", "\t", ",,", ";", "", ", "]))
+    text = "".join(t + sep for t, sep in zip(tokens, seps + [""]))
+    return _damaged_text(draw, text)
+
+
+class TestFuzzedTaskCsv:
+    """No mutation of the bundled tasks as a task CSV makes schedule
+    exit 3 (internal error) or run away."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(text=fuzzed_task_csvs())
+    def test_exit_code_is_0_1_or_2(self, tmp_path_factory, text):
+        path = tmp_path_factory.getbasetemp() / "fuzzed_tasks.csv"
+        path.write_text(text, encoding="utf-8")
+        code, err = _bounded_main(["schedule", "--instance", str(path)])
+        assert code in (0, 1, 2), err
+
+
+class TestFuzzedSequenceFile:
+    """No mutation of a bundled-task sequence file makes schedule exit 3
+    (internal error) or run away."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(text=fuzzed_sequence_files())
+    def test_exit_code_is_0_1_or_2(self, tmp_path_factory, text):
+        path = tmp_path_factory.getbasetemp() / "fuzzed_sequence.txt"
+        path.write_text(text, encoding="utf-8")
+        code, err = _bounded_main(["schedule", "--sequence-file",
+                                   str(path)])
         assert code in (0, 1, 2), err
 
 

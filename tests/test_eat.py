@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from uavsched.datagen import GenSpec, generate_instance
-from uavsched.eat import build_makespan, build_schedule, check_sequence
+from uavsched.eat import build_schedule, check_sequence
 from uavsched.model import (
     Action,
     ActionKind,
@@ -348,7 +348,6 @@ class TestMakespanPathMatchesSchedule:
         inst, seq = draw
         schedule = build_schedule(inst, seq)
         assert fitness(seq, inst) == schedule.makespan()
-        assert fitness(seq, inst, {}) == schedule.makespan()
         assert validate_schedule(schedule) == []
         assert sorted(schedule.task_executions()) == sorted(seq)
 
@@ -569,10 +568,10 @@ class TestPrunedConstructorMatchesReference:
     @given(pruning_draws())
     def test_schedules_makespans_and_errors(self, draw):
         inst, seq = draw
-        for record in (True, False):
-            assert constructed(build_schedule if record else build_makespan,
-                               inst, seq) == \
-                constructed(reference_construct, inst, seq, record)
+        assert constructed(build_schedule, inst, seq) == \
+            constructed(reference_construct, inst, seq, True)
+        assert constructed(fitness, seq, inst) == \
+            constructed(reference_construct, inst, seq, False)
 
     def test_unreachable_start_error(self):
         # UAV2 starts at "far", 2000 s from both stations. UAV1 flies
@@ -592,10 +591,10 @@ class TestPrunedConstructorMatchesReference:
             with pytest.raises(SchedulingError, match=(
                     "uav UAV2 cannot reach any recharge station from far "
                     "with 0s used")):
-                build_makespan(inst, [1, 2])
+                fitness([1, 2], inst)
             # a malformed sequence is still reported first
             with pytest.raises(SequenceError, match="task 1 appears twice"):
-                build_makespan(inst, [1, 2, 1])
+                fitness([1, 2, 1], inst)
 
     def test_unreachable_start_after_an_offer_at_availability(self):
         # UAV1 finishes t1 at a at 181 and offers t2 at its availability,
@@ -608,7 +607,7 @@ class TestPrunedConstructorMatchesReference:
             [2000, 2000], [20])
         inst = dataclasses.replace(base, uavs=(
             Uav("UAV1", "R1", 2400, 2700), Uav("UAV2", "far", 1200, 2700)))
-        assert constructed(build_makespan, inst, [1, 2]) == \
+        assert constructed(fitness, [1, 2], inst) == \
             constructed(reference_construct, inst, [1, 2], False)
         with pytest.raises(SchedulingError, match=(
                 "uav UAV2 cannot reach any recharge station from far "
@@ -644,7 +643,7 @@ class TestHugeBayCounts:
         tracemalloc.start()
         try:
             schedule = build_schedule(huge, seq)
-            makespan = build_makespan(huge, seq)
+            makespan = fitness(seq, huge)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -655,7 +654,7 @@ class TestHugeBayCounts:
                    for a in acts)
         assert constructed(lambda: schedule) == \
             constructed(reference_construct, enough, seq, True)
-        assert makespan == build_makespan(enough, seq) == schedule.makespan()
+        assert makespan == fitness(seq, enough) == schedule.makespan()
 
     @settings(max_examples=80, deadline=None)
     @given(pruning_draws(), st.data())
@@ -668,7 +667,7 @@ class TestHugeBayCounts:
                                 for h, k in zip(huge, counts)])
         enough = with_slots(inst, [len(inst.tasks) + 1 if h else k
                                    for h, k in zip(huge, counts)])
-        for record in (True, False):
-            assert constructed(build_schedule if record else build_makespan,
-                               big, seq) == \
-                constructed(reference_construct, enough, seq, record)
+        assert constructed(build_schedule, big, seq) == \
+            constructed(reference_construct, enough, seq, True)
+        assert constructed(fitness, seq, big) == \
+            constructed(reference_construct, enough, seq, False)
