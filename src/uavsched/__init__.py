@@ -24,6 +24,7 @@ from .model import (
     Uav,
     nearest_recharge_station,
     task_upper_bound_time,
+    validate_precedence,
 )
 from .eat import build_schedule, check_sequence
 from .validate import Violation, validate_schedule
@@ -38,7 +39,7 @@ from .sequences import (
 )
 from .io import load_instance, save_instance
 from .pso import PsoConfig, RunReport, fitness, generate_initial_swarm, run_pso, update_velocity
-from .datagen import GenSpec, GenerationError, generate_instance, validate_precedence
+from .datagen import GenSpec, GenerationError, generate_instance
 from .sampledata import sample_instance, sample_map
 
 __version__ = "0.1.0"

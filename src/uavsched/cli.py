@@ -22,9 +22,9 @@ from .eat import build_schedule
 from .experiments import (ExperimentGrid, run_experiment, runs_csv_text,
                           summary_csv_text, summary_table_text)
 from .gantt import render_gantt_svg, render_history_svg
-from .io import (load_instance, read_task_csv, read_text, save_instance,
-                 write_history_csv, write_report_json, write_schedule_csv,
-                 write_text_atomic)
+from .io import (load_instance, parse_integer, read_task_csv, read_text,
+                 save_instance, write_history_csv, write_report_json,
+                 write_schedule_csv, write_text_atomic)
 from .model import InstanceError, ProblemInstance, SchedulingError
 from .pso import PsoConfig, run_pso
 from .sampledata import sample_fleet, sample_instance, sample_map, sample_stations
@@ -65,7 +65,7 @@ def _load_problem(path: str | None) -> ProblemInstance:
 
 def _parse_sequence(text: str) -> list[int]:
     try:
-        return [int(tok) for tok in text.replace(",", " ").split()]
+        return [parse_integer(tok) for tok in text.replace(",", " ").split()]
     except ValueError as exc:
         raise UsageError(f"sequence must be integers: {text!r}") from exc
 

@@ -10,13 +10,11 @@ from lower to higher ids and are transitively reduced.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
 from .model import (
-    CycleError,
     PrecedenceGraph,
     ProblemInstance,
     RechargeStation,
@@ -25,6 +23,7 @@ from .model import (
     TaskType,
     TrajectoryMap,
     Uav,
+    validate_precedence,  # re-exported as uavsched.datagen.validate_precedence
     worst_case_engagement_time,
 )
 from .sampledata import sample_map
@@ -149,34 +148,3 @@ def generate_instance(spec: GenSpec,
     name = spec.name or f"gen-{spec.n_tasks}t-s{spec.seed}"
     return ProblemInstance(trajectory_map=fm, stations=tuple(stations),
                            tasks=tuple(tasks), uavs=tuple(uavs), name=name)
-
-
-def validate_precedence(tasks) -> list[str]:
-    """Report structural problems in a raw task list.
-
-    Returns human-readable findings: repeated task ids, unknown
-    predecessor references and self-dependencies, then either the tasks
-    caught in a cycle or the redundant edges already implied by longer
-    paths. The edges of repeated ids are pooled.
-    """
-    counts = Counter(t.id for t in tasks)
-    problems = [f"task {tid} appears more than once"
-                for tid in sorted(tid for tid, c in counts.items() if c > 1)]
-    preds: dict[int, set[int]] = {tid: set() for tid in counts}
-    for t in tasks:
-        for p in t.predecessors:
-            if p not in counts:
-                problems.append(
-                    f"task {t.id} references unknown predecessor {p}")
-            elif p == t.id:
-                problems.append(f"task {t.id} depends on itself")
-            else:
-                preds[t.id].add(p)
-    try:
-        redundant = PrecedenceGraph(preds).redundant_edges()
-    except CycleError as exc:
-        problems.append(f"cycle among tasks {exc.tasks}")
-        return problems
-    problems += [f"edge {u} -> {v} is redundant (implied by a longer path)"
-                 for u, v in redundant]
-    return problems

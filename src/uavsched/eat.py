@@ -20,6 +20,7 @@ from .model import (
     Schedule,
     SchedulingError,
     SequenceError,
+    exact_int,
 )
 
 _FLIGHT, _EXEC, _HOVER, _WAIT, _RECHARGE = (
@@ -27,9 +28,23 @@ _FLIGHT, _EXEC, _HOVER, _WAIT, _RECHARGE = (
     ActionKind.WAIT_ON_GROUND, ActionKind.RECHARGE)
 
 
+def _task_ids(sequence) -> list[int]:
+    """The sequence's items as task ids by `exact_int` (3.0 is 3); a
+    boolean or a non-integral item raises SequenceError naming it."""
+    items = list(sequence)
+    if set(map(type, items)) <= {int}:     # the common case, at C speed
+        return items
+    seq = [exact_int(t) for t in items]
+    if None in seq:
+        raise SequenceError(
+            f"task id {items[seq.index(None)]!r} is not an integer")
+    return seq
+
+
 def check_sequence(instance: ProblemInstance, sequence) -> list[int]:
-    """Reject duplicates, unknown ids and precedence breaks up front."""
-    seq = [int(t) for t in sequence]
+    """Reject non-integer, duplicate and unknown ids and precedence
+    breaks up front."""
+    seq = _task_ids(sequence)
     seen: set[int] = set()
     for tid in seq:
         task = instance.task(tid)
@@ -56,7 +71,7 @@ def build_schedule(instance: ProblemInstance, sequence) -> Schedule:
 def _dense_sequence(instance: ProblemInstance, sequence) -> list[int]:
     """The sequence's task ids as the compiled view's dense indices; an
     unknown id raises check_sequence's error."""
-    seq = [int(t) for t in sequence]
+    seq = _task_ids(sequence)
     index = instance.compiled().task_index
     try:
         return [index[t] for t in seq]

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import statistics
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from itertools import product
 
@@ -110,20 +111,14 @@ def run_experiment(grid: ExperimentGrid, jobs: int = 1,
                          grid.max_iterations))
             run_index += 1
 
-    if jobs == 1:
+    # map and pool.map both yield results in run_index order
+    with (ProcessPoolExecutor(max_workers=jobs) if jobs > 1
+          else nullcontext()) as pool:
         results = []
-        for w in work:
-            results.append(_run_one(w))
+        for r in (pool.map if pool else map)(_run_one, work):
+            results.append(r)
             if progress:
                 progress(len(results), len(work))
-    else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = []
-            for r in pool.map(_run_one, work):
-                results.append(r)
-                if progress:
-                    progress(len(results), len(work))
-    results.sort(key=lambda r: r.run_index)
 
     report = ExperimentReport(grid=grid, runs=results)
     for (n, c1, c2, swarm) in grid.cells():

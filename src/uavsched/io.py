@@ -9,6 +9,7 @@ from __future__ import annotations
 import csv
 import json
 import os
+import re
 from io import StringIO
 from pathlib import Path
 
@@ -27,6 +28,7 @@ from .model import (
     TaskType,
     TrajectoryMap,
     Uav,
+    exact_int,
     infer_task_type,
 )
 
@@ -70,15 +72,27 @@ def _name(value, what: str) -> str:
 
 
 def _integer(value, what: str) -> int:
-    """value as an integer field (ids, times, counts); int() would
-    silently truncate a boolean or a non-integral number, so those are
-    rejected."""
-    if isinstance(value, bool) or (isinstance(value, float)
-                                   and not value.is_integer()):
+    """value as an integer field (ids, times, counts) by `exact_int`:
+    int() would silently truncate a boolean or a fraction, or read a
+    string, so those are rejected."""
+    out = exact_int(value)
+    if out is None:
         raise InstanceError(
             f"malformed instance document: {what} must be an integer, "
             f"not {value!r}")
-    return int(value)
+    return out
+
+
+_INTEGER_TEXT = re.compile(r"\s*[+-]?[0-9]+\s*")
+
+
+def parse_integer(text: str) -> int:
+    """A text cell or token as an int: ASCII digits with an optional sign
+    and surrounding whitespace. int() alone would also read digit-group
+    underscores ("1_2" as 12) and non-ASCII digits."""
+    if not _INTEGER_TEXT.fullmatch(text):
+        raise ValueError(f"not an integer: {text!r}")
+    return int(text)
 
 
 def instance_from_dict(doc: dict) -> ProblemInstance:
@@ -117,8 +131,7 @@ def instance_from_dict(doc: dict) -> ProblemInstance:
                                tasks=tasks, uavs=uavs,
                                name=doc.get("name", "instance"))
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        # OverflowError: int() of an infinite number such as 1e999, or a
-        # flight time beyond int64
+        # OverflowError: a flight time beyond int64
         raise InstanceError(f"malformed instance document: {exc}") from exc
 
 
@@ -178,12 +191,13 @@ def read_task_csv(path) -> tuple[Task, ...]:
             f"{path}: task CSV is missing columns {sorted(missing)}")
     for row in reader:
         try:
-            tid = int(row["TaskID"])
+            tid = parse_integer(row["TaskID"])
             start = row["Start"].strip()
             end = row["End"].strip()
-            proc = int(row["ProcTime"])
+            proc = parse_integer(row["ProcTime"])
             raw = (row["Precedence"] or "").strip()
-            preds = (tuple(int(p) for p in raw.split(";") if p.strip())
+            preds = (tuple(parse_integer(p) for p in raw.split(";")
+                           if p.strip())
                      if raw and raw != "-" else ())
         except (AttributeError, TypeError, ValueError) as exc:
             # A short row leaves its last cells None (AttributeError).
@@ -225,11 +239,12 @@ def read_schedule_csv(path, instance: ProblemInstance) -> Schedule:
     for row in reader:
         try:
             kind = ActionKind(row["action_kind"])
-            task_id = int(row["task_id"]) if row["task_id"] else None
+            task_id = (parse_integer(row["task_id"]) if row["task_id"]
+                       else None)
             action = Action(
                 kind=kind,
-                start=int(row["start"]),
-                end=int(row["end"]),
+                start=parse_integer(row["start"]),
+                end=parse_integer(row["end"]),
                 from_pos=row["from"],
                 to_pos=row["to"],
                 task_id=task_id,

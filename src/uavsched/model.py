@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import enum
 import heapq
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -41,6 +42,19 @@ class CycleError(InstanceError):
     def __init__(self, tasks: list[int]):
         super().__init__(f"precedence graph has a cycle among tasks {tasks}")
         self.tasks = tasks
+
+
+def exact_int(value) -> int | None:
+    """value as an int when it equals one: an integer or an integral
+    float (3.0 is 3). None for a boolean, a string, a fraction or
+    anything else int() would coerce or truncate."""
+    if isinstance(value, (bool, np.bool_)):
+        return None
+    try:
+        out = int(value)
+    except (TypeError, ValueError, OverflowError):
+        return None
+    return out if out == value else None
 
 
 class PositionKind(str, enum.Enum):
@@ -240,24 +254,11 @@ class PrecedenceGraph:
         return order
 
     def transitive_predecessors(self) -> dict[int, frozenset[int]]:
-        closure: dict[int, frozenset[int]] = {}
-        for t in self.topological_order():
-            acc: set[int] = set()
-            for p in self.direct_predecessors[t]:
-                acc.add(p)
-                acc |= closure[p]
-            closure[t] = frozenset(acc)
-        return closure
+        return _closure(self.topological_order(), self.direct_predecessors)
 
     def transitive_successors(self) -> dict[int, frozenset[int]]:
-        closure: dict[int, frozenset[int]] = {}
-        for t in reversed(self.topological_order()):
-            acc: set[int] = set()
-            for s in self.direct_successors[t]:
-                acc.add(s)
-                acc |= closure[s]
-            closure[t] = frozenset(acc)
-        return closure
+        return _closure(reversed(self.topological_order()),
+                        self.direct_successors)
 
     def redundant_edges(self) -> list[tuple[int, int]]:
         """Direct edges already implied by a longer path, ordered by
@@ -270,6 +271,55 @@ class PrecedenceGraph:
                        for w in self.direct_successors[u] if w != v):
                     redundant.append((u, v))
         return redundant
+
+
+def _closure(order, edges) -> dict[int, frozenset[int]]:
+    """Every id reachable over edges from each id; order must list each
+    id after all of its edge targets."""
+    closure: dict[int, frozenset[int]] = {}
+    for t in order:
+        acc: set[int] = set()
+        for u in edges[t]:
+            acc.add(u)
+            acc |= closure[u]
+        closure[t] = frozenset(acc)
+    return closure
+
+
+def validate_precedence(tasks) -> list[str]:
+    """Report structural problems in a raw task list.
+
+    Returns human-readable findings: repeated task ids, unknown
+    predecessor references and self-dependencies, then either the tasks
+    caught in a cycle or the redundant edges already implied by longer
+    paths. The edges of repeated ids are pooled.
+    """
+    return _precedence_findings(tasks)[0]
+
+
+def _precedence_findings(tasks) -> tuple[list[str], PrecedenceGraph]:
+    """validate_precedence's findings and the graph of the known edges
+    it checked for a cycle and for redundancy."""
+    counts = Counter(t.id for t in tasks)
+    problems = [f"task {tid} appears more than once"
+                for tid in sorted(tid for tid, c in counts.items() if c > 1)]
+    preds: dict[int, set[int]] = {tid: set() for tid in counts}
+    for t in tasks:
+        for p in t.predecessors:
+            if p not in counts:
+                problems.append(
+                    f"task {t.id} references unknown predecessor {p}")
+            elif p == t.id:
+                problems.append(f"task {t.id} depends on itself")
+            else:
+                preds[t.id].add(p)
+    graph = PrecedenceGraph(preds)
+    try:
+        problems += [f"edge {u} -> {v} is redundant (implied by a longer path)"
+                     for u, v in graph.redundant_edges()]
+    except CycleError as exc:
+        problems.append(f"cycle among tasks {exc.tasks}")
+    return problems, graph
 
 
 @dataclass(frozen=True)
@@ -324,7 +374,7 @@ class ProblemInstance:
         self.uavs_by_id = {u.id: u for u in self.uavs}
         self._station_pos = frozenset(s.pos for s in self.stations)
         self._compiled: CompiledInstance | None = None
-        self.validate()
+        self.validate()     # sets self._graph
 
     def task(self, task_id: int) -> Task:
         try:
@@ -339,7 +389,8 @@ class ProblemInstance:
             raise InstanceError(f"unknown uav id {uav_id!r}") from None
 
     def graph(self) -> PrecedenceGraph:
-        return PrecedenceGraph.from_tasks(self.tasks)
+        """The precedence graph validation built; shared, so read-only."""
+        return self._graph
 
     def station_positions(self) -> frozenset[str]:
         return self._station_pos
@@ -357,10 +408,7 @@ class ProblemInstance:
             ordered = [self.tasks_by_id[t] for t in task_index]
             preds = tuple(tuple(task_index[p] for p in t.predecessors)
                           for t in ordered)
-            succs: list[list[int]] = [[] for _ in preds]
-            for k, ps in enumerate(preds):
-                for p in ps:
-                    succs[p].append(k)
+            succs = self._graph.direct_successors
             self._compiled = CompiledInstance(
                 position_ids=tuple(p.id for p in m.positions),
                 seconds=m.seconds,
@@ -374,7 +422,8 @@ class ProblemInstance:
                             for t, ps in zip(ordered, preds)),
                 task_index=task_index,
                 task_preds=preds,
-                task_succs=tuple(map(tuple, succs)),
+                task_succs=tuple(tuple(sorted(map(task_index.get, succs[t])))
+                                 for t in task_index),
                 uav_ids=tuple(u.id for u in self.uavs),
                 uav_start=tuple(idx[u.initial_pos] for u in self.uavs),
                 uav_capacity=tuple(u.battery_capacity for u in self.uavs),
@@ -386,6 +435,8 @@ class ProblemInstance:
         return min(u.battery_capacity for u in self.uavs)
 
     def validate(self):
+        """Raise InstanceError at the first broken invariant; the
+        precedence findings of `validate_precedence` come all at once."""
         m = self.trajectory_map
         if len(self.tasks_by_id) != len(self.tasks):
             raise InstanceError("duplicate task ids")
@@ -421,23 +472,14 @@ class ProblemInstance:
             if t.type != TaskType.MATERIAL_HANDLING and t.start_pos != t.end_pos:
                 raise InstanceError(
                     f"inspection task {t.id} must start and end at one position")
-            for p in t.predecessors:
-                if p not in self.tasks_by_id:
-                    raise InstanceError(
-                        f"task {t.id} references unknown predecessor {p}")
-                if p == t.id:
-                    raise InstanceError(f"task {t.id} depends on itself")
+        problems, self._graph = _precedence_findings(self.tasks)
+        if problems:
+            raise InstanceError("; ".join(problems))
         if self.tasks:
             if not self.uavs:
                 raise InstanceError("instance has tasks but no UAVs")
             if not self.stations:
                 raise InstanceError("instance has tasks but no recharge stations")
-        redundant = self.graph().redundant_edges()
-        if redundant:
-            raise InstanceError(
-                f"precedence graph has redundant edges {redundant}; "
-                "supply the transitive reduction")
-        if self.tasks:
             cap = self.min_battery_capacity()
             for t in self.tasks:
                 bound = worst_case_engagement_time(t, m, self.stations)

@@ -100,34 +100,32 @@ def update_velocity(velocity, particle, local_best, global_best,
     nearest count. Pairs equal (as unordered index sets) to one already
     present are dropped.
 
-    The sequences are relabelled as in `sequence_difference`, so a best
-    that is not a permutation of the particle raises SequenceError
-    before any draw; `_step_velocity` does the rest on a pair mask of
-    the old pairs (those out of range for the particle are left out, as
-    no new pair can equal them).
+    The bests must be permutations of the particle's distinct items, or
+    SequenceError is raised: by `_relabel` before any draw, or by a
+    difference walk when a best repeats an item. `_step_velocity` does
+    the rest on a pair mask of the old pairs (those out of range for
+    the particle are left out, as no new pair can equal them).
     """
-    work, (local, best), distinct = _relabel(particle, local_best,
-                                             global_best)
+    local, best = _relabel(particle, local_best, global_best)
+    n = len(local)
     pairs = [tuple(p) for p in velocity]
-    n = len(work)
     mask = bytearray(n * n)
     for i, j in pairs:
         if 0 <= i < n and 0 <= j < n:
             mask[i * n + j] = mask[j * n + i] = 1
-    return pairs + _step_velocity(mask, work, local, best, c1, c2, rng,
-                                  distinct)
+    return pairs + _step_velocity(mask, list(range(n)), local, best, c1, c2,
+                                  rng)
 
 
 def _step_velocity(mask, particle, local_best, global_best,
-                   c1: float, c2: float, rng,
-                   strict: bool = True) -> list[tuple[int, int]]:
+                   c1: float, c2: float, rng) -> list[tuple[int, int]]:
     """The pairs update_velocity appends, on labels below
     n = len(particle) such as dense task indices.
 
     mask holds n*n bytes with both orientations of every pair in the
     velocity set; a pair found there is dropped and each new pair is
     marked. One position list of the particle serves both difference
-    walks (strict as in `_difference`).
+    walks.
     """
     n = len(particle)
     new: list[tuple[int, int]] = []
@@ -149,8 +147,8 @@ def _step_velocity(mask, particle, local_best, global_best,
 
     u1 = rng.random()
     u2 = rng.random()
-    absorb(_difference(local_best, particle[:], pos[:], strict), c1 * u1)
-    absorb(_difference(global_best, particle[:], pos, strict), c2 * u2)
+    absorb(_difference(local_best, particle[:], pos[:]), c1 * u1)
+    absorb(_difference(global_best, particle[:], pos), c2 * u2)
     return new
 
 

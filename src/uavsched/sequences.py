@@ -40,48 +40,45 @@ def sequence_difference(target, current) -> list[tuple[int, int]]:
     Applying the result to current yields target; the list never exceeds
     len - 1 pairs and skips positions already in agreement.
 
-    Items are relabelled (see `_relabel`) and walked by `_difference`.
-    With distinct items in current, the relabelling and the walk check
-    that target is a permutation of it; repeated items are checked up
-    front by comparing the sorted sequences.
+    Both sequences must be permutations of one set of distinct items:
+    `_relabel` checks current and maps target onto 0..n-1, and
+    `_difference` meets any repeated item in target.
     """
-    work, (want,), distinct = _relabel(current, target)
-    return _difference(want, work, list(range(len(work))), distinct)
+    (want,) = _relabel(current, target)
+    n = len(want)
+    return _difference(want, list(range(n)), list(range(n)))
 
 
 def _relabel(current, *targets):
-    """current and each target with every item replaced by its last
-    position in current, and whether current's items are distinct.
+    """Each target with every item replaced by its position in current.
 
-    Distinct items turn current into 0..n-1; with repeated ones, label
-    x sits at position x in current at first, as a dict of positions
-    would have it. Raises SequenceError when
-    a target differs in length or holds an item missing from current,
-    and, for repeated items in current, when the sorted sequences differ.
+    Raises SequenceError when current repeats an item, or when a target
+    differs in length or holds an item missing from current; a target
+    that repeats an item is left to `_difference`.
     """
     current = list(current)
     label = {t: i for i, t in enumerate(current)}
     n = len(current)
-    distinct = len(label) == n
+    if len(label) != n:
+        raise SequenceError(_NOT_PERMUTATIONS)
     out = []
     for target in targets:
-        if len(target) != n or (not distinct
-                                and sorted(current) != sorted(target)):
+        if len(target) != n:
             raise SequenceError(_NOT_PERMUTATIONS)
         try:
             out.append([label[t] for t in target])
         except KeyError:
             raise SequenceError(_NOT_PERMUTATIONS) from None
-    return [label[t] for t in current], out, distinct
+    return out
 
 
-def _difference(target, work, pos, strict: bool = True):
+def _difference(target, work, pos):
     """The difference walk on labels that index pos.
 
     work is a copy of current and pos[x] the position of label x in it;
-    the walk updates both in place. When strict, a wanted label already
-    placed further left raises SequenceError: with distinct labels in
-    current, target is then not a permutation of it.
+    the walk updates both in place. A wanted label already placed
+    further left raises SequenceError: target repeats it, so it is not
+    a permutation of current.
     """
     pairs: list[tuple[int, int]] = []
     for i, want in enumerate(target):
@@ -89,7 +86,7 @@ def _difference(target, work, pos, strict: bool = True):
         if have == want:
             continue
         j = pos[want]
-        if j < i and strict:
+        if j < i:
             raise SequenceError(_NOT_PERMUTATIONS)
         pairs.append((i, j))
         work[i], work[j] = want, have

@@ -246,6 +246,30 @@ class TestBadInputFiles:
         assert "uav id must be a string, not None" in err
 
 
+class TestStrictIntegerText:
+    """Integers written as text are ASCII digits with an optional sign;
+    int() would also read digit-group underscores, and a quoted JSON
+    number is a string."""
+
+    def test_underscored_sequence_token_is_a_usage_error(self, capsys):
+        code, _, err = run(capsys, ["schedule", "--sequence", "1_2"])
+        assert code == 1
+        assert "integers" in err
+
+    def test_underscored_task_csv_cell_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "tasks.csv"
+        path.write_text(",".join(TASK_CSV_FIELDS) + "\n1,a,a,2_0_0,-\n")
+        code, _, err = run(capsys, ["schedule", "--instance", str(path)])
+        assert code == 2
+        assert "2_0_0" in err
+
+    def test_quoted_json_number_exits_2(self, capsys, tmp_path):
+        args = _raw_instance(("tasks", 0, "proc_time"), '"3_0"')(tmp_path)
+        code, _, err = run(capsys, ["schedule", *args])
+        assert code == 2
+        assert "proc_time must be an integer, not '3_0'" in err
+
+
 class _Expired(BaseException):
     """Raised by the case timer; not an Exception, so main cannot map it
     to an exit code."""

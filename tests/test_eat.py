@@ -1,4 +1,5 @@
 import dataclasses
+import re
 import tracemalloc
 
 import pytest
@@ -260,6 +261,20 @@ class TestCheckSequence:
     def test_unknown_task_rejected(self, lab):
         with pytest.raises(SequenceError, match="unknown"):
             check_sequence(lab, [99])
+
+    @pytest.mark.parametrize("bad", [3.7, True, "3"])
+    def test_non_integer_id_rejected(self, lab, bad):
+        # int() would read 3.7 as task 3 and True as task 1
+        message = re.escape(f"task id {bad!r} is not an integer")
+        for build in (check_sequence, build_schedule,
+                      lambda inst, seq: fitness(seq, inst)):
+            with pytest.raises(SequenceError, match=message):
+                build(lab, [bad])
+
+    def test_integral_float_is_an_id(self, lab):
+        assert check_sequence(lab, [3.0]) == [3]
+        assert build_schedule(lab, [3.0]).makespan() == \
+            build_schedule(lab, [3]).makespan()
 
 
 class TestBuildSchedule:

@@ -1,5 +1,6 @@
 import pytest
 
+from uavsched import model
 from uavsched.model import (
     Action,
     ActionKind,
@@ -21,6 +22,7 @@ from uavsched.model import (
     worst_case_engagement_time,
 )
 from uavsched.io import read_task_csv
+from uavsched.sequences import priority_orderings
 
 from conftest import SMALL_MAP, haul, inspect, make_instance
 
@@ -166,6 +168,25 @@ class TestInstanceValidation:
     def test_unknown_task_lookup(self, lab):
         with pytest.raises(Exception, match="unknown task"):
             lab.task(99)
+
+    def test_one_graph_per_validation(self, lab):
+        built = []
+
+        class Recorder(PrecedenceGraph):
+            def __init__(self, predecessors):
+                built.append(predecessors)
+                super().__init__(predecessors)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(model, "PrecedenceGraph", Recorder)
+            inst = ProblemInstance(trajectory_map=lab.trajectory_map,
+                                   stations=lab.stations, tasks=lab.tasks,
+                                   uavs=lab.uavs)
+            assert len(built) == 1
+            priority_orderings(inst)
+            inst.compiled()
+        assert len(built) == 1
+        assert isinstance(inst.graph(), Recorder)
 
     def test_compiled_escape_seconds(self, lab):
         # Each task's compiled entry carries the flight from its end

@@ -343,6 +343,16 @@ class TestDenseVelocityStep:
             update_velocity([], [1, 2, 3], [1, 2, 3], [1, 1, 2], 1.0, 2.0,
                             np.random.default_rng(0))
 
+    @pytest.mark.parametrize("particle, local, best", [
+        ([1, 2, 2], [1, 2, 2], [2, 1, 2]),
+        ([1, 2, 3], [1, 2, 2], [1, 2, 3]),
+        ([1, 2, 3], [1, 2, 3], [3, 3, 1]),
+    ])
+    def test_repeated_item_raises(self, particle, local, best):
+        with pytest.raises(SequenceError, match="not permutations"):
+            update_velocity([], particle, local, best, 1.0, 2.0,
+                            np.random.default_rng(0))
+
 
 def reference_mutate(sequence, instance, rng):
     """The mutation as first written: a full feasibility check per swap."""
