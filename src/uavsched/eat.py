@@ -32,8 +32,6 @@ def _task_ids(sequence) -> list[int]:
     """The sequence's items as task ids by `exact_int` (3.0 is 3); a
     boolean or a non-integral item raises SequenceError naming it."""
     items = list(sequence)
-    if set(map(type, items)) <= {int}:     # the common case, at C speed
-        return items
     seq = [exact_int(t) for t in items]
     if None in seq:
         raise SequenceError(

@@ -219,16 +219,17 @@ class PrecedenceGraph:
     """
 
     def __init__(self, predecessors):
-        """predecessors maps each task id to the ids it depends on."""
+        """predecessors maps each task id to the ids it depends on; each
+        id's direct neighbours are kept as ascending tuples."""
         self.task_ids = sorted(predecessors)
         self.direct_predecessors = {
-            t: frozenset(predecessors[t]) for t in self.task_ids}
-        succs: dict[int, set[int]] = {t: set() for t in self.task_ids}
-        for t, preds in self.direct_predecessors.items():
+            t: tuple(sorted(set(predecessors[t]))) for t in self.task_ids}
+        succs: dict[int, list[int]] = {t: [] for t in self.task_ids}
+        for t, preds in self.direct_predecessors.items():   # t ascending
             for p in preds:
                 if p in succs:
-                    succs[p].add(t)
-        self.direct_successors = {t: frozenset(s) for t, s in succs.items()}
+                    succs[p].append(t)
+        self.direct_successors = {t: tuple(s) for t, s in succs.items()}
 
     @classmethod
     def from_tasks(cls, tasks) -> PrecedenceGraph:
@@ -422,7 +423,7 @@ class ProblemInstance:
                             for t, ps in zip(ordered, preds)),
                 task_index=task_index,
                 task_preds=preds,
-                task_succs=tuple(tuple(sorted(map(task_index.get, succs[t])))
+                task_succs=tuple(tuple(map(task_index.get, succs[t]))
                                  for t in task_index),
                 uav_ids=tuple(u.id for u in self.uavs),
                 uav_start=tuple(idx[u.initial_pos] for u in self.uavs),

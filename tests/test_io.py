@@ -121,6 +121,22 @@ class TestScheduleCsv:
         with pytest.raises(InstanceError):
             read_schedule_csv(p, lab)
 
+    @pytest.mark.parametrize("start, end, task_id", [
+        ("1_0", "20", ""),
+        ("١٠", "20", ""),
+        ("0", "2_0", ""),
+        ("0", "20", "1_0"),
+    ], ids=["underscore-start", "arabic-indic-start", "underscore-end",
+            "underscore-task"])
+    def test_non_ascii_integer_cell_rejected(self, lab, tmp_path, start, end,
+                                              task_id):
+        p = tmp_path / "sched.csv"
+        p.write_text("uav,action_kind,start,end,from,to,task_id\n"
+                     f"UAV1,flight,{start},{end},a,b,{task_id}\n",
+                     encoding="utf-8")
+        with pytest.raises(InstanceError, match="bad schedule row"):
+            read_schedule_csv(p, lab)
+
 
 class TestHistoryCsv:
     def test_format(self, tmp_path):

@@ -92,6 +92,11 @@ class TestPrecedenceGraph:
         assert pos[1] < pos[2] and pos[1] < pos[3]
         assert pos[2] < pos[4] and pos[3] < pos[4]
 
+    def test_direct_neighbours_ascending(self):
+        g = PrecedenceGraph({4: [3, 2, 3], 3: [1], 2: [1], 1: []})
+        assert g.direct_predecessors == {1: (), 2: (1,), 3: (1,), 4: (2, 3)}
+        assert g.direct_successors == {1: (2, 3), 2: (4,), 3: (4,), 4: ()}
+
     def test_cycle_detected(self):
         a = Task(1, TaskType.SINGLE_INSPECTION, "a", "a", 5, (2,))
         b = Task(2, TaskType.SINGLE_INSPECTION, "a", "a", 5, (1,))
