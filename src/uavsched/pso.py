@@ -12,6 +12,7 @@ schedule the list constructor builds for the sequence.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
@@ -52,6 +53,8 @@ class PsoConfig:
             raise ValueError("max_iterations must be positive")
         if self.convergence_window < 1:
             raise ValueError("convergence_window must be positive")
+        if not (math.isfinite(self.c1) and math.isfinite(self.c2)):
+            raise ValueError("acceleration factors must be finite")
         if self.c1 < 0 or self.c2 < 0:
             raise ValueError("acceleration factors must be non-negative")
 
@@ -125,7 +128,7 @@ def _step_velocity(mask, particle, local_best, global_best,
     mask holds n*n bytes with both orientations of every pair in the
     velocity set; a pair found there is dropped and each new pair is
     marked. One position list of the particle serves both difference
-    walks.
+    walks; a walk toward a best equal to the particle is skipped.
     """
     n = len(particle)
     new: list[tuple[int, int]] = []
@@ -147,15 +150,25 @@ def _step_velocity(mask, particle, local_best, global_best,
 
     u1 = rng.random()
     u2 = rng.random()
-    absorb(_difference(local_best, particle[:], pos[:]), c1 * u1)
-    absorb(_difference(global_best, particle[:], pos), c2 * u2)
+    # a best equal to the particle differs from it by no pair, so its
+    # walk would draw nothing and add nothing
+    if local_best != particle:
+        absorb(_difference(local_best, particle[:], pos[:]), c1 * u1)
+    if global_best != particle:
+        absorb(_difference(global_best, particle[:], pos), c2 * u2)
     return new
 
 
 def _random_initial_velocity(n: int, cap: int,
                              rng) -> tuple[list[int], bytearray]:
     """Between 1 and cap distinct random swap pairs (none when n < 2),
-    as their composed index permutation and n*n pair mask."""
+    as their composed index permutation and n*n pair mask.
+
+    Pairs are drawn in rounds of exactly the number still wanted, so the
+    generator yields what one two-index draw per pair would: numpy's
+    bounded 32-bit draws keep the bit generator's buffered half-word
+    across calls.
+    """
     perm = list(range(n))
     mask = bytearray(n * n)
     if n < 2 or cap < 1:
@@ -163,12 +176,12 @@ def _random_initial_velocity(n: int, cap: int,
     count = int(rng.integers(1, cap + 1))
     count = min(count, n * (n - 1) // 2)
     while count:
-        i, j = (int(v) for v in rng.integers(0, n, size=2))
-        if i == j or mask[i * n + j]:
-            continue
-        mask[i * n + j] = mask[j * n + i] = 1
-        perm[i], perm[j] = perm[j], perm[i]
-        count -= 1
+        for i, j in rng.integers(0, n, size=(count, 2)).tolist():
+            if i == j or mask[i * n + j]:
+                continue
+            mask[i * n + j] = mask[j * n + i] = 1
+            perm[i], perm[j] = perm[j], perm[i]
+            count -= 1
     return perm, mask
 
 
@@ -181,14 +194,17 @@ def _mutate_preserving_precedence(sequence, preds, succs, rng) -> list[int]:
     then breaks precedence exactly when a direct predecessor of b sits
     at lo..hi-1 or a direct successor of a at lo+1..hi, so each attempt
     looks up only the positions of those tasks.
+
+    The n // 2 attempts (at least one) draw their index pairs in one
+    call, which yields the numbers and leaves the generator state that
+    one two-index draw per attempt would.
     """
     seq = list(sequence)
     n = len(seq)
     if n < 2:
         return seq
     pos = {tid: k for k, tid in enumerate(seq)}
-    for _ in range(max(1, n // 2)):
-        i, j = rng.integers(0, n, size=2).tolist()
+    for i, j in rng.integers(0, n, size=(max(1, n // 2), 2)).tolist():
         if i == j:
             continue
         lo, hi = (i, j) if i < j else (j, i)

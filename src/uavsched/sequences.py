@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import heapq
 
-from .eat import check_sequence
+from .eat import _task_ids, check_sequence
 from .model import ProblemInstance, SequenceError
 
 
@@ -76,9 +76,10 @@ def _difference(target, work, pos):
     """The difference walk on labels that index pos.
 
     work is a copy of current and pos[x] the position of label x in it;
-    the walk updates both in place. A wanted label already placed
-    further left raises SequenceError: target repeats it, so it is not
-    a permutation of current.
+    the walk updates both in place, leaving work stale at the positions
+    it has passed. A wanted label already placed further left raises
+    SequenceError: target repeats it, so it is not a permutation of
+    current.
     """
     pairs: list[tuple[int, int]] = []
     for i, want in enumerate(target):
@@ -89,7 +90,7 @@ def _difference(target, work, pos):
         if j < i:
             raise SequenceError(_NOT_PERMUTATIONS)
         pairs.append((i, j))
-        work[i], work[j] = want, have
+        work[j] = have  # position i is never read again
         pos[want], pos[have] = i, j
     return pairs
 
@@ -105,8 +106,9 @@ def is_feasible_sequence(sequence, instance: ProblemInstance) -> bool:
 
 
 def _greedy_order(items, instance: ProblemInstance) -> list[int]:
-    """`_decode` of a list of task ids: repeated ids raise before
-    unknown ones."""
+    """`_decode` of a list of task ids, read by `_task_ids` (3.0 is 3, a
+    boolean raises): repeated ids raise before unknown ones."""
+    items = _task_ids(items)
     view = instance.compiled()
     index = view.task_index
     try:
@@ -184,9 +186,11 @@ def repair(sequence, instance: ProblemInstance) -> list[int]:
     Tasks keep their relative priority; one that arrives before a
     predecessor is deferred until the predecessor has been emitted.
     Feasible inputs pass through unchanged and the operation is
-    idempotent. Repeated ids raise SequenceError.
+    idempotent. Ids are read as check_sequence reads them (3.0 is 3);
+    a boolean or fractional id, a repeated id or an unknown one raises
+    SequenceError.
     """
-    return _greedy_order(list(sequence), instance)
+    return _greedy_order(sequence, instance)
 
 
 def extend_sequence(prefix, instance: ProblemInstance) -> list[int]:

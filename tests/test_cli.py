@@ -566,6 +566,17 @@ class TestSearch:
         assert code == 1
         assert "convergence_window must be positive" in err
 
+    @pytest.mark.parametrize("flag", ["--c1", "--c2"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_factor(self, capsys, tmp_path, flag, value):
+        # a NaN or infinite factor would be written to report.json as a
+        # bare NaN/Infinity, which is not JSON
+        code, out, err = run(capsys, ["search", f"{flag}={value}",
+                                      "--out-dir", str(tmp_path)])
+        assert code == 1
+        assert "acceleration factors must be finite" in err
+        assert out == "" and not (tmp_path / "report.json").exists()
+
 
 class TestGenerate:
     def test_round_trips_through_loader(self, capsys, tmp_path):
@@ -608,6 +619,8 @@ class TestExperiment:
         (["--particles", "40,3"], "swarm_size must be at least 8"),
         (["--max-iter", "0"], "max_iterations must be positive"),
         (["--c2", "-1"], "acceleration factors must be non-negative"),
+        (["--c1", "1,nan"], "acceleration factors must be finite"),
+        (["--c2", "inf"], "acceleration factors must be finite"),
     ])
     def test_bad_grid_is_usage_error(self, capsys, tmp_path, argv, message):
         code, out, err = run(capsys, ["experiment", "--out-dir",

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from uavsched import model
@@ -16,6 +17,7 @@ from uavsched.model import (
     TrajectoryMap,
     Uav,
     UnknownPositionError,
+    exact_int,
     infer_task_type,
     nearest_recharge_station,
     task_upper_bound_time,
@@ -202,6 +204,24 @@ class TestInstanceValidation:
             assert compiled.tasks[compiled.task_index[t.id]][3] == min(
                 lab.trajectory_map.flight_time(t.end_pos, s.pos)
                 for s in lab.stations)
+
+
+class TestExactInt:
+    @pytest.mark.parametrize("value", [0, 7, -3, 10**30])
+    def test_int_is_returned_as_is(self, value):
+        assert exact_int(value) is value
+
+    @pytest.mark.parametrize("value, want", [
+        (3.0, 3), (np.int64(7), 7), (np.float64(-2.0), -2)])
+    def test_integral_numbers_read_as_int(self, value, want):
+        got = exact_int(value)
+        assert got == want and type(got) is int
+
+    @pytest.mark.parametrize("value", [
+        True, False, np.bool_(True), 2.5, float("nan"), float("inf"), "3",
+        None, [1]])
+    def test_other_values_are_none(self, value):
+        assert exact_int(value) is None
 
 
 class TestGeometryHelpers:

@@ -9,6 +9,7 @@ from uavsched.model import SequenceError
 from uavsched.pso import (
     PsoConfig,
     _mutate_preserving_precedence,
+    _random_initial_velocity,
     _step_velocity,
     fitness,
     generate_initial_swarm,
@@ -60,6 +61,13 @@ class TestConfig:
     def test_negative_factor_rejected(self):
         with pytest.raises(ValueError):
             PsoConfig(c1=-0.1)
+
+    @pytest.mark.parametrize("factor", ["c1", "c2"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"),
+                                       float("-inf")])
+    def test_non_finite_factor_rejected(self, factor, value):
+        with pytest.raises(ValueError, match="must be finite"):
+            PsoConfig(**{factor: value})
 
 
 class TestVelocityCap:
@@ -335,6 +343,33 @@ class TestDenseVelocityStep:
         assert list(update_velocity(pairs, *relabel, c1, c2, id_rng)) == want
         assert id_rng.bit_generator.state == ref_rng.bit_generator.state
 
+    @pytest.mark.parametrize("equal", ["local", "global", "both"])
+    def test_best_equal_to_particle(self, equal):
+        # a best equal to the particle gives no pairs and no draw, so the
+        # skipped walk must leave the same pairs and generator state
+        m = 30
+        perms = np.random.default_rng(4)
+        particle, local, best = (perms.permutation(m).tolist()
+                                 for _ in range(3))
+        if equal in ("local", "both"):
+            local = list(particle)
+        if equal in ("global", "both"):
+            best = list(particle)
+        pairs = [(0, 1), (5, 2)]
+        for seed in range(20):
+            ref_rng = np.random.default_rng(seed)
+            want = reference_update(pairs, particle, local, best, 1.0, 2.0,
+                                    ref_rng)
+            rng = np.random.default_rng(seed)
+            mask = bytearray(m * m)
+            for i, j in pairs:
+                mask[i * m + j] = mask[j * m + i] = 1
+            got = _step_velocity(mask, particle, local, best, 1.0, 2.0, rng)
+            assert pairs + got == want
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
+            if equal == "both":
+                assert got == []
+
     def test_best_that_is_not_a_permutation_raises(self):
         with pytest.raises(SequenceError, match="not permutations"):
             update_velocity([], [1, 2, 3], [1, 2, 4], [1, 2, 3], 1.0, 2.0,
@@ -352,6 +387,45 @@ class TestDenseVelocityStep:
         with pytest.raises(SequenceError, match="not permutations"):
             update_velocity([], particle, local, best, 1.0, 2.0,
                             np.random.default_rng(0))
+
+
+def reference_initial_velocity(n, cap, rng):
+    """The initial velocity as first written: one two-index draw per
+    pair, redrawn while the pair is a repeat or an index twice."""
+    perm = list(range(n))
+    mask = bytearray(n * n)
+    if n < 2 or cap < 1:
+        return perm, mask
+    count = int(rng.integers(1, cap + 1))
+    count = min(count, n * (n - 1) // 2)
+    while count:
+        i, j = (int(v) for v in rng.integers(0, n, size=2))
+        if i == j or mask[i * n + j]:
+            continue
+        mask[i * n + j] = mask[j * n + i] = 1
+        perm[i], perm[j] = perm[j], perm[i]
+        count -= 1
+    return perm, mask
+
+
+class TestInitialVelocity:
+    """Top-up rounds of bulk draws give the per-pair loop's pairs and
+    leave its generator state, including a cap above the n(n-1)/2
+    distinct pairs and a bit generator holding a buffered half-word."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(0, 40), cap=st.integers(0, 40),
+           seed=st.integers(0, 2**32 - 1), odd=st.booleans())
+    def test_matches_per_pair_draws(self, n, cap, seed, odd):
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        if odd:
+            rng.integers(0, 5)
+            ref_rng.integers(0, 5)
+        perm, mask = _random_initial_velocity(n, cap, rng)
+        want_perm, want_mask = reference_initial_velocity(n, cap, ref_rng)
+        assert perm == want_perm
+        assert mask == want_mask
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 def reference_mutate(sequence, instance, rng):
@@ -381,12 +455,14 @@ class TestMutationWindowCheck:
         order = np.random.default_rng(seed).permutation(len(ids))
         base = repair([ids[k] for k in order], inst)
         graph = inst.graph()
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
         got = _mutate_preserving_precedence(
-            base, graph.direct_predecessors, graph.direct_successors,
-            np.random.default_rng(seed))
-        want = reference_mutate(base, inst, np.random.default_rng(seed))
+            base, graph.direct_predecessors, graph.direct_successors, rng)
+        want = reference_mutate(base, inst, ref_rng)
         assert got == want
         assert is_feasible_sequence(got, inst)
+        # one bulk draw consumes what the per-attempt draws consume
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 class TestInitialSwarm:

@@ -168,6 +168,24 @@ class TestRepair:
         with pytest.raises(SequenceError):
             repair([1, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11], lab)
 
+    def test_integral_ids_come_back_as_int(self, lab):
+        seq = [3.0, 2, np.int64(1), 4, 6, 5, 7, 8, 9, 10, 11, 12]
+        got = repair(seq, lab)
+        assert got == [3, 2, 1, 4, 6, 5, 7, 8, 9, 10, 11, 12]
+        assert all(type(t) is int for t in got)
+
+    @pytest.mark.parametrize("bad", [True, 1.5])
+    def test_non_integer_id_rejected(self, lab, bad):
+        # check_sequence rejects these ids, so repair must not pass them on
+        seq = [3.0, 2, bad, 4, 6, 5, 7, 8, 9, 10, 11, 12]
+        with pytest.raises(SequenceError, match="is not an integer"):
+            repair(seq, lab)
+
+    @pytest.mark.parametrize("seq", [[1, 99, 1.0], [1.0, 1, 99], [99, 2, 2]])
+    def test_duplicate_reported_before_unknown(self, lab, seq):
+        with pytest.raises(SequenceError, match="duplicate"):
+            repair(seq, lab)
+
     def test_idempotent_and_stable(self, lab):
         seq = [12, 11, 10, 9, 8, 7, 6, 5, 4, 3, 2, 1]
         once = repair(seq, lab)
