@@ -48,8 +48,6 @@ def exact_int(value) -> int | None:
     """value as an int when it equals one: an integer or an integral
     float (3.0 is 3). None for a boolean, a string, a fraction or
     anything else int() would coerce or truncate."""
-    if type(value) is int:
-        return value
     if isinstance(value, (bool, np.bool_)):
         return None
     try:

@@ -128,7 +128,7 @@ def _step_velocity(mask, particle, local_best, global_best,
     mask holds n*n bytes with both orientations of every pair in the
     velocity set; a pair found there is dropped and each new pair is
     marked. One position list of the particle serves both difference
-    walks; a walk toward a best equal to the particle is skipped.
+    walks.
     """
     n = len(particle)
     new: list[tuple[int, int]] = []
@@ -150,12 +150,8 @@ def _step_velocity(mask, particle, local_best, global_best,
 
     u1 = rng.random()
     u2 = rng.random()
-    # a best equal to the particle differs from it by no pair, so its
-    # walk would draw nothing and add nothing
-    if local_best != particle:
-        absorb(_difference(local_best, particle[:], pos[:]), c1 * u1)
-    if global_best != particle:
-        absorb(_difference(global_best, particle[:], pos), c2 * u2)
+    absorb(_difference(local_best, particle[:], pos[:]), c1 * u1)
+    absorb(_difference(global_best, particle[:], pos), c2 * u2)
     return new
 
 

@@ -106,9 +106,8 @@ def is_feasible_sequence(sequence, instance: ProblemInstance) -> bool:
 
 
 def _greedy_order(items, instance: ProblemInstance) -> list[int]:
-    """`_decode` of a list of task ids, read by `_task_ids` (3.0 is 3, a
-    boolean raises): repeated ids raise before unknown ones."""
-    items = _task_ids(items)
+    """`_decode` of a list of task ids: repeated ids raise before
+    unknown ones."""
     view = instance.compiled()
     index = view.task_index
     try:
@@ -190,7 +189,7 @@ def repair(sequence, instance: ProblemInstance) -> list[int]:
     a boolean or fractional id, a repeated id or an unknown one raises
     SequenceError.
     """
-    return _greedy_order(sequence, instance)
+    return _greedy_order(_task_ids(sequence), instance)
 
 
 def extend_sequence(prefix, instance: ProblemInstance) -> list[int]:

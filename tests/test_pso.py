@@ -345,8 +345,9 @@ class TestDenseVelocityStep:
 
     @pytest.mark.parametrize("equal", ["local", "global", "both"])
     def test_best_equal_to_particle(self, equal):
-        # a best equal to the particle gives no pairs and no draw, so the
-        # skipped walk must leave the same pairs and generator state
+        # a best equal to the particle differs from it by no pair, so its
+        # walk draws nothing: the same pairs and generator state as the
+        # reference
         m = 30
         perms = np.random.default_rng(4)
         particle, local, best = (perms.permutation(m).tolist()
