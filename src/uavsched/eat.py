@@ -67,27 +67,18 @@ def build_schedule(instance: ProblemInstance, sequence) -> Schedule:
 
 
 def _dense_sequence(instance: ProblemInstance, sequence) -> list[int]:
-    """The sequence's task ids as the compiled view's dense indices; an
-    unknown id raises check_sequence's error."""
-    seq = _task_ids(sequence)
+    """The sequence, checked by check_sequence, as the compiled view's
+    dense indices."""
     index = instance.compiled().task_index
-    try:
-        return [index[t] for t in seq]
-    except KeyError:
-        check_sequence(instance, seq)
-        raise
-
-
-def _check_dense(instance: ProblemInstance, dense):
-    """check_sequence on a dense sequence, for the constructor's errors."""
-    ids = list(instance.compiled().task_index)
-    check_sequence(instance, [ids[d] for d in dense])
+    return [index[t] for t in check_sequence(instance, sequence)]
 
 
 def _construct(instance: ProblemInstance, dense, record: bool):
     """The one EAT decision procedure, on the instance's compiled view.
 
-    dense lists dense task indices (`compiled().task_index`). Per task:
+    dense lists distinct dense task indices (`compiled().task_index`),
+    each after its predecessors, as `_dense_sequence` gives them; the
+    walk does not check this. Per task:
     the availability is the later of both endpoint releases and every
     predecessor's end. Each UAV, in fleet order, offers its arrival
     floored at the availability when the battery covers the flight, any
@@ -111,15 +102,11 @@ def _construct(instance: ProblemInstance, dense, record: bool):
     min-heap of the release times of the used ones, so memory follows
     the recharges made, not the slot count.
 
-    The walk only notices a malformed sequence (a missing predecessor,
-    a repeated task at the end); check_sequence then names the first
-    offending task, so errors are those of checking the sequence up
-    front.
-
     Returns the Schedule when record is true, else the makespan.
     """
     view = instance.compiled()
-    secs, names, tasks = view.seconds, view.position_ids, view.tasks
+    secs, names = view.seconds, view.position_ids
+    tasks, preds = view.tasks, view.task_preds
     is_station, station_pos = view.is_station, view.station_pos
     nearest = view.nearest_leg
     caps, durations = view.uav_capacity, view.uav_recharge
@@ -138,18 +125,14 @@ def _construct(instance: ProblemInstance, dense, record: bool):
     stations = tuple((j, sp, secs[sp]) for j, sp in enumerate(station_pos))
     timelines = [[] for _ in fleet]
     ids = list(view.task_index) if record else None
-    ends: list[int | None] = [None] * len(tasks)
+    ends = [0] * len(tasks)
     for d in dense:
-        s, e, proc, escape, preds = tasks[d]
+        s, e, proc, escape = tasks[d]
         need = proc + escape
         at = release[s] if release[s] > release[e] else release[e]
-        try:
-            for p in preds:
-                if ends[p] > at:
-                    at = ends[p]
-        except TypeError:               # ends[p] is None: p not placed
-            _check_dense(instance, dense)
-            raise
+        for p in preds[d]:
+            if ends[p] > at:
+                at = ends[p]
         best = -1
         col = secs[s]                   # symmetric: col[p] is p -> s
         for k in fleet:
@@ -180,7 +163,6 @@ def _construct(instance: ProblemInstance, dense, record: bool):
                     if station < 0 or prepared < start:
                         station, start = j, prepared
                 if station < 0:
-                    _check_dense(instance, dense)
                     raise SchedulingError(
                         f"uav {view.uav_ids[k]} cannot reach any recharge "
                         f"station from {names[here]} with "
@@ -247,7 +229,6 @@ def _construct(instance: ProblemInstance, dense, record: bool):
                                task_id=ids[d]))
         left[k] -= proc
         if left[k] < 0:
-            _check_dense(instance, dense)
             raise SchedulingError(
                 f"internal accounting error: uav {view.uav_ids[k]} over budget")
         pos[k], ready[k] = e, end
@@ -256,8 +237,6 @@ def _construct(instance: ProblemInstance, dense, record: bool):
         if end > release[e]:
             release[e] = end
         ends[d] = end
-    if ends.count(None) != len(ends) - len(dense):
-        _check_dense(instance, dense)
     if record:
         return Schedule(instance=instance,
                         actions=dict(zip(view.uav_ids, timelines)))

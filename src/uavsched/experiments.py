@@ -101,7 +101,8 @@ def _run_one(args):
 
 def run_experiment(grid: ExperimentGrid, jobs: int = 1,
                    progress=None) -> ExperimentReport:
-    jobs = max(1, jobs)
+    """Run every grid cell's repetitions, on up to `jobs` worker
+    processes (never more than there are runs)."""
     work = []
     run_index = 0
     for (n, c1, c2, swarm) in grid.cells():
@@ -111,8 +112,10 @@ def run_experiment(grid: ExperimentGrid, jobs: int = 1,
                          grid.max_iterations))
             run_index += 1
 
-    # map and pool.map both yield results in run_index order
-    with (ProcessPoolExecutor(max_workers=jobs) if jobs > 1
+    # a pool may start all its workers at once, so it gets no more than
+    # there are runs; map and pool.map both yield in run_index order
+    workers = min(jobs, len(work))
+    with (ProcessPoolExecutor(max_workers=workers) if workers > 1
           else nullcontext()) as pool:
         results = []
         for r in (pool.map if pool else map)(_run_one, work):

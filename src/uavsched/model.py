@@ -331,7 +331,7 @@ class CompiledInstance:
     keep declaration order. Tasks get dense indices in ascending id
     order: `task_index` maps each id to its index and lists the ids in
     that order. `tasks[d]` is task d's (start index, end index,
-    proc_time, escape seconds from its end, predecessor indices), and
+    proc_time, escape seconds from its end), and
     `task_preds`/`task_succs` hold the indices of its direct
     predecessors and successors, ascending. `nearest_leg` is the flight
     time from each position to its nearest station.
@@ -343,7 +343,7 @@ class CompiledInstance:
     station_pos: tuple[int, ...]
     station_slots: tuple[int, ...]
     nearest_leg: tuple[float, ...]
-    tasks: tuple[tuple[int, int, int, int, tuple[int, ...]], ...]
+    tasks: tuple[tuple[int, int, int, int], ...]
     task_index: dict[int, int]
     task_preds: tuple[tuple[int, ...], ...]
     task_succs: tuple[tuple[int, ...], ...]
@@ -419,8 +419,7 @@ class ProblemInstance:
                 station_slots=tuple(s.slots for s in self.stations),
                 nearest_leg=nearest_leg,
                 tasks=tuple((idx[t.start_pos], idx[t.end_pos], t.proc_time,
-                             nearest_leg[idx[t.end_pos]], ps)
-                            for t, ps in zip(ordered, preds)),
+                             nearest_leg[idx[t.end_pos]]) for t in ordered),
                 task_index=task_index,
                 task_preds=preds,
                 task_succs=tuple(tuple(map(task_index.get, succs[t]))

@@ -104,10 +104,9 @@ def update_velocity(velocity, particle, local_best, global_best,
     present are dropped.
 
     The bests must be permutations of the particle's distinct items, or
-    SequenceError is raised: by `_relabel` before any draw, or by a
-    difference walk when a best repeats an item. `_step_velocity` does
-    the rest on a pair mask of the old pairs (those out of range for
-    the particle are left out, as no new pair can equal them).
+    `_relabel` raises SequenceError before any draw. `_step_velocity`
+    does the rest on a pair mask of the old pairs (those out of range
+    for the particle are left out, as no new pair can equal them).
     """
     local, best = _relabel(particle, local_best, global_best)
     n = len(local)

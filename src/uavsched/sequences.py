@@ -40,9 +40,9 @@ def sequence_difference(target, current) -> list[tuple[int, int]]:
     Applying the result to current yields target; the list never exceeds
     len - 1 pairs and skips positions already in agreement.
 
-    Both sequences must be permutations of one set of distinct items:
-    `_relabel` checks current and maps target onto 0..n-1, and
-    `_difference` meets any repeated item in target.
+    Both sequences must be permutations of one set of distinct items;
+    `_relabel` checks both before the walk (in update_velocity, before
+    any draw) and maps target onto 0..n-1.
     """
     (want,) = _relabel(current, target)
     n = len(want)
@@ -52,9 +52,9 @@ def sequence_difference(target, current) -> list[tuple[int, int]]:
 def _relabel(current, *targets):
     """Each target with every item replaced by its position in current.
 
-    Raises SequenceError when current repeats an item, or when a target
-    differs in length or holds an item missing from current; a target
-    that repeats an item is left to `_difference`.
+    Raises SequenceError, before any draw, when current or a target
+    repeats an item, or when a target differs in length or holds an
+    item missing from current.
     """
     current = list(current)
     label = {t: i for i, t in enumerate(current)}
@@ -63,7 +63,7 @@ def _relabel(current, *targets):
         raise SequenceError(_NOT_PERMUTATIONS)
     out = []
     for target in targets:
-        if len(target) != n:
+        if len(target) != n or len(set(target)) != n:
             raise SequenceError(_NOT_PERMUTATIONS)
         try:
             out.append([label[t] for t in target])
@@ -75,11 +75,10 @@ def _relabel(current, *targets):
 def _difference(target, work, pos):
     """The difference walk on labels that index pos.
 
-    work is a copy of current and pos[x] the position of label x in it;
-    the walk updates both in place, leaving work stale at the positions
-    it has passed. A wanted label already placed further left raises
-    SequenceError: target repeats it, so it is not a permutation of
-    current.
+    target must be a permutation of the labels in work, as `_relabel`
+    makes it; the walk does not check this. work is a copy of current
+    and pos[x] the position of label x in it; the walk updates both in
+    place, leaving work stale at the positions it has passed.
     """
     pairs: list[tuple[int, int]] = []
     for i, want in enumerate(target):
@@ -87,8 +86,6 @@ def _difference(target, work, pos):
         if have == want:
             continue
         j = pos[want]
-        if j < i:
-            raise SequenceError(_NOT_PERMUTATIONS)
         pairs.append((i, j))
         work[j] = have  # position i is never read again
         pos[want], pos[have] = i, j
@@ -106,32 +103,32 @@ def is_feasible_sequence(sequence, instance: ProblemInstance) -> bool:
 
 
 def _greedy_order(items, instance: ProblemInstance) -> list[int]:
-    """`_decode` of a list of task ids: repeated ids raise before
-    unknown ones."""
+    """`_decode` of a list of task ids, checked first: repeated ids
+    raise before unknown ones."""
+    if len(set(items)) != len(items):
+        raise SequenceError("sequence contains duplicate task ids")
     view = instance.compiled()
     index = view.task_index
     try:
         dense = [index[tid] for tid in items]
-    except KeyError:
-        if len(set(items)) != len(items):
-            raise SequenceError("sequence contains duplicate task ids") from None
-        for tid in items:
-            instance.task(tid)  # raises: unknown id
+    except KeyError as missing:
+        instance.task(missing.args[0])  # raises: unknown id
         raise
     return _decode(dense, view, items)
 
 
 def _decode(dense, view, labels=None) -> list[int]:
-    """Emit the tasks of dense (compiled-view indices) in the given
-    priority order, each as soon as its predecessors among them are
-    emitted; predecessors outside dense count as already placed.
+    """Emit the tasks of dense (distinct compiled-view indices, which the
+    walk does not check) in the given priority order, each as soon as
+    its predecessors among them are emitted; predecessors outside dense
+    count as already placed.
 
     The task at rank r comes out as labels[r] (dense[r] by default).
     `rank` maps each task to its place in dense (-1 when absent). A
     cursor walks dense in order and emits every task whose pending count
     is zero; a task it has to skip goes onto a heap (by rank) once its
     last predecessor is emitted, and the heap, holding only ranks behind
-    the cursor, always goes first. A repeated task raises.
+    the cursor, always goes first.
     """
     preds, succs = view.task_preds, view.task_succs
     if labels is None:
@@ -140,9 +137,6 @@ def _decode(dense, view, labels=None) -> list[int]:
     rank = [-1] * len(preds)
     for r, d in enumerate(dense):
         rank[d] = r
-    # a repeated task leaves more ranks unset than there are absent tasks
-    if rank.count(-1) != len(preds) - n:
-        raise SequenceError("sequence contains duplicate task ids")
     if n == len(preds):     # every task: all predecessors count
         pending = [len(preds[d]) for d in dense]
     else:

@@ -385,6 +385,25 @@ class TestMakespanPathMatchesSchedule:
             with pytest.raises(SequenceError) as scored:
                 fitness(seq, inst)
             assert str(scored.value) == str(built.value)
+        # mixed faults: both paths raise check_sequence's first error
+        unknown = max(full, default=0) + 1
+        mixed = [full[:1] + [1.5] + full[1:], full + [True], full + ["3"]]
+        if full:
+            mixed += [full + full[:1] + [unknown], full + [unknown] + full[:1]]
+            broken = [seq for seq, m in bad if m == "predecessor"]
+            mixed += [b + b[:1] for b in broken]
+            mixed += [b[:1] + b for b in broken]
+            with pytest.raises(SequenceError, match="duplicate task ids"):
+                repair(full + [unknown] + full[:1], inst)
+        for seq in mixed:
+            with pytest.raises(SchedulingError) as want:
+                check_sequence(inst, seq)
+            for run in (lambda: build_schedule(inst, seq),
+                        lambda: fitness(seq, inst)):
+                with pytest.raises(SchedulingError) as got:
+                    run()
+                assert (type(got.value), str(got.value)) == \
+                    (type(want.value), str(want.value))
 
 
 def id_task_table(instance):

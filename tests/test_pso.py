@@ -385,9 +385,12 @@ class TestDenseVelocityStep:
         ([1, 2, 3], [1, 2, 3], [3, 3, 1]),
     ])
     def test_repeated_item_raises(self, particle, local, best):
+        # the check comes before any draw
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
         with pytest.raises(SequenceError, match="not permutations"):
-            update_velocity([], particle, local, best, 1.0, 2.0,
-                            np.random.default_rng(0))
+            update_velocity([], particle, local, best, 1.0, 2.0, rng)
+        assert rng.bit_generator.state == state
 
 
 def reference_initial_velocity(n, cap, rng):
