@@ -3,9 +3,9 @@
 
 Crosses two cognitive/social factor settings on a generated 10-task
 instance, five repetitions each, and prints the summary table. Rows
-labeled "base" are previously published reference statistics for the
-same task count; they come from different (unpublished) datasets, so
-they are a sanity check on the order of magnitude, not a target.
+labeled "paper" are the paper's published statistics for the same task
+count; they come from different (unpublished) datasets, so they are a
+sanity check on the order of magnitude, not a target.
 
     python3 demos/sweep_demo.py
 """

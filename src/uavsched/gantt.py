@@ -17,6 +17,7 @@ ACTION_COLORS = {
     ActionKind.WAIT_ON_GROUND: "#9D9D9D",
     ActionKind.RECHARGE: "#E15759",
 }
+_STYLE = {k: (color, k.value) for k, color in ACTION_COLORS.items()}
 
 _LANE_H = 34
 _LANE_GAP = 10
@@ -27,8 +28,30 @@ _MARGIN_B = 46
 _PLOT_W = 980
 
 
+class _Escaped(dict):
+    """text -> its XML escape, computed once per text."""
+
+    def __missing__(self, text):
+        out = self[text] = escape(text)
+        return out
+
+
 def _fmt(x: float) -> str:
     return f"{x:.2f}".rstrip("0").rstrip(".")
+
+
+def _svg_head(width, height, title: str, title_x) -> list[str]:
+    """A chart's opening tag, white background and bold title, if any."""
+    parts = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
+        f'height="{height}" viewBox="0 0 {width} {height}" '
+        f'font-family="sans-serif" font-size="11">',
+        f'<rect width="{width}" height="{height}" fill="white"/>',
+    ]
+    if title:
+        parts.append(f'<text x="{title_x}" y="18" font-size="13" '
+                     f'font-weight="bold">{escape(title)}</text>')
+    return parts
 
 
 def _axis_step(span: float) -> float:
@@ -48,15 +71,7 @@ def render_gantt_svg(schedule: Schedule, title: str = "") -> str:
     height = _MARGIN_T + len(uavs) * (_LANE_H + _LANE_GAP) + _MARGIN_B
     width = _MARGIN_L + _PLOT_W + _MARGIN_R
 
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
-        f'height="{height}" viewBox="0 0 {width} {height}" '
-        f'font-family="sans-serif" font-size="11">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
-    ]
-    if title:
-        parts.append(f'<text x="{_MARGIN_L}" y="18" font-size="13" '
-                     f'font-weight="bold">{escape(title)}</text>')
+    parts = _svg_head(width, height, title, _MARGIN_L)
 
     axis_y = _MARGIN_T + len(uavs) * (_LANE_H + _LANE_GAP)
     step = _axis_step(span)
@@ -74,34 +89,34 @@ def render_gantt_svg(schedule: Schedule, title: str = "") -> str:
     parts.append(f'<text x="{_MARGIN_L + _PLOT_W / 2}" y="{axis_y + 32}" '
                  f'text-anchor="middle" fill="#444">time (s)</text>')
 
+    esc = _Escaped()
+    add = parts.append
     for lane, uav_id in enumerate(uavs):
         y = _MARGIN_T + lane * (_LANE_H + _LANE_GAP)
-        parts.append(f'<text x="{_MARGIN_L - 8}" y="{y + _LANE_H / 2 + 4}" '
-                     f'text-anchor="end">{escape(uav_id)}</text>')
+        add(f'<text x="{_MARGIN_L - 8}" y="{y + _LANE_H / 2 + 4}" '
+            f'text-anchor="end">{escape(uav_id)}</text>')
         for a in schedule.actions[uav_id]:
             x = _MARGIN_L + a.start * scale
             w = max((a.end - a.start) * scale, 0.5)
-            color = ACTION_COLORS[a.kind]
-            label = f"{a.kind.value} {a.from_pos}->{a.to_pos} [{a.start},{a.end}]"
-            parts.append(
-                f'<rect x="{_fmt(x)}" y="{y}" width="{_fmt(w)}" '
+            color, kind = _STYLE[a.kind]
+            # escape(f"{kind} {from}->{to} [{start},{end}]"), per id once
+            add(f'<rect x="{_fmt(x)}" y="{y}" width="{_fmt(w)}" '
                 f'height="{_LANE_H}" fill="{color}" stroke="white" '
-                f'stroke-width="0.5"><title>{escape(label)}</title></rect>')
+                f'stroke-width="0.5"><title>{kind} {esc[a.from_pos]}-&gt;'
+                f'{esc[a.to_pos]} [{a.start},{a.end}]</title></rect>')
             if a.kind is ActionKind.TASK_EXEC and w >= 14:
-                parts.append(
-                    f'<text x="{_fmt(x + w / 2)}" y="{y + _LANE_H / 2 + 4}" '
+                add(f'<text x="{_fmt(x + w / 2)}" y="{y + _LANE_H / 2 + 4}" '
                     f'text-anchor="middle" fill="white" '
                     f'font-weight="bold">{a.task_id}</text>')
 
     legend_x = _MARGIN_L
     legend_y = axis_y + 38
-    for kind in (ActionKind.FLIGHT, ActionKind.TASK_EXEC, ActionKind.HOVER,
-                 ActionKind.WAIT_ON_GROUND, ActionKind.RECHARGE):
-        parts.append(f'<rect x="{legend_x}" y="{legend_y - 9}" width="12" '
-                     f'height="12" fill="{ACTION_COLORS[kind]}"/>')
-        parts.append(f'<text x="{legend_x + 16}" y="{legend_y + 1}" '
-                     f'fill="#444">{kind.value}</text>')
-        legend_x += 16 + 7 * len(kind.value) + 24
+    for color, kind in _STYLE.values():
+        add(f'<rect x="{legend_x}" y="{legend_y - 9}" width="12" '
+            f'height="12" fill="{color}"/>')
+        add(f'<text x="{legend_x + 16}" y="{legend_y + 1}" '
+            f'fill="#444">{kind}</text>')
+        legend_x += 16 + 7 * len(kind) + 24
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 
@@ -127,15 +142,7 @@ def render_history_svg(history, title: str = "") -> str:
     def sy(v):
         return mt + (hi - v) / (hi - lo) * ph
 
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
-        f'height="{height}" viewBox="0 0 {width} {height}" '
-        f'font-family="sans-serif" font-size="11">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
-    ]
-    if title:
-        parts.append(f'<text x="{ml}" y="18" font-size="13" '
-                     f'font-weight="bold">{escape(title)}</text>')
+    parts = _svg_head(width, height, title, ml)
     parts.append(f'<line x1="{ml}" y1="{mt + ph}" x2="{ml + pw}" '
                  f'y2="{mt + ph}" stroke="#444"/>')
     parts.append(f'<line x1="{ml}" y1="{mt}" x2="{ml}" y2="{mt + ph}" '

@@ -35,6 +35,7 @@ from .model import (
 TASK_CSV_FIELDS = ("TaskID", "Start", "End", "ProcTime", "Precedence")
 SCHEDULE_CSV_FIELDS = ("uav", "action_kind", "start", "end", "from", "to",
                        "task_id")
+_KIND_TEXT = {k: k.value for k in ActionKind}
 
 
 def instance_to_dict(instance: ProblemInstance) -> dict:
@@ -207,25 +208,36 @@ def read_task_csv(path) -> tuple[Task, ...]:
     return tuple(tasks)
 
 
+class _Cells(dict):
+    """id -> its CSV cell, computed once: quoted as csv.QUOTE_MINIMAL
+    quotes it, only when it holds a comma, a double quote or a newline."""
+
+    def __missing__(self, text):
+        cell = str(text)
+        if any(c in cell for c in ',"\r\n'):
+            cell = '"' + cell.replace('"', '""') + '"'
+        self[text] = cell
+        return cell
+
+
 def write_task_csv(tasks, path):
+    cells = _Cells()
     lines = [",".join(TASK_CSV_FIELDS)]
     for t in tasks:
         preds = ";".join(str(p) for p in t.predecessors) if t.predecessors else "-"
-        lines.append(f"{t.id},{t.start_pos},{t.end_pos},{t.proc_time},{preds}")
+        lines.append(f"{t.id},{cells[t.start_pos]},{cells[t.end_pos]},"
+                     f"{t.proc_time},{preds}")
     write_text_atomic(path, "\n".join(lines) + "\n")
-
-
-def schedule_rows(schedule: Schedule):
-    for uav_id, a in schedule.all_actions():
-        yield (uav_id, a.kind.value, a.start, a.end, a.from_pos, a.to_pos,
-               "" if a.task_id is None else a.task_id)
 
 
 def write_schedule_csv(schedule: Schedule, path):
-    lines = [",".join(SCHEDULE_CSV_FIELDS)]
-    for row in schedule_rows(schedule):
-        lines.append(",".join(str(v) for v in row))
-    write_text_atomic(path, "\n".join(lines) + "\n")
+    cells = _Cells()
+    rows = [f"{cells[u]},{_KIND_TEXT[a.kind]},{a.start},{a.end},"
+            f"{cells[a.from_pos]},{cells[a.to_pos]},"
+            f"{'' if a.task_id is None else a.task_id}"
+            for u in schedule.uav_order() for a in schedule.actions[u]]
+    write_text_atomic(path, "\n".join([",".join(SCHEDULE_CSV_FIELDS), *rows])
+                      + "\n")
 
 
 def read_schedule_csv(path, instance: ProblemInstance) -> Schedule:

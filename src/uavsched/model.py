@@ -103,14 +103,10 @@ class TrajectoryMap:
 
     def flight_time(self, from_pos: str, to_pos: str) -> int:
         try:
-            i = self.index[from_pos]
-        except KeyError:
-            raise UnknownPositionError(f"unknown position {from_pos!r}") from None
-        try:
-            j = self.index[to_pos]
-        except KeyError:
-            raise UnknownPositionError(f"unknown position {to_pos!r}") from None
-        return self.seconds[i][j]
+            return self.seconds[self.index[from_pos]][self.index[to_pos]]
+        except KeyError as exc:     # the first unknown of the two
+            raise UnknownPositionError(
+                f"unknown position {exc.args[0]!r}") from None
 
     def position(self, pos_id: str) -> Position:
         try:
@@ -194,7 +190,7 @@ AIRBORNE_KINDS = frozenset(
     {ActionKind.FLIGHT, ActionKind.TASK_EXEC, ActionKind.HOVER})
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Action:
     """One contiguous span of a UAV timeline.
 
@@ -209,6 +205,14 @@ class Action:
     to_pos: str
     task_id: int | None = None
     station: str | None = None
+
+    def __init__(self, kind, start, end, from_pos, to_pos, task_id=None,
+                 station=None):
+        # the frozen dataclass __init__ pays an object.__setattr__ per field
+        d = self.__dict__
+        d["kind"], d["start"], d["end"] = kind, start, end
+        d["from_pos"], d["to_pos"] = from_pos, to_pos
+        d["task_id"], d["station"] = task_id, station
 
 
 class PrecedenceGraph:

@@ -16,6 +16,10 @@ from dataclasses import dataclass
 
 from .model import ActionKind, AIRBORNE_KINDS, Schedule
 
+_FLIGHT, _EXEC, _WAIT, _RECHARGE = (
+    ActionKind.FLIGHT, ActionKind.TASK_EXEC, ActionKind.WAIT_ON_GROUND,
+    ActionKind.RECHARGE)
+
 
 @dataclass(frozen=True)
 class Violation:
@@ -36,6 +40,7 @@ def validate_schedule(schedule: Schedule) -> list[Violation]:
     add = out.append
     station_pos = inst.station_positions()
     fm = inst.trajectory_map
+    index, secs = fm.index, fm.seconds
 
     for uav_id, acts in schedule.actions.items():
         if uav_id not in inst.uavs_by_id:
@@ -50,31 +55,31 @@ def validate_schedule(schedule: Schedule) -> list[Violation]:
                               f"{uav_id}: {a.kind.value} ends at {a.end} "
                               f"before start {a.start}",
                               uav_id=uav_id, tstp=a.start))
-            unknown = [p for p in dict.fromkeys((a.from_pos, a.to_pos))
-                       if p not in fm.index]
-            for p in unknown:
-                add(Violation("unknown_position",
-                              f"{uav_id}: {a.kind.value} at {p!r}, which the "
-                              "trajectory map does not know",
-                              uav_id=uav_id, position=p, tstp=a.start))
-            if a.kind == ActionKind.FLIGHT:
-                # an unknown endpoint has no matrix entry to compare with
-                expect = None if unknown else fm.flight_time(a.from_pos,
-                                                             a.to_pos)
-                if expect is not None and a.end - a.start != expect:
-                    add(Violation("flight_duration",
-                                  f"{uav_id}: flight {a.from_pos}->{a.to_pos} "
-                                  f"lasts {a.end - a.start}, matrix says {expect}",
-                                  uav_id=uav_id, tstp=a.start))
-            elif a.kind != ActionKind.TASK_EXEC:
-                # Only flights and task executions (material handling)
-                # may change position.
-                if a.from_pos != a.to_pos:
-                    add(Violation("action_shape",
-                                  f"{uav_id}: {a.kind.value} moves from "
-                                  f"{a.from_pos} to {a.to_pos}",
-                                  uav_id=uav_id, tstp=a.start))
-            if a.kind == ActionKind.RECHARGE:
+            kind = a.kind
+            if a.from_pos in index and a.to_pos in index:
+                if kind == _FLIGHT:
+                    expect = secs[index[a.from_pos]][index[a.to_pos]]
+                    if a.end - a.start != expect:
+                        add(Violation("flight_duration",
+                                      f"{uav_id}: flight {a.from_pos}->"
+                                      f"{a.to_pos} lasts {a.end - a.start}, "
+                                      f"matrix says {expect}",
+                                      uav_id=uav_id, tstp=a.start))
+            else:   # unknown, so no matrix entry to compare a flight with
+                for p in dict.fromkeys((a.from_pos, a.to_pos)):
+                    if p not in index:
+                        add(Violation("unknown_position",
+                                      f"{uav_id}: {kind.value} at {p!r}, "
+                                      "which the trajectory map does not know",
+                                      uav_id=uav_id, position=p, tstp=a.start))
+            # Only flights and task executions (material handling) may
+            # change position.
+            if kind != _FLIGHT and kind != _EXEC and a.from_pos != a.to_pos:
+                add(Violation("action_shape",
+                              f"{uav_id}: {kind.value} moves from "
+                              f"{a.from_pos} to {a.to_pos}",
+                              uav_id=uav_id, tstp=a.start))
+            if kind == _RECHARGE:
                 if a.from_pos not in station_pos:
                     add(Violation("recharge_position",
                                   f"{uav_id}: recharge at non-station "
@@ -85,17 +90,16 @@ def validate_schedule(schedule: Schedule) -> list[Violation]:
                                   f"{uav_id}: recharge lasts {a.end - a.start}, "
                                   f"expected {uav.recharge_duration}",
                                   uav_id=uav_id, tstp=a.start))
-            if (a.kind == ActionKind.WAIT_ON_GROUND
-                    and a.from_pos not in station_pos):
+            if kind == _WAIT and a.from_pos not in station_pos:
                 add(Violation("ground_wait_position",
                               f"{uav_id}: wait on ground away from a station "
                               f"at {a.from_pos!r}",
                               uav_id=uav_id, position=a.from_pos))
             if prev is not None:
                 if a.start != prev.end:
-                    kind = ("timeline_gap" if a.start > prev.end
-                            else "timeline_overlap")
-                    add(Violation(kind,
+                    gap = ("timeline_gap" if a.start > prev.end
+                           else "timeline_overlap")
+                    add(Violation(gap,
                                   f"{uav_id}: {prev.kind.value} ends {prev.end} "
                                   f"but {a.kind.value} starts {a.start}",
                                   uav_id=uav_id, tstp=a.start))
@@ -123,7 +127,7 @@ def _check_tasks(schedule: Schedule) -> list[Violation]:
     seen: dict[int, tuple[str, object]] = {}
     by_position: dict[str, list[tuple[int, int, int]]] = {}
     for uav_id, a in schedule.all_actions():
-        if a.kind != ActionKind.TASK_EXEC:
+        if a.kind != _EXEC:
             continue
         tid = a.task_id
         if tid is None or tid not in inst.tasks_by_id:
@@ -182,28 +186,20 @@ def _check_battery(schedule: Schedule) -> list[Violation]:
         if uav is None:
             continue  # reported as unknown_uav already
         cap = uav.battery_capacity
-        airborne = 0
-        span_start = None
-        for a in schedule.actions[uav_id]:
-            if a.kind in AIRBORNE_KINDS:
+        airborne, span_start = 0, None
+        for a in [*schedule.actions[uav_id], None]:   # None ends the last stretch
+            if a is not None and a.kind in AIRBORNE_KINDS:
                 if span_start is None:
                     span_start = a.start
                 airborne += a.end - a.start
-            else:
-                if airborne > cap:
-                    out.append(Violation(
-                        "battery",
-                        f"{uav_id} airborne {airborne}s from {span_start}, "
-                        f"capacity {cap}",
-                        uav_id=uav_id, tstp=span_start))
-                airborne = 0
-                span_start = None
-        if airborne > cap:
-            out.append(Violation(
-                "battery",
-                f"{uav_id} airborne {airborne}s from {span_start}, "
-                f"capacity {cap}",
-                uav_id=uav_id, tstp=span_start))
+                continue
+            if airborne > cap:
+                out.append(Violation(
+                    "battery",
+                    f"{uav_id} airborne {airborne}s from {span_start}, "
+                    f"capacity {cap}",
+                    uav_id=uav_id, tstp=span_start))
+            airborne, span_start = 0, None
     return out
 
 
@@ -214,14 +210,13 @@ def _check_bays(schedule: Schedule) -> list[Violation]:
     slots = {s.pos: s.slots for s in inst.stations}
     per_station: dict[str, list[tuple[int, int]]] = {}
     for uav_id, a in schedule.all_actions():
-        if a.kind == ActionKind.RECHARGE:
+        if a.kind == _RECHARGE:
             per_station.setdefault(a.from_pos, []).append((a.start, a.end))
     for pos, spans in per_station.items():
         limit = slots.get(pos)
         if limit is None:
             continue  # already reported as recharge_position
-        events = sorted([(s, 1) for s, _ in spans] + [(e, -1) for _, e in spans],
-                        key=lambda ev: (ev[0], ev[1]))
+        events = sorted([(s, 1) for s, _ in spans] + [(e, -1) for _, e in spans])
         level = 0
         for tstp, delta in events:
             level += delta

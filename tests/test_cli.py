@@ -606,8 +606,10 @@ class TestExperiment:
         assert len(runs) == 3  # header + 2 repetitions
         summary = (tmp_path / "summary.csv").read_text()
         assert "10" in summary
-        # a 10-task cell carries a reference row in the console table
-        assert " base " in out
+        # a 10-task cell carries the paper's row in the console table,
+        # and a line above the header says where those figures come from
+        assert " paper " in out
+        assert "the paper's figures, measured on other datasets" in out
 
     @pytest.mark.parametrize("argv, message", [
         (["--tasks", "x"], "--tasks must be comma-separated int"),

@@ -1,8 +1,14 @@
 import json
+import tempfile
+from pathlib import Path
+from xml.dom import minidom
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from uavsched.eat import build_schedule
+from uavsched.gantt import render_gantt_svg
 from uavsched.io import (
     instance_from_dict,
     instance_to_dict,
@@ -10,13 +16,22 @@ from uavsched.io import (
     read_schedule_csv,
     read_task_csv,
     save_instance,
-    schedule_rows,
     write_history_csv,
     write_report_json,
     write_schedule_csv,
     write_task_csv,
 )
-from uavsched.model import InstanceError
+from uavsched.model import (
+    InstanceError,
+    Position,
+    PositionKind,
+    ProblemInstance,
+    RechargeStation,
+    Task,
+    TaskType,
+    TrajectoryMap,
+    Uav,
+)
 from uavsched.pso import PsoConfig, run_pso
 from uavsched.validate import validate_schedule
 
@@ -109,9 +124,11 @@ class TestScheduleCsv:
         assert again.makespan() == sched.makespan()
         assert validate_schedule(again) == []
 
-    def test_rows_cover_every_action(self, lab):
+    def test_rows_cover_every_action(self, lab, tmp_path):
         sched = build_schedule(lab, FULL_COMPLETION)
-        rows = list(schedule_rows(sched))
+        p = tmp_path / "sched.csv"
+        write_schedule_csv(sched, p)
+        rows = p.read_text().splitlines()[1:]
         assert len(rows) == sum(len(a) for a in sched.actions.values())
 
     def test_unknown_kind_rejected(self, lab, tmp_path):
@@ -136,6 +153,80 @@ class TestScheduleCsv:
                      encoding="utf-8")
         with pytest.raises(InstanceError, match="bad schedule row"):
             read_schedule_csv(p, lab)
+
+
+# Ids that a CSV cell must quote or an SVG text must escape.
+AWKWARD_IDS = st.text(alphabet='aZ1 ,"\n\r&<>', min_size=1, max_size=4)
+
+
+def awkward_instance(names, uav_ids) -> ProblemInstance:
+    """Three work positions and two stations named by names[0:5], two
+    UAVs, and six tasks (inspections and hauls, no precedence) long
+    enough that both UAVs recharge and wait on the ground."""
+    work, stations = names[:3], names[3:5]
+    positions = ([Position(p) for p in work]
+                 + [Position(p, PositionKind.RECHARGE) for p in stations])
+    seconds = [[0 if i == j else 10 + 7 * abs(i - j) for j in range(5)]
+               for i in range(5)]
+    tasks = tuple(
+        Task(k + 1, TaskType.MATERIAL_HANDLING, work[k % 3],
+             work[(k + 1) % 3], 150 + 10 * k) if k % 2 else
+        Task(k + 1, TaskType.COMPOUND_INSPECTION, work[k % 3], work[k % 3],
+             150 + 10 * k)
+        for k in range(6))
+    return ProblemInstance(
+        trajectory_map=TrajectoryMap(positions, seconds),
+        stations=tuple(RechargeStation(p, 1) for p in stations),
+        tasks=tasks,
+        uavs=(Uav(uav_ids[0], stations[0], 500, 300),
+              Uav(uav_ids[1], stations[1], 500, 300)))
+
+
+class TestAwkwardIds:
+    """Ids holding a comma, a double quote, a line break or an XML
+    special survive the CSV writers and the Gantt chart."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(names=st.lists(AWKWARD_IDS, min_size=5, max_size=5, unique=True),
+           uav_ids=st.lists(AWKWARD_IDS, min_size=2, max_size=2, unique=True),
+           sequence=st.permutations(range(1, 7)))
+    def test_schedule_round_trip(self, names, uav_ids, sequence):
+        inst = awkward_instance(names, uav_ids)
+        sched = build_schedule(inst, sequence)
+        with tempfile.TemporaryDirectory() as tmp:
+            p = Path(tmp) / "sched.csv"
+            write_schedule_csv(sched, p)
+            again = read_schedule_csv(p, inst)
+        assert again.actions == sched.actions
+        assert validate_schedule(again) == []
+        svg = render_gantt_svg(sched, title=" ".join(names + uav_ids))
+        assert minidom.parseString(svg).documentElement.tagName == "svg"
+
+    @settings(max_examples=100, deadline=None)
+    @given(names=st.lists(AWKWARD_IDS.filter(lambda s: s == s.strip()),
+                          min_size=5, max_size=5, unique=True))
+    def test_task_round_trip(self, names):
+        # the task CSV reader strips its position cells, so the ids here
+        # have no surrounding whitespace
+        inst = awkward_instance(names, ["U1", "U2"])
+        with tempfile.TemporaryDirectory() as tmp:
+            p = Path(tmp) / "tasks.csv"
+            write_task_csv(inst.tasks, p)
+            assert read_task_csv(p) == inst.tasks
+
+    def test_ordinary_ids_unquoted(self, lab, tmp_path):
+        p = tmp_path / "sched.csv"
+        write_schedule_csv(build_schedule(lab, FULL_COMPLETION), p)
+        assert '"' not in p.read_text()
+
+    def test_comma_id_quoted(self, tmp_path):
+        inst = awkward_instance(["a,1", "b", 'say "c"', "R1", "R2"],
+                                ["U,1", "U2"])
+        p = tmp_path / "sched.csv"
+        write_schedule_csv(build_schedule(inst, [1, 2, 3, 4, 5, 6]), p)
+        text = p.read_text()
+        assert '\n"U,1",flight,0,' in text
+        assert ',"a,1",' in text and ',"say ""c""",' in text
 
 
 class TestHistoryCsv:

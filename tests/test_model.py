@@ -39,6 +39,13 @@ class TestTrajectoryMap:
         with pytest.raises(UnknownPositionError):
             SMALL_MAP.flight_time("a", "nowhere")
 
+    @pytest.mark.parametrize("src, dst, named", [
+        ("a", "x", "'x'"), ("x", "a", "'x'"), ("x", "y", "'x'")])
+    def test_unknown_position_names_the_first(self, src, dst, named):
+        with pytest.raises(UnknownPositionError,
+                           match=f"^unknown position {named}$"):
+            SMALL_MAP.flight_time(src, dst)
+
     def test_rejects_asymmetry(self):
         with pytest.raises(InstanceError):
             TrajectoryMap((Position("a"), Position("b")), ((0, 5), (6, 0)))
