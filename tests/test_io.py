@@ -162,7 +162,8 @@ AWKWARD_IDS = st.text(alphabet='aZ1 ,"\n\r&<>', min_size=1, max_size=4)
 def awkward_instance(names, uav_ids) -> ProblemInstance:
     """Three work positions and two stations named by names[0:5], two
     UAVs, and six tasks (inspections and hauls, no precedence) long
-    enough that both UAVs recharge and wait on the ground."""
+    enough that every sequence needs a recharge; of the 720 sequences,
+    560 also wait on the ground and 118 hover."""
     work, stations = names[:3], names[3:5]
     positions = ([Position(p) for p in work]
                  + [Position(p, PositionKind.RECHARGE) for p in stations])
