@@ -13,6 +13,7 @@ Exit codes: 0 success, 1 usage error, 2 input/validation error,
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 from pathlib import Path
@@ -102,9 +103,28 @@ def _print_schedule(schedule, out=None):
     print(f"makespan: {schedule.makespan()}", file=out)
 
 
-def _write_schedule_outputs(schedule, out_dir: str, formats, stem: str,
+def _out_dir(path: str | None) -> Path | None:
+    """--out-dir, created if missing, or None when not given. Checked
+    before any work starts: a directory that cannot be created or
+    written is a usage error, whichever OSError the system reports."""
+    if not path:
+        return None
+    out = Path(path)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except (FileExistsError, NotADirectoryError):   # a file in the way
+        reason = "not a directory"
+    except OSError as exc:  # PermissionError, a read-only file system, ...
+        reason = exc.strerror or exc
+    else:
+        if os.access(out, os.W_OK | os.X_OK):
+            return out
+        reason = "permission denied"
+    raise UsageError(f"cannot write to --out-dir {path}: {reason}")
+
+
+def _write_schedule_outputs(schedule, out: Path, formats, stem: str,
                             title: str):
-    out = Path(out_dir)
     written = []
     if "csv" in formats:
         write_schedule_csv(schedule, out / f"{stem}.csv")
@@ -119,6 +139,7 @@ def _write_schedule_outputs(schedule, out_dir: str, formats, stem: str,
 def cmd_schedule(args) -> int:
     instance = _load_problem(args.instance)
     sequence = _resolve_sequence(args, instance)
+    out = _out_dir(args.out_dir)
     schedule = build_schedule(instance, sequence)
     problems = validate_schedule(schedule)
     if problems:
@@ -128,9 +149,9 @@ def cmd_schedule(args) -> int:
     print(f"instance: {instance.name}")
     print(f"sequence: {' '.join(str(t) for t in sequence)}")
     _print_schedule(schedule)
-    if args.out_dir:
+    if out is not None:
         for path in _write_schedule_outputs(
-                schedule, args.out_dir, args.format, "schedule",
+                schedule, out, args.format, "schedule",
                 f"{instance.name} schedule"):
             print(f"wrote {path}")
     return EXIT_OK
@@ -144,6 +165,7 @@ def cmd_search(args) -> int:
                            convergence_window=args.window, rng_seed=args.seed)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
+    out = _out_dir(args.out_dir)
     report = run_pso(instance, config)
     print(f"instance: {instance.name} ({len(instance.tasks)} tasks)")
     print(f"best sequence: {' '.join(str(t) for t in report.best_sequence)}")
@@ -153,10 +175,9 @@ def cmd_search(args) -> int:
               else f"ran all {report.iterations_run} iterations")
     print(f"{status} ({report.wall_clock_ms:.0f} ms)")
     _print_schedule(report.best_schedule)
-    if args.out_dir:
-        out = Path(args.out_dir)
+    if out is not None:
         for path in _write_schedule_outputs(
-                report.best_schedule, args.out_dir, args.format,
+                report.best_schedule, out, args.format,
                 "best_schedule", f"{instance.name} best schedule"):
             print(f"wrote {path}")
         if "csv" in args.format:
@@ -207,6 +228,7 @@ def _experiment_grid(args) -> ExperimentGrid:
 
 def cmd_experiment(args) -> int:
     grid = _experiment_grid(args)
+    out = _out_dir(args.out_dir)
     total = len(grid.cells()) * grid.repetitions
     t0 = time.perf_counter()
 
@@ -217,8 +239,7 @@ def cmd_experiment(args) -> int:
 
     report = run_experiment(grid, jobs=args.jobs, progress=progress)
     print(summary_table_text(report), end="")
-    if args.out_dir:
-        out = Path(args.out_dir)
+    if out is not None:
         write_text_atomic(out / "runs.csv", runs_csv_text(report))
         write_text_atomic(out / "summary.csv", summary_csv_text(report))
         print(f"wrote {out / 'runs.csv'}")
@@ -230,8 +251,8 @@ def cmd_generate(args) -> int:
     spec = GenSpec(n_tasks=args.tasks, seed=args.seed,
                    max_predecessors=args.max_preds, n_uavs=args.uavs,
                    slots_per_station=args.slots)
+    out = _out_dir(args.out_dir or ".") / "instance.json"
     instance = generate_instance(spec)
-    out = Path(args.out_dir) / "instance.json"
     save_instance(instance, out)
     print(f"instance: {instance.name} ({len(instance.tasks)} tasks, "
           f"{len(instance.uavs)} uavs)")

@@ -26,18 +26,26 @@ _MARGIN_R = 20
 _MARGIN_T = 30
 _MARGIN_B = 46
 _PLOT_W = 980
+# a bar's <rect> after its width, up to its title's from position
+_RECT_TAIL = {k: f'" height="{_LANE_H}" fill="{color}" stroke="white" '
+                 f'stroke-width="0.5"><title>{kind} '
+              for k, (color, kind) in _STYLE.items()}
 
 
-class _Escaped(dict):
-    """text -> its XML escape, computed once per text."""
+class _Memo(dict):
+    """key -> fn(key), computed once per key."""
 
-    def __missing__(self, text):
-        out = self[text] = escape(text)
+    def __init__(self, fn):
+        self.fn = fn
+
+    def __missing__(self, key):
+        out = self[key] = self.fn(key)
         return out
 
 
 def _fmt(x: float) -> str:
-    return f"{x:.2f}".rstrip("0").rstrip(".")
+    text = f"{x:.2f}"
+    return text if text[-1] != "0" else text.rstrip("0").rstrip(".")
 
 
 def _svg_head(width, height, title: str, title_x) -> list[str]:
@@ -58,10 +66,7 @@ def _axis_step(span: float) -> float:
     # Aim for about 8 labelled ticks with a 1/2/5 progression.
     raw = max(span / 8.0, 1.0)
     mag = 10 ** len(str(int(raw))) / 10
-    for mult in (1, 2, 5, 10):
-        if mag * mult >= raw:
-            return mag * mult
-    return mag * 10
+    return next((mag * m for m in (1, 2, 5) if mag * m >= raw), mag * 10)
 
 
 def render_gantt_svg(schedule: Schedule, title: str = "") -> str:
@@ -77,10 +82,10 @@ def render_gantt_svg(schedule: Schedule, title: str = "") -> str:
     step = _axis_step(span)
     t = 0.0
     while t <= span + 1e-9:
-        x = _MARGIN_L + t * scale
-        parts.append(f'<line x1="{_fmt(x)}" y1="{_MARGIN_T}" x2="{_fmt(x)}" '
+        x = _fmt(_MARGIN_L + t * scale)
+        parts.append(f'<line x1="{x}" y1="{_MARGIN_T}" x2="{x}" '
                      f'y2="{axis_y}" stroke="#E0E0E0" stroke-width="1"/>')
-        parts.append(f'<text x="{_fmt(x)}" y="{axis_y + 14}" '
+        parts.append(f'<text x="{x}" y="{axis_y + 14}" '
                      f'text-anchor="middle" fill="#444">{int(t)}</text>')
         t += step
     parts.append(f'<line x1="{_MARGIN_L}" y1="{axis_y}" '
@@ -89,22 +94,22 @@ def render_gantt_svg(schedule: Schedule, title: str = "") -> str:
     parts.append(f'<text x="{_MARGIN_L + _PLOT_W / 2}" y="{axis_y + 32}" '
                  f'text-anchor="middle" fill="#444">time (s)</text>')
 
-    esc = _Escaped()
+    esc = _Memo(escape)
+    widths = _Memo(lambda duration: _fmt(max(duration * scale, 0.5)))
     add = parts.append
     for lane, uav_id in enumerate(uavs):
         y = _MARGIN_T + lane * (_LANE_H + _LANE_GAP)
         add(f'<text x="{_MARGIN_L - 8}" y="{y + _LANE_H / 2 + 4}" '
             f'text-anchor="end">{escape(uav_id)}</text>')
         for a in schedule.actions[uav_id]:
-            x = _MARGIN_L + a.start * scale
-            w = max((a.end - a.start) * scale, 0.5)
-            color, kind = _STYLE[a.kind]
+            start, end = a.start, a.end
+            x = _MARGIN_L + start * scale
             # escape(f"{kind} {from}->{to} [{start},{end}]"), per id once
-            add(f'<rect x="{_fmt(x)}" y="{y}" width="{_fmt(w)}" '
-                f'height="{_LANE_H}" fill="{color}" stroke="white" '
-                f'stroke-width="0.5"><title>{kind} {esc[a.from_pos]}-&gt;'
-                f'{esc[a.to_pos]} [{a.start},{a.end}]</title></rect>')
-            if a.kind is ActionKind.TASK_EXEC and w >= 14:
+            add(f'<rect x="{_fmt(x)}" y="{y}" width="{widths[end - start]}'
+                f'{_RECT_TAIL[a.kind]}{esc[a.from_pos]}-&gt;{esc[a.to_pos]} '
+                f'[{start},{end}]</title></rect>')
+            if (a.kind is ActionKind.TASK_EXEC
+                    and (w := (end - start) * scale) >= 14):
                 add(f'<text x="{_fmt(x + w / 2)}" y="{y + _LANE_H / 2 + 4}" '
                     f'text-anchor="middle" fill="white" '
                     f'font-weight="bold">{a.task_id}</text>')
@@ -117,8 +122,8 @@ def render_gantt_svg(schedule: Schedule, title: str = "") -> str:
         add(f'<text x="{legend_x + 16}" y="{legend_y + 1}" '
             f'fill="#444">{kind}</text>')
         legend_x += 16 + 7 * len(kind) + 24
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    parts.append("</svg>\n")
+    return "\n".join(parts)
 
 
 def render_history_svg(history, title: str = "") -> str:

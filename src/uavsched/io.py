@@ -142,11 +142,14 @@ def _canonical_json(doc: dict) -> str:
 
 def write_text_atomic(path, text: str):
     """Write via a sibling temp file and rename, so partial files never
-    land under the final name."""
+    land under the final name. Missing parent directories are created."""
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
+    try:
+        tmp.write_text(text, encoding="utf-8")
+    except FileNotFoundError:   # only then pay for creating the parents
+        path.parent.mkdir(parents=True, exist_ok=True)
+        tmp.write_text(text, encoding="utf-8")
     os.replace(tmp, path)
 
 
@@ -236,8 +239,7 @@ def write_schedule_csv(schedule: Schedule, path):
             f"{cells[a.from_pos]},{cells[a.to_pos]},"
             f"{'' if a.task_id is None else a.task_id}"
             for u in schedule.uav_order() for a in schedule.actions[u]]
-    write_text_atomic(path, "\n".join([",".join(SCHEDULE_CSV_FIELDS), *rows])
-                      + "\n")
+    write_text_atomic(path, "\n".join([",".join(SCHEDULE_CSV_FIELDS), *rows, ""]))
 
 
 def read_schedule_csv(path, instance: ProblemInstance) -> Schedule:

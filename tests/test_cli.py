@@ -632,3 +632,50 @@ class TestExperiment:
         # rejected before any run starts
         assert out == "" and "runs" not in err
         assert not (tmp_path / "runs.csv").exists()
+
+
+class TestUnusableOutDir:
+    """An --out-dir that cannot be created or written is a usage error,
+    found before any search or experiment runs."""
+
+    COMMANDS = {
+        "schedule": ["schedule", "--sequence", "3,2,1,4,6,5,7"],
+        "search": ["search", "--seed", "1", "--max-iter", "2"],
+        "experiment": ["experiment", "--reps", "1", "--max-iter", "2"],
+        "generate": ["generate", "--tasks", "5"],
+    }
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    @pytest.mark.parametrize("under", ["", "sub"])
+    def test_file_in_the_way_exits_1(self, capsys, tmp_path, command, under):
+        blocker = tmp_path / "F"
+        blocker.write_text("not a directory\n")
+        target = blocker / under if under else blocker
+        code, out, err = run(capsys, [*self.COMMANDS[command],
+                                      "--out-dir", str(target)])
+        assert code == 1
+        assert err == (f"error: cannot write to --out-dir {target}: "
+                       "not a directory\n")
+        assert out == ""
+        assert blocker.read_text() == "not a directory\n"
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_unwritable_directory_exits_1(self, capsys, tmp_path, monkeypatch,
+                                          command):
+        # os.access stands in for a read-only directory, which a
+        # privileged test process could still write to
+        monkeypatch.setattr("uavsched.cli.os.access", lambda path, mode: False)
+        code, out, err = run(capsys, [*self.COMMANDS[command],
+                                      "--out-dir", str(tmp_path)])
+        assert code == 1
+        assert err == (f"error: cannot write to --out-dir {tmp_path}: "
+                       "permission denied\n")
+        assert out == "" and list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_missing_directory_is_created(self, capsys, tmp_path, command):
+        target = tmp_path / "a" / "b"
+        code, _, err = run(capsys, [*self.COMMANDS[command],
+                                    "--out-dir", str(target)])
+        assert code == 0, err
+        assert any(target.iterdir())
