@@ -93,22 +93,23 @@ def _construct(instance: ProblemInstance, dense, record: bool):
     cannot beat the best offer so far and some station is in reach, the
     station loop is skipped. Once an offer equals the availability,
     later UAVs can only tie, so the fleet loop stops there, unless a
-    later UAV started out of every station's reach: it is still
-    evaluated, so a recharge it cannot make still raises. (Only such a
-    UAV can be out of reach, and only before its first task, since
-    every offer keeps the escape flight.)
+    later UAV started out of every station's reach (the last such UAV
+    is `compiled().stranded`): it is still evaluated, so a recharge it
+    cannot make still raises. (Only such a UAV can be out of reach, and
+    only before its first task, since every offer keeps the escape
+    flight.)
 
     A station's bays are a count of bays never used, free from 0, and a
     min-heap of the release times of the used ones, so memory follows
     the recharges made, not the slot count.
 
-    Returns the Schedule when record is true, else the makespan.
+    Returns the Schedule when record is true, else the makespan, and
+    builds the timelines only then.
     """
     view = instance.compiled()
-    secs, names = view.seconds, view.position_ids
+    secs, names, nearest = view.seconds, view.position_ids, view.nearest_leg
     tasks, preds = view.tasks, view.task_preds
     is_station, station_pos = view.is_station, view.station_pos
-    nearest = view.nearest_leg
     caps, durations = view.uav_capacity, view.uav_recharge
     left = list(caps)                   # battery seconds left
     unused = list(view.station_slots)   # per station: bays never used
@@ -118,13 +119,10 @@ def _construct(instance: ProblemInstance, dense, record: bool):
     pos = list(view.uav_start)
     ready = [0] * len(pos)
     fleet = range(len(pos))
-    # the last UAV in fleet order that starts out of every station's
-    # reach, or -1
-    stranded = max((k for k in fleet if nearest[pos[k]] > left[k]),
-                   default=-1)
-    stations = tuple((j, sp, secs[sp]) for j, sp in enumerate(station_pos))
-    timelines = [[] for _ in fleet]
-    ids = list(view.task_index) if record else None
+    stations, stranded = view.stations, view.stranded
+    if record:
+        timelines = [[] for _ in fleet]
+        ids = list(view.task_index)
     ends = [0] * len(tasks)
     for d in dense:
         s, e, proc, escape = tasks[d]
@@ -151,7 +149,7 @@ def _construct(instance: ProblemInstance, dense, record: bool):
                 if best >= 0 and start >= best_start and \
                         nearest[here] <= room:
                     continue            # cannot win; a station is in reach
-                for j, sp, out in stations:
+                for j, out in stations:
                     leg = out[here]
                     if leg > room:
                         continue
@@ -174,7 +172,8 @@ def _construct(instance: ProblemInstance, dense, record: bool):
 
         k, start = best, best_start
         here, t0 = pos[k], ready[k]
-        acts = timelines[k]
+        if record:
+            acts = timelines[k]
         if best_station >= 0:
             j = best_station
             sp = station_pos[j]

@@ -338,7 +338,10 @@ class CompiledInstance:
     proc_time, escape seconds from its end), and
     `task_preds`/`task_succs` hold the indices of its direct
     predecessors and successors, ascending. `nearest_leg` is the flight
-    time from each position to its nearest station.
+    time from each position to its nearest station. `stations` pairs
+    each station's index with the flight times from it. `stranded` is
+    the last UAV in fleet order that starts out of every station's
+    reach, or -1.
     """
 
     position_ids: tuple[str, ...]
@@ -355,6 +358,8 @@ class CompiledInstance:
     uav_start: tuple[int, ...]
     uav_capacity: tuple[int, ...]
     uav_recharge: tuple[int, ...]
+    stations: tuple[tuple[int, tuple[int, ...]], ...]
+    stranded: int
 
 
 @dataclass
@@ -432,6 +437,10 @@ class ProblemInstance:
                 uav_start=tuple(idx[u.initial_pos] for u in self.uavs),
                 uav_capacity=tuple(u.battery_capacity for u in self.uavs),
                 uav_recharge=tuple(u.recharge_duration for u in self.uavs),
+                stations=tuple(enumerate(m.seconds[sp] for sp in station_pos)),
+                stranded=max((k for k, u in enumerate(self.uavs)
+                              if nearest_leg[idx[u.initial_pos]]
+                              > u.battery_capacity), default=-1),
             )
         return self._compiled
 
@@ -499,13 +508,9 @@ def nearest_recharge_station(trajectory_map: TrajectoryMap, pos: str,
     stations = tuple(stations)
     if not stations:
         raise InstanceError("no recharge stations configured")
-    best = None
-    best_t = None
-    for s in stations:
-        t = trajectory_map.flight_time(pos, s.pos)
-        if best_t is None or t < best_t:
-            best, best_t = s, t
-    return best, best_t
+    t, k = min((trajectory_map.flight_time(pos, s.pos), k)
+               for k, s in enumerate(stations))
+    return stations[k], t
 
 
 def task_upper_bound_time(prep_time: int, task: Task,

@@ -90,10 +90,6 @@ def fitness(sequence, instance: ProblemInstance) -> int:
     return _construct(instance, _dense_sequence(instance, sequence), False)
 
 
-def _round_half_up(x: float) -> int:
-    return int(x + 0.5)
-
-
 def update_velocity(velocity, particle, local_best, global_best,
                     c1: float, c2: float, rng) -> list[tuple[int, int]]:
     """Next velocity: old pairs, then sampled cognitive and social pairs.
@@ -115,8 +111,7 @@ def update_velocity(velocity, particle, local_best, global_best,
     for i, j in pairs:
         if 0 <= i < n and 0 <= j < n:
             mask[i * n + j] = mask[j * n + i] = 1
-    return pairs + _step_velocity(mask, list(range(n)), local, best, c1, c2,
-                                  rng)
+    return pairs + _step_velocity(mask, range(n), local, best, c1, c2, rng)
 
 
 def _step_velocity(mask, particle, local_best, global_best,
@@ -127,30 +122,32 @@ def _step_velocity(mask, particle, local_best, global_best,
     mask holds n*n bytes with both orientations of every pair in the
     velocity set; a pair found there is dropped and each new pair is
     marked. One position list of the particle serves both difference
-    walks.
+    walks. A draw of the whole list is still made, to keep the stream,
+    but the list is then taken as it stands.
     """
     n = len(particle)
     new: list[tuple[int, int]] = []
     pos = [0] * n
     for k, t in enumerate(particle):
         pos[t] = k
-
-    def absorb(diff, proportion):
-        count = _round_half_up(min(1.0, proportion) * len(diff))
+    work = list(particle)
+    u1 = rng.random()
+    u2 = rng.random()
+    for diff, share in ((_difference(local_best, work[:], pos[:]), c1 * u1),
+                        (_difference(global_best, work, pos), c2 * u2)):
+        size = len(diff)
+        count = int((share if share < 1.0 else 1.0) * size + 0.5)
         if count <= 0:
-            return
-        chosen = rng.choice(len(diff), size=count, replace=False)
-        chosen.sort()
-        for idx in chosen.tolist():
-            i, j = pair = diff[idx]
+            continue
+        chosen = rng.choice(size, size=count, replace=False)
+        if count < size:
+            chosen.sort()
+            diff = [diff[idx] for idx in chosen.tolist()]
+        for pair in diff:
+            i, j = pair
             if not mask[i * n + j]:
                 mask[i * n + j] = mask[j * n + i] = 1
                 new.append(pair)
-
-    u1 = rng.random()
-    u2 = rng.random()
-    absorb(_difference(local_best, particle[:], pos[:]), c1 * u1)
-    absorb(_difference(global_best, particle[:], pos), c2 * u2)
     return new
 
 
@@ -168,8 +165,7 @@ def _random_initial_velocity(n: int, cap: int,
     mask = bytearray(n * n)
     if n < 2 or cap < 1:
         return perm, mask
-    count = int(rng.integers(1, cap + 1))
-    count = min(count, n * (n - 1) // 2)
+    count = min(int(rng.integers(1, cap + 1)), n * (n - 1) // 2)
     while count:
         for i, j in rng.integers(0, n, size=(count, 2)).tolist():
             if i == j or mask[i * n + j]:
@@ -227,13 +223,10 @@ def _initial_swarm(instance: ProblemInstance, swarm_size: int,
     index = view.task_index
     rules = [[index[t] for t in seq]
              for seq in priority_orderings(instance).values()]
-    particles = [list(seq) for seq in rules[:swarm_size]]
-    idx = 0
-    while len(particles) < swarm_size:
-        base = rules[idx % len(rules)]
+    particles = rules[:swarm_size]
+    for idx in range(swarm_size - len(particles)):
         particles.append(_mutate_preserving_precedence(
-            base, view.task_preds, view.task_succs, rng))
-        idx += 1
+            rules[idx % len(rules)], view.task_preds, view.task_succs, rng))
     return particles
 
 
@@ -242,10 +235,13 @@ def run_pso(instance: ProblemInstance, config: PsoConfig | None = None) -> RunRe
 
     Deterministic for a given (instance, config): the seed fans out into
     one stream for swarm construction and one per particle, so results
-    do not depend on evaluation order. Particles, bests and the memo
-    hold the compiled view's dense task indices, whose ascending order
-    is that of the ids, so every tie breaks as it would on ids; only the
-    report is in task ids.
+    do not depend on evaluation order. Particles and bests are tuples of
+    the compiled view's dense task indices, whose ascending order is
+    that of the ids, so every tie breaks as it would on ids; only the
+    report is in task ids. `seen` maps each sequence met, as moved or
+    decoded, to its (decoded tuple, makespan): `_decode` is
+    deterministic and keeps a feasible sequence, so each distinct move
+    is decoded once and each distinct decoded sequence scored once.
     """
     t0 = time.perf_counter()
     config = config or PsoConfig()
@@ -255,34 +251,29 @@ def run_pso(instance: ProblemInstance, config: PsoConfig | None = None) -> RunRe
 
     view = instance.compiled()
     n = len(view.tasks)
-    cap = velocity_cap(n)
-    memo: dict[tuple[int, ...], int] = {}
+    seen: dict[tuple[int, ...], tuple[tuple[int, ...], int]] = {}
 
-    def score(seq) -> int:
-        key = tuple(seq)
-        value = memo.get(key)
-        if value is None:
-            value = memo[key] = _construct(instance, seq, False)
-        return value
+    def score(seq: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
+        hit = seen.get(seq)
+        if hit is None:
+            hit = seen[seq] = (seq, _construct(instance, seq, False))
+        return hit
 
-    particles = _initial_swarm(instance, config.swarm_size, rng_init)
-    velocities = [_random_initial_velocity(n, cap, rng_init)
+    particles = [score(tuple(p))[0] for p in
+                 _initial_swarm(instance, config.swarm_size, rng_init)]
+    fits = [seen[p][1] for p in particles]
+    velocities = [_random_initial_velocity(n, velocity_cap(n), rng_init)
                   for _ in particles]
-    fits = [score(p) for p in particles]
-    local_best = [list(p) for p in particles]
+    local_best = list(particles)
     local_fit = list(fits)
-    g_idx = min(range(len(fits)), key=lambda i: fits[i])
-    global_best = list(particles[g_idx])
-    global_fit = fits[g_idx]
+    global_fit = min(fits)
+    global_best = particles[fits.index(global_fit)]
 
-    history: list[tuple[int, int, float]] = [
-        (0, global_fit, float(np.mean(fits)))]
+    history = [(0, global_fit, sum(fits) / len(fits))]
     last_improvement = 0
     stagnation = 0
     converged = False
-    iterations = 0
-    for it in range(1, config.max_iterations + 1):
-        iterations = it
+    for it in range(1, config.max_iterations + 1):   # runs at least once
         improved = False
         for i, rng in enumerate(particle_rngs):
             perm, mask = velocities[i]
@@ -291,18 +282,21 @@ def run_pso(instance: ProblemInstance, config: PsoConfig | None = None) -> RunRe
                                        global_best, config.c1, config.c2,
                                        rng):
                 perm[a], perm[b] = perm[b], perm[a]
-            moved = _decode([particle[k] for k in perm], view)
+            raw = tuple([particle[k] for k in perm])
+            hit = seen.get(raw)
+            if hit is None:
+                hit = seen[raw] = score(tuple(_decode(raw, view)))
+            moved, f = hit
             particles[i] = moved
-            f = score(moved)
             fits[i] = f
             if f < local_fit[i]:
                 local_fit[i] = f
-                local_best[i] = list(moved)
+                local_best[i] = moved
             if f < global_fit:
                 global_fit = f
-                global_best = list(moved)
+                global_best = moved
                 improved = True
-        history.append((it, global_fit, float(np.mean(fits))))
+        history.append((it, global_fit, sum(fits) / len(fits)))
         if improved:
             last_improvement = it
             stagnation = 0
@@ -320,9 +314,9 @@ def run_pso(instance: ProblemInstance, config: PsoConfig | None = None) -> RunRe
         best_makespan=global_fit,
         best_schedule=build_schedule(instance, best_sequence),
         history=history,
-        iterations_run=iterations,
+        iterations_run=it,
         converged=converged,
-        convergence_iteration=iterations if converged else config.max_iterations,
+        convergence_iteration=it if converged else config.max_iterations,
         last_improvement=last_improvement,
         wall_clock_ms=wall_ms,
     )

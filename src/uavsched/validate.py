@@ -173,8 +173,10 @@ def _check_tasks(inst, execs) -> list[Violation]:
                                  f"task {tid} ran {a.from_pos}->{a.to_pos}, "
                                  f"defined {task.start_pos}->{task.end_pos}",
                                  uav_id=uav_id, task_id=tid, tstp=a.start))
-        for pos in {task.start_pos, task.end_pos}:
-            by_position.setdefault(pos, []).append((a.start, a.end, tid))
+        span = (a.start, a.end, tid)
+        by_position.setdefault(task.start_pos, []).append(span)
+        if task.end_pos != task.start_pos:
+            by_position.setdefault(task.end_pos, []).append(span)
     for tid, (uav_id, a, task) in seen.items():
         for p in task.predecessors:
             if p not in seen:

@@ -407,7 +407,8 @@ def fuzzed_task_csvs(draw):
                 st.sampled_from(BAD_CELLS))
         elif kind == "id" and r and len(row) == len(TASK_CSV_FIELDS):
             other = rows[draw(st.integers(1, len(rows) - 1))]
-            tid = draw(st.sampled_from(["999", other[0], row[0]]))
+            # a row shortened to nothing has no id to borrow
+            tid = draw(st.sampled_from(["999", row[0]] + other[:1]))
             if draw(st.booleans()):
                 row[0] = tid            # unknown or repeated task id
             else:                       # unknown, other or self predecessor

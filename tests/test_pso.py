@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from uavsched import eat, pso
 from uavsched.datagen import GenSpec, generate_instance
 from uavsched.eat import build_schedule
 from uavsched.model import SequenceError
@@ -533,3 +534,137 @@ class TestRunPso:
         assert rep.best_sequence == [1]
         # flight 20s + execution 60s
         assert rep.best_makespan == 80
+
+
+def reference_initial_pairs(n, cap, rng):
+    """The initial velocity as its list of pairs, drawn one two-index
+    draw per pair as `reference_initial_velocity` draws them."""
+    pairs = []
+    if n < 2 or cap < 1:
+        return pairs
+    count = min(int(rng.integers(1, cap + 1)), n * (n - 1) // 2)
+    while len(pairs) < count:
+        i, j = (int(v) for v in rng.integers(0, n, size=2))
+        if i != j and (i, j) not in pairs and (j, i) not in pairs:
+            pairs.append((i, j))
+    return pairs
+
+
+def reference_run_pso(instance, config):
+    """run_pso as a plain loop without a memo: particles are lists of
+    task ids, velocities lists of pairs, and every step applies the
+    whole velocity, repairs the result and scores it afresh. Also
+    returns the initial swarm and each step's (moved, repaired) pair."""
+    streams = np.random.SeedSequence(config.rng_seed).spawn(
+        config.swarm_size + 1)
+    rng_init = np.random.default_rng(streams[0])
+    rngs = [np.random.default_rng(s) for s in streams[1:]]
+    n = len(instance.tasks)
+    particles = generate_initial_swarm(instance, config.swarm_size, rng_init)
+    initial = [list(p) for p in particles]
+    velocities = [reference_initial_pairs(n, velocity_cap(n), rng_init)
+                  for _ in particles]
+    fits = [fitness(p, instance) for p in particles]
+    local_best, local_fit = [list(p) for p in particles], list(fits)
+    g = min(range(len(fits)), key=lambda i: fits[i])
+    global_best, global_fit = list(particles[g]), fits[g]
+    history = [(0, global_fit, float(np.mean(fits)))]
+    moves = []
+    stagnation, converged = 0, False
+    for it in range(1, config.max_iterations + 1):
+        improved = False
+        for i, rng in enumerate(rngs):
+            velocities[i] = reference_update(
+                velocities[i], particles[i], local_best[i], global_best,
+                config.c1, config.c2, rng)
+            moved = apply_swaps(particles[i], velocities[i])
+            particles[i] = repair(moved, instance)
+            moves.append((moved, particles[i]))
+            fits[i] = f = fitness(particles[i], instance)
+            if f < local_fit[i]:
+                local_fit[i], local_best[i] = f, list(particles[i])
+            if f < global_fit:
+                global_fit, global_best = f, list(particles[i])
+                improved = True
+        history.append((it, global_fit, float(np.mean(fits))))
+        stagnation = 0 if improved else stagnation + 1
+        if stagnation >= config.convergence_window:
+            converged = True
+            break
+    result = dict(best_sequence=global_best, best_makespan=global_fit,
+                  history=history, iterations_run=it, converged=converged)
+    return result, initial, moves
+
+
+class TestRunPsoDifferential:
+    """run_pso, with its one dict of moves and scores, against the
+    memo-free loop: same best, history and stop, and each distinct move
+    decoded once and each distinct sequence built once."""
+
+    @settings(max_examples=15, deadline=None)
+    @given(n=st.integers(4, 12), inst_seed=st.integers(0, 10**6),
+           rng_seed=st.integers(0, 2**32 - 1),
+           swarm=st.sampled_from([8, 13, 40]),
+           window=st.sampled_from([3, 10, 40]),
+           factors=st.sampled_from([(1.0, 2.0), (0.5, 3.0), (2.5, 0.0)]))
+    def test_matches_memo_free_loop(self, n, inst_seed, rng_seed, swarm,
+                                    window, factors):
+        inst = generate_instance(GenSpec(n_tasks=n, seed=inst_seed))
+        cfg = PsoConfig(c1=factors[0], c2=factors[1], swarm_size=swarm,
+                        max_iterations=40, convergence_window=window,
+                        rng_seed=rng_seed)
+        want, _, _ = reference_run_pso(inst, cfg)
+        rep = run_pso(inst, cfg)
+        got = dict(best_sequence=rep.best_sequence,
+                   best_makespan=rep.best_makespan, history=rep.history,
+                   iterations_run=rep.iterations_run,
+                   converged=rep.converged)
+        assert got == want
+        assert rep.best_schedule.makespan() == rep.best_makespan
+
+    @pytest.mark.parametrize("n, inst_seed, rng_seed",
+                             [(6, 3, 0), (12, 7, 11)])
+    def test_each_move_decoded_and_each_sequence_built_once(
+            self, monkeypatch, n, inst_seed, rng_seed):
+        inst = generate_instance(GenSpec(n_tasks=n, seed=inst_seed))
+        cfg = PsoConfig(max_iterations=40, convergence_window=40,
+                        rng_seed=rng_seed)
+        _, initial, moves = reference_run_pso(inst, cfg)
+        index = inst.compiled().task_index
+
+        def dense(seq):
+            return tuple(index[t] for t in seq)
+
+        # a move is decoded unless it was met before, as a move or as a
+        # sequence (a feasible move decodes to itself)
+        met = {dense(p) for p in initial}
+        want_decodes = []
+        for moved, repaired in moves:
+            if dense(moved) not in met:
+                want_decodes.append(dense(moved))
+                met.add(dense(moved))
+            met.add(dense(repaired))
+        want_builds = list(dict.fromkeys(
+            [dense(p) for p in initial] + [dense(r) for _, r in moves]))
+
+        decodes, builds = [], []
+        decode, construct = pso._decode, eat._construct
+
+        def counting_decode(seq, view):
+            decodes.append(tuple(seq))
+            return decode(seq, view)
+
+        def counting_construct(instance, seq, record):
+            builds.append((tuple(seq), record))
+            return construct(instance, seq, record)
+
+        monkeypatch.setattr(pso, "_decode", counting_decode)
+        monkeypatch.setattr(pso, "_construct", counting_construct)
+        monkeypatch.setattr(eat, "_construct", counting_construct)
+        rep = run_pso(inst, cfg)
+        assert decodes == want_decodes
+        assert builds[:-1] == [(seq, False) for seq in want_builds]
+        assert builds[-1] == (dense(rep.best_sequence), True)
+        # repeats happen, so the counts are below one per step
+        assert len(decodes) < len(moves)
+        assert len(builds) - 1 < len(initial) + len(moves)

@@ -3,9 +3,14 @@ reference timeline must come back clean, and a surgical mutation per
 rule must be flagged with exactly that rule's kind."""
 
 import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import uavsched
 from uavsched.model import Action, ActionKind, Schedule
 from uavsched.validate import validate_schedule
 
@@ -205,6 +210,45 @@ class TestTaskRules:
                      Action(T, 40, 90, "a", "a", task_id=2)],
         })
         assert kinds(validate_schedule(s)) == {"position_exclusivity"}
+
+
+# Two hauls a -> b that overlap on two UAVs; prints the positions of
+# the exclusivity findings, in order.
+_HAUL_OVERLAP = """
+from conftest import haul, make_instance
+from uavsched.model import Action, ActionKind, Schedule
+from uavsched.validate import validate_schedule
+F, T = ActionKind.FLIGHT, ActionKind.TASK_EXEC
+inst = make_instance([haul(1, "a", "b", 100), haul(2, "a", "b", 100)])
+s = Schedule(instance=inst, actions={
+    "UAV1": [Action(F, 0, 20, "R1", "a"),
+             Action(T, 20, 120, "a", "b", task_id=1)],
+    "UAV2": [Action(F, 0, 40, "R2", "a"),
+             Action(T, 40, 140, "a", "b", task_id=2)],
+})
+print(",".join(v.position for v in validate_schedule(s)
+               if v.kind == "position_exclusivity"))
+"""
+
+
+class TestExclusivityOrder:
+    """A material-handling task's start position is checked before its
+    end position, whatever the process's string hashing."""
+
+    def test_start_before_end_under_any_hash_seed(self):
+        # seeds 2 and 3 reversed the order when a set held the positions
+        seeds = ["0", "2", "3"]
+        paths = [str(Path(uavsched.__file__).parents[1]),
+                 str(Path(__file__).parent)]
+        procs = [subprocess.Popen(
+            [sys.executable, "-c", _HAUL_OVERLAP], text=True,
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            env=dict(os.environ, PYTHONHASHSEED=seed,
+                     PYTHONPATH=os.pathsep.join(paths)))
+            for seed in seeds]     # run side by side, a few at most
+        outs = [p.communicate(timeout=120) for p in procs]
+        assert [p.returncode for p in procs] == [0] * len(seeds), outs
+        assert [out.strip() for out, _ in outs] == ["a,b"] * len(seeds)
 
 
 class TestResourceRules:

@@ -29,7 +29,9 @@ _FLIGHT, _EXEC, _WAIT, _RECHARGE = (
 def reference_validate(schedule: Schedule) -> list[Violation]:
     """The four-walk validator, kept as it was before the one-pass
     rewrite: a main loop over `schedule.actions`, then separate
-    walks for tasks, battery stretches and recharge bays."""
+    walks for tasks, battery stretches and recharge bays. One change
+    since: a task enters the exclusivity check at its start position,
+    then its end position, where a set left that order to hashing."""
     inst = schedule.instance
     out: list[Violation] = []
     add = out.append
@@ -147,7 +149,7 @@ def _check_tasks(schedule: Schedule) -> list[Violation]:
                                  f"task {tid} ran {a.from_pos}->{a.to_pos}, "
                                  f"defined {task.start_pos}->{task.end_pos}",
                                  uav_id=uav_id, task_id=tid, tstp=a.start))
-        for pos in {task.start_pos, task.end_pos}:
+        for pos in dict.fromkeys((task.start_pos, task.end_pos)):
             by_position.setdefault(pos, []).append((a.start, a.end, tid))
     for tid, (uav_id, a) in seen.items():
         for p in inst.task(tid).predecessors:
