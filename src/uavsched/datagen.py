@@ -10,11 +10,14 @@ from lower to higher ids and are transitively reduced.
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
 
 from .model import (
+    InstanceError,
     PrecedenceGraph,
     ProblemInstance,
     RechargeStation,
@@ -23,8 +26,9 @@ from .model import (
     TaskType,
     TrajectoryMap,
     Uav,
+    exact_int,
+    position_tables,
     validate_precedence,  # re-exported as uavsched.datagen.validate_precedence
-    worst_case_engagement_time,
 )
 from .sampledata import sample_map
 
@@ -52,15 +56,23 @@ class GenSpec:
     name: str | None = None
 
     def __post_init__(self):
+        for field in ("n_tasks", "max_predecessors", "n_uavs",
+                      "slots_per_station", "material_handling_base"):
+            value = exact_int(getattr(self, field))
+            if value is None:
+                raise GenerationError(f"{field} must be an integer")
+            setattr(self, field, value)
         if self.n_tasks < 0:
             raise GenerationError("n_tasks must be non-negative")
         if self.max_predecessors < 0:
             raise GenerationError("max_predecessors must be non-negative")
         for lo, hi in (self.single_band, self.compound_band):
-            if not (0 < lo <= hi):
+            if None in (exact_int(lo), exact_int(hi)) or not 0 < lo <= hi:
                 raise GenerationError(f"bad processing band ({lo}, {hi})")
-        if min(self.type_weights) < 0 or sum(self.type_weights) <= 0:
-            raise GenerationError("type weights must be non-negative, not all zero")
+        w = self.type_weights   # a NaN fails min or sum, an inf the sum
+        if len(w) != 3 or not (min(w) >= 0 and 0 < sum(w) < math.inf):
+            raise GenerationError("type weights must be three finite "
+                                  "non-negative numbers, not all zero")
         if self.n_uavs < 1:
             raise GenerationError("need at least one uav")
 
@@ -69,22 +81,31 @@ _TYPES = (TaskType.SINGLE_INSPECTION, TaskType.COMPOUND_INSPECTION,
           TaskType.MATERIAL_HANDLING)
 
 
-def _draw_task(tid: int, spec: GenSpec, fm: TrajectoryMap, stations,
-               capacity: int, work: list[str], weights, rng) -> Task:
+def _type_cdf(weights) -> list[float]:
+    """The table `Generator.choice(3, p=weights / weights.sum())`
+    searches: bisect_right of a `random()` in it draws what that does."""
+    cdf = (weights / weights.sum()).cumsum()
+    return (cdf / cdf[-1]).tolist()
+
+
+def _draw_task(tid: int, spec: GenSpec, fm: TrajectoryMap, worst_in,
+               nearest_leg, capacity: int, work: list[str], cdf, rng):
+    """(type, start, end, proc_time) of the first draw that a fresh UAV
+    can fly from the farthest position, escape flight included."""
     for _ in range(MAX_RESAMPLE_ATTEMPTS):
-        kind = _TYPES[int(rng.choice(3, p=weights))]
-        if kind == TaskType.MATERIAL_HANDLING:
-            i, j = rng.choice(len(work), size=2, replace=False)
-            start, end = work[int(i)], work[int(j)]
+        kind = _TYPES[bisect_right(cdf, rng.random())]
+        if kind is TaskType.MATERIAL_HANDLING:
+            i, j = rng.choice(len(work), size=2, replace=False).tolist()
+            start, end = work[i], work[j]
             proc = spec.material_handling_base + fm.flight_time(start, end)
         else:
             start = end = work[int(rng.integers(0, len(work)))]
-            lo, hi = (spec.single_band if kind == TaskType.SINGLE_INSPECTION
+            lo, hi = (spec.single_band if kind is TaskType.SINGLE_INSPECTION
                       else spec.compound_band)
             proc = int(rng.integers(lo, hi + 1))
-        task = Task(tid, kind, start, end, proc)
-        if worst_case_engagement_time(task, fm, stations) <= capacity:
-            return task
+        if (worst_in[fm.index[start]] + proc
+                + nearest_leg[fm.index[end]] <= capacity):
+            return kind, start, end, proc
     raise GenerationError(
         f"task {tid}: no draw fit the battery window after "
         f"{MAX_RESAMPLE_ATTEMPTS} attempts; bands exceed capacity {capacity}")
@@ -123,28 +144,27 @@ def generate_instance(spec: GenSpec,
         if weights.sum() <= 0:
             raise GenerationError(
                 "material handling needs at least two work positions")
-    weights = weights / weights.sum()
+    cdf = _type_cdf(weights)
+    if spec.n_tasks and not stations:
+        raise InstanceError("no recharge stations configured")
+    worst_in, nearest_leg = position_tables(fm, stations)
 
     rng = np.random.default_rng(spec.seed)
-    tasks = [_draw_task(tid, spec, fm, stations, capacity, work, weights, rng)
-             for tid in range(1, spec.n_tasks + 1)]
+    drawn = [_draw_task(tid, spec, fm, worst_in, nearest_leg, capacity, work,
+                        cdf, rng) for tid in range(1, spec.n_tasks + 1)]
 
-    preds_of: dict[int, tuple[int, ...]] = {t.id: () for t in tasks}
-    for task in tasks:
-        lower = task.id - 1
-        if lower == 0 or spec.max_predecessors == 0:
-            continue
-        k = int(rng.integers(0, spec.max_predecessors + 1))
-        k = min(k, lower)
-        if k == 0:
-            continue
-        preds = rng.choice(lower, size=k, replace=False) + 1
-        preds_of[task.id] = tuple(preds.tolist())
+    preds_of = dict.fromkeys(range(1, spec.n_tasks + 1), ())
+    for tid in range(2, spec.n_tasks + 1) if spec.max_predecessors else ():
+        k = min(int(rng.integers(0, spec.max_predecessors + 1)), tid - 1)
+        if k:   # k distinct ids below tid
+            preds = rng.choice(tid - 1, size=k, replace=False) + 1
+            preds_of[tid] = tuple(preds.tolist())
     redundant = set(PrecedenceGraph(preds_of).redundant_edges())
-    tasks = [Task(t.id, t.type, t.start_pos, t.end_pos, t.proc_time,
-                  tuple(p for p in preds_of[t.id] if (p, t.id) not in redundant))
-             for t in tasks]
+    tasks = tuple(
+        Task(tid, kind, start, end, proc,
+             tuple(p for p in preds_of[tid] if (p, tid) not in redundant))
+        for tid, (kind, start, end, proc) in enumerate(drawn, 1))
 
     name = spec.name or f"gen-{spec.n_tasks}t-s{spec.seed}"
     return ProblemInstance(trajectory_map=fm, stations=tuple(stations),
-                           tasks=tuple(tasks), uavs=tuple(uavs), name=name)
+                           tasks=tasks, uavs=tuple(uavs), name=name)

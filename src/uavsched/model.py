@@ -271,7 +271,7 @@ class PrecedenceGraph:
         closure = self.transitive_successors()
         redundant = []
         for u in self.task_ids:
-            for v in sorted(self.direct_successors[u]):
+            for v in self.direct_successors[u]:
                 if any(v in closure[w]
                        for w in self.direct_successors[u] if w != v):
                     redundant.append((u, v))
@@ -384,7 +384,7 @@ class ProblemInstance:
         self.uavs_by_id = {u.id: u for u in self.uavs}
         self._station_pos = frozenset(s.pos for s in self.stations)
         self._compiled: CompiledInstance | None = None
-        self.validate()     # sets self._graph
+        self.validate()     # sets self._graph and self._nearest_leg
 
     def task(self, task_id: int) -> Task:
         try:
@@ -411,9 +411,7 @@ class ProblemInstance:
             m = self.trajectory_map
             idx = m.index
             station_pos = tuple(idx[s.pos] for s in self.stations)
-            nearest_leg = tuple(min((row[sp] for sp in station_pos),
-                                    default=float("inf"))
-                                for row in m.seconds)
+            nearest_leg = self._nearest_leg     # validation's table
             task_index = {t: k for k, t in enumerate(sorted(self.tasks_by_id))}
             ordered = [self.tasks_by_id[t] for t in task_index]
             preds = tuple(tuple(task_index[p] for p in t.predecessors)
@@ -488,6 +486,7 @@ class ProblemInstance:
         problems, self._graph = _precedence_findings(self.tasks)
         if problems:
             raise InstanceError("; ".join(problems))
+        worst_in, self._nearest_leg = position_tables(m, self.stations)
         if self.tasks:
             if not self.uavs:
                 raise InstanceError("instance has tasks but no UAVs")
@@ -495,11 +494,23 @@ class ProblemInstance:
                 raise InstanceError("instance has tasks but no recharge stations")
             cap = self.min_battery_capacity()
             for t in self.tasks:
-                bound = worst_case_engagement_time(t, m, self.stations)
+                bound = (worst_in[m.index[t.start_pos]] + t.proc_time
+                         + self._nearest_leg[m.index[t.end_pos]])
                 if bound > cap:
                     raise InstanceError(
                         f"task {t.id} cannot fit any battery window: "
                         f"worst-case airborne time {bound} > capacity {cap}")
+
+
+def position_tables(trajectory_map: TrajectoryMap, stations
+                    ) -> tuple[tuple[int, ...], tuple[float, ...]]:
+    """Per position of the map: the longest flight into it (its matrix
+    row's max, the matrix being symmetric) and the flight from it to the
+    nearest station, inf when there is none."""
+    m = trajectory_map
+    return (tuple(map(max, m.seconds)),
+            tuple(min([m.flight_time(p.id, s.pos) for s in stations],
+                      default=float("inf")) for p in m.positions))
 
 
 def nearest_recharge_station(trajectory_map: TrajectoryMap, pos: str,

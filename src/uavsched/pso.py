@@ -123,7 +123,8 @@ def _step_velocity(mask, particle, local_best, global_best,
     velocity set; a pair found there is dropped and each new pair is
     marked. One position list of the particle serves both difference
     walks. A draw of the whole list is still made, to keep the stream,
-    but the list is then taken as it stands.
+    but the list is then taken as it stands. A single pick takes the
+    scalar `choice`, which draws what `size=1` draws.
     """
     n = len(particle)
     new: list[tuple[int, int]] = []
@@ -139,10 +140,13 @@ def _step_velocity(mask, particle, local_best, global_best,
         count = int((share if share < 1.0 else 1.0) * size + 0.5)
         if count <= 0:
             continue
-        chosen = rng.choice(size, size=count, replace=False)
-        if count < size:
-            chosen.sort()
-            diff = [diff[idx] for idx in chosen.tolist()]
+        if count == 1:
+            diff = [diff[rng.choice(size, replace=False)]]
+        else:
+            chosen = rng.choice(size, size=count, replace=False)
+            if count < size:
+                chosen.sort()
+                diff = [diff[idx] for idx in chosen.tolist()]
         for pair in diff:
             i, j = pair
             if not mask[i * n + j]:

@@ -1,3 +1,6 @@
+from bisect import bisect_right
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -6,9 +9,13 @@ from uavsched import datagen
 from uavsched.datagen import GenSpec, GenerationError, generate_instance, \
     validate_precedence
 from uavsched.model import (
+    InstanceError,
     PrecedenceGraph,
+    ProblemInstance,
+    RechargeStation,
     Task,
     TaskType,
+    Uav,
     worst_case_engagement_time,
 )
 from uavsched.sampledata import sample_map
@@ -40,6 +47,37 @@ class TestSpecValidation:
     def test_no_uavs(self):
         with pytest.raises(GenerationError):
             GenSpec(n_tasks=3, n_uavs=0)
+
+    @pytest.mark.parametrize("fields", [
+        {"type_weights": (float("nan"), 1.0, 1.0)},
+        {"type_weights": (float("inf"), 1.0, 1.0)},
+        {"type_weights": (1.0, float("-inf"), 1.0)},
+        {"type_weights": (1e308, 1e308, 1.0)},      # the sum overflows
+        {"type_weights": (1.0, 1.0)},
+        {"type_weights": (1.0, 1.0, 1.0, 1.0)},
+        {"n_tasks": 2.5}, {"n_tasks": "3"}, {"n_tasks": True},
+        {"n_uavs": 2.5}, {"max_predecessors": 2.5},
+        {"slots_per_station": 1.5}, {"material_handling_base": 60.5},
+        {"single_band": (20.5, 80)}, {"compound_band": (100, "200")},
+    ])
+    def test_malformed_numbers_rejected(self, fields):
+        spec = {"n_tasks": 3, **fields}
+        with pytest.raises(GenerationError):
+            GenSpec(**spec)
+
+    def test_integral_floats_read_as_int(self):
+        spec = GenSpec(n_tasks=12.0, max_predecessors=3.0, n_uavs=2.0,
+                       single_band=(20.0, 80))
+        assert (spec.n_tasks, spec.max_predecessors, spec.n_uavs,
+                spec.single_band) == (12, 3, 2, (20, 80))
+        assert type(spec.n_tasks) is int
+        assert generate_instance(spec).tasks == gen(12, 0, max_predecessors=3,
+                                                    n_uavs=2).tasks
+
+    def test_no_stations_for_tasks(self):
+        with pytest.raises(InstanceError, match="no recharge stations"):
+            generate_instance(GenSpec(n_tasks=2), stations=(),
+                              uavs=(Uav("U1", "R1"),))
 
 
 class TestTaskFamilies:
@@ -310,3 +348,97 @@ class TestReachabilityMatchesReference:
         assert len(drawn) == 1
         assert edge_set(inst.tasks) == reference_transitive_reduction(
             drawn[0], [t.id for t in inst.tasks])
+
+
+class TestTypeDraw:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.sampled_from([0.0, 0.5, 1.0, 3.0])
+                    | st.floats(0.0, 1e6), min_size=3, max_size=3)
+           .filter(lambda w: sum(w) > 0),
+           st.integers(0, 2 ** 32))
+    def test_equals_generator_choice(self, weights, seed):
+        cdf = datagen._type_cdf(np.asarray(weights, dtype=float))
+        p = np.asarray(weights) / sum(weights)
+        p = p / p.sum()
+        ours, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(20):
+            assert bisect_right(cdf, ours.random()) == twin.choice(3, p=p)
+        assert ours.bit_generator.state == twin.bit_generator.state
+
+
+def reference_generate_instance(spec, trajectory_map=None, stations=None,
+                                uavs=None):
+    """generate_instance as it was before the per-position tables: the
+    type from Generator.choice, the battery bound per task from
+    worst_case_engagement_time, each Task built twice."""
+    fm = trajectory_map or sample_map()
+    work = fm.work_positions()
+    if stations is None:
+        stations = tuple(RechargeStation(p.id, spec.slots_per_station)
+                         for p in fm.positions if p.id not in set(work))
+    if uavs is None:
+        uavs = tuple(Uav(f"UAV{i + 1}", stations[i % len(stations)].pos)
+                     for i in range(spec.n_uavs))
+    capacity = min(u.battery_capacity for u in uavs)
+    weights = np.asarray(spec.type_weights, dtype=float)
+    if len(work) < 2:
+        weights = weights * np.array([1.0, 1.0, 0.0])
+    weights = weights / weights.sum()
+    rng = np.random.default_rng(spec.seed)
+    kinds = (TaskType.SINGLE_INSPECTION, TaskType.COMPOUND_INSPECTION,
+             TaskType.MATERIAL_HANDLING)
+    tasks = []
+    for tid in range(1, spec.n_tasks + 1):
+        while True:
+            kind = kinds[int(rng.choice(3, p=weights))]
+            if kind == TaskType.MATERIAL_HANDLING:
+                i, j = rng.choice(len(work), size=2, replace=False)
+                start, end = work[int(i)], work[int(j)]
+                proc = spec.material_handling_base + fm.flight_time(start,
+                                                                    end)
+            else:
+                start = end = work[int(rng.integers(0, len(work)))]
+                lo, hi = (spec.single_band
+                          if kind == TaskType.SINGLE_INSPECTION
+                          else spec.compound_band)
+                proc = int(rng.integers(lo, hi + 1))
+            task = Task(tid, kind, start, end, proc)
+            if worst_case_engagement_time(task, fm, stations) <= capacity:
+                tasks.append(task)
+                break
+    preds_of = {t.id: () for t in tasks}
+    for task in tasks:
+        lower = task.id - 1
+        if lower == 0 or spec.max_predecessors == 0:
+            continue
+        k = min(int(rng.integers(0, spec.max_predecessors + 1)), lower)
+        if k:
+            preds_of[task.id] = tuple(
+                (rng.choice(lower, size=k, replace=False) + 1).tolist())
+    redundant = set(PrecedenceGraph(preds_of).redundant_edges())
+    tasks = [Task(t.id, t.type, t.start_pos, t.end_pos, t.proc_time,
+                  tuple(p for p in preds_of[t.id]
+                        if (p, t.id) not in redundant)) for t in tasks]
+    return ProblemInstance(trajectory_map=fm, stations=tuple(stations),
+                           tasks=tuple(tasks), uavs=tuple(uavs))
+
+
+class TestGenerationMatchesReference:
+    @settings(max_examples=80, deadline=None)
+    @given(n=st.integers(0, 40), seed=st.integers(0, 2 ** 32),
+           weights=st.tuples(*[st.sampled_from([0.0, 0.3, 1.0, 7.0])] * 3)
+           .filter(lambda w: sum(w) > 0),
+           max_preds=st.integers(0, 4), n_uavs=st.integers(1, 4),
+           battery=st.sampled_from([None, 650, 900]),
+           small_map=st.booleans())
+    def test_same_instance(self, n, seed, weights, max_preds, n_uavs,
+                           battery, small_map):
+        spec = GenSpec(n_tasks=n, seed=seed, type_weights=weights,
+                       max_predecessors=max_preds, n_uavs=n_uavs)
+        env = {"trajectory_map": SMALL_MAP} if small_map else {}
+        if battery is not None:     # a tight battery forces resampling
+            env["uavs"] = (Uav("U1", "R1", battery), Uav("U2", "R2"))
+        want = reference_generate_instance(spec, **env)
+        got = generate_instance(spec, **env)
+        assert got.tasks == want.tasks
+        assert (got.uavs, got.stations) == (want.uavs, want.stations)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from uavsched import model
 from uavsched.model import (
@@ -20,6 +22,7 @@ from uavsched.model import (
     exact_int,
     infer_task_type,
     nearest_recharge_station,
+    position_tables,
     task_upper_bound_time,
     worst_case_engagement_time,
 )
@@ -175,9 +178,13 @@ class TestInstanceValidation:
             make_instance([inspect(1, "a", 5)], n_uavs=0)
 
     def test_oversized_task_rejected(self):
-        # Worst-case engagement beyond the battery must not validate.
-        with pytest.raises(InstanceError, match="battery"):
-            make_instance([inspect(1, "a", 2000)])
+        # Worst-case engagement beyond the battery must not validate:
+        # flight in from b (40 s), 2000 s of work, 20 s out to R1.
+        with pytest.raises(InstanceError) as exc:
+            make_instance([inspect(1, "a", 5), inspect(2, "a", 2000)])
+        assert str(exc.value) == (
+            "task 2 cannot fit any battery window: worst-case airborne "
+            "time 2060 > capacity 1200")
 
     def test_unknown_task_lookup(self, lab):
         with pytest.raises(Exception, match="unknown task"):
@@ -201,6 +208,27 @@ class TestInstanceValidation:
             inst.compiled()
         assert len(built) == 1
         assert isinstance(inst.graph(), Recorder)
+
+    def test_one_table_build_per_validation(self, lab):
+        built = []
+
+        def recording_tables(trajectory_map, stations):
+            built.append(stations)
+            return position_tables(trajectory_map, stations)
+
+        def per_task_bound(*args):
+            raise AssertionError("validation computed a per-task bound")
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(model, "position_tables", recording_tables)
+            mp.setattr(model, "worst_case_engagement_time", per_task_bound)
+            mp.setattr(model, "nearest_recharge_station", per_task_bound)
+            inst = ProblemInstance(trajectory_map=lab.trajectory_map,
+                                   stations=lab.stations, tasks=lab.tasks,
+                                   uavs=lab.uavs)
+            assert len(built) == 1
+            inst.compiled()
+        assert len(built) == 1
 
     def test_compiled_escape_seconds(self, lab):
         # Each task's compiled entry carries the flight from its end
@@ -260,6 +288,59 @@ class TestGeometryHelpers:
         worst = worst_case_engagement_time(lab.task(3), lab.trajectory_map,
                                            lab.stations)
         assert worst <= lab.min_battery_capacity()
+
+
+@st.composite
+def symmetric_maps(draw):
+    """A map of 1-5 work and 1-3 recharge positions with random positive
+    symmetric flight times, hosting a station on every recharge
+    position in a drawn order."""
+    n_work, n_rech = draw(st.integers(1, 5)), draw(st.integers(1, 3))
+    n = n_work + n_rech
+    seconds = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            seconds[i][j] = seconds[j][i] = draw(st.integers(1, 400))
+    fm = TrajectoryMap(
+        [Position(f"w{k}") for k in range(n_work)]
+        + [Position(f"R{k}", PositionKind.RECHARGE) for k in range(n_rech)],
+        seconds)
+    order = draw(st.permutations(range(n_rech)))
+    return fm, tuple(RechargeStation(f"R{k}") for k in order)
+
+
+class TestPositionTables:
+    @settings(max_examples=150, deadline=None)
+    @given(symmetric_maps(), st.data())
+    def test_tables_equal_public_helpers(self, drawn, data):
+        fm, stations = drawn
+        # any subset of the stations, for the helpers themselves
+        subset = data.draw(st.lists(st.sampled_from(stations), min_size=1,
+                                    unique=True))
+        worst_in, nearest = position_tables(fm, subset)
+        idx = fm.index
+        for p in fm.positions:
+            assert nearest[idx[p.id]] == nearest_recharge_station(
+                fm, p.id, subset)[1]
+        work = fm.work_positions()
+        tasks = [Task(k + 1, TaskType.MATERIAL_HANDLING, a, b, 10)
+                 for k, (a, b) in enumerate((a, b) for a in work
+                                            for b in work)]
+        for t in tasks:
+            assert (worst_in[idx[t.start_pos]] + t.proc_time
+                    + nearest[idx[t.end_pos]]) == \
+                worst_case_engagement_time(t, fm, subset)
+        inst = ProblemInstance(trajectory_map=fm, stations=stations,
+                               tasks=tasks, uavs=(Uav("U1", "R0", 10 ** 6),))
+        assert inst.compiled().nearest_leg == position_tables(fm, stations)[1]
+
+    def test_unknown_station_position(self):
+        with pytest.raises(UnknownPositionError, match="'nowhere'"):
+            position_tables(SMALL_MAP, (RechargeStation("nowhere"),))
+
+    def test_no_stations_leave_infinite_legs(self):
+        assert position_tables(SMALL_MAP, ()) == (
+            (40, 40, 50, 50), (float("inf"),) * 4)
 
 
 class TestSchedule:

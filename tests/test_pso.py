@@ -42,11 +42,11 @@ class ScriptedRng:
     def random(self):
         return next(self._uniforms)
 
-    def choice(self, n, size, replace):
-        assert not replace and size <= n
+    def choice(self, n, size=None, replace=True):
+        assert not replace and (size or 1) <= n
         got = np.asarray(next(self._selections))
-        assert len(got) == size
-        return got
+        assert len(got) == (size or 1)
+        return got if size is not None else int(got[0])
 
 
 class TestConfig:
