@@ -11,11 +11,13 @@ from lower to higher ids and are transitively reduced.
 from __future__ import annotations
 
 import math
+import numbers
 from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
 
+from ._draws import Draws
 from .model import (
     InstanceError,
     PrecedenceGraph,
@@ -64,17 +66,40 @@ class GenSpec:
             setattr(self, field, value)
         if self.n_tasks < 0:
             raise GenerationError("n_tasks must be non-negative")
-        if self.max_predecessors < 0:
-            raise GenerationError("max_predecessors must be non-negative")
-        for lo, hi in (self.single_band, self.compound_band):
-            if None in (exact_int(lo), exact_int(hi)) or not 0 < lo <= hi:
-                raise GenerationError(f"bad processing band ({lo}, {hi})")
-        w = self.type_weights   # a NaN fails min or sum, an inf the sum
+        # a draw's range stays inside numpy's int64 `integers`, whose
+        # values the draw stream reproduces
+        if not 0 <= self.max_predecessors < 2 ** 63:
+            raise GenerationError("max_predecessors must be non-negative "
+                                  "and below 2**63")
+        for field in ("single_band", "compound_band"):
+            band = getattr(self, field)
+            lo, hi = map(exact_int, _items(band, 2) or (None, None))
+            if lo is None or hi is None or not 0 < lo <= hi < 2 ** 63:
+                raise GenerationError(
+                    f"bad processing band {band!r}: need two integers "
+                    f"0 < low <= high < 2**63")
+            setattr(self, field, (lo, hi))
+        try:    # a non-number is left out; not three items or 10**400 raise
+            w = tuple(float(x) for x in _items(self.type_weights, 3)
+                      if isinstance(x, numbers.Real))
+        except (TypeError, OverflowError):
+            w = ()
+        # a NaN fails min or sum, an inf the sum
         if len(w) != 3 or not (min(w) >= 0 and 0 < sum(w) < math.inf):
             raise GenerationError("type weights must be three finite "
                                   "non-negative numbers, not all zero")
+        self.type_weights = w
         if self.n_uavs < 1:
             raise GenerationError("need at least one uav")
+
+
+def _items(value, count: int) -> tuple | None:
+    """value's items when it has exactly count of them, else None."""
+    try:
+        items = tuple(value)
+    except TypeError:
+        return None
+    return items if len(items) == count else None
 
 
 _TYPES = (TaskType.SINGLE_INSPECTION, TaskType.COMPOUND_INSPECTION,
@@ -95,14 +120,14 @@ def _draw_task(tid: int, spec: GenSpec, fm: TrajectoryMap, worst_in,
     for _ in range(MAX_RESAMPLE_ATTEMPTS):
         kind = _TYPES[bisect_right(cdf, rng.random())]
         if kind is TaskType.MATERIAL_HANDLING:
-            i, j = rng.choice(len(work), size=2, replace=False).tolist()
+            i, j = rng.choice(len(work), 2)
             start, end = work[i], work[j]
             proc = spec.material_handling_base + fm.flight_time(start, end)
         else:
-            start = end = work[int(rng.integers(0, len(work)))]
+            start = end = work[rng.integers(0, len(work))]
             lo, hi = (spec.single_band if kind is TaskType.SINGLE_INSPECTION
                       else spec.compound_band)
-            proc = int(rng.integers(lo, hi + 1))
+            proc = rng.integers(lo, hi + 1)
         if (worst_in[fm.index[start]] + proc
                 + nearest_leg[fm.index[end]] <= capacity):
             return kind, start, end, proc
@@ -133,9 +158,15 @@ def generate_instance(spec: GenSpec,
         stations = tuple(RechargeStation(pos, spec.slots_per_station)
                          for pos in recharge)
     if uavs is None:
+        if not stations:
+            raise GenerationError("no recharge stations to place the "
+                                  "fleet at")
         uavs = tuple(
             Uav(f"UAV{i + 1}", stations[i % len(stations)].pos)
             for i in range(spec.n_uavs))
+    uavs = tuple(uavs)
+    if not uavs:
+        raise GenerationError("need at least one uav")
     capacity = min(u.battery_capacity for u in uavs)
 
     weights = np.asarray(spec.type_weights, dtype=float)
@@ -149,16 +180,15 @@ def generate_instance(spec: GenSpec,
         raise InstanceError("no recharge stations configured")
     worst_in, nearest_leg = position_tables(fm, stations)
 
-    rng = np.random.default_rng(spec.seed)
+    rng = Draws(np.random.PCG64(spec.seed))
     drawn = [_draw_task(tid, spec, fm, worst_in, nearest_leg, capacity, work,
                         cdf, rng) for tid in range(1, spec.n_tasks + 1)]
 
     preds_of = dict.fromkeys(range(1, spec.n_tasks + 1), ())
     for tid in range(2, spec.n_tasks + 1) if spec.max_predecessors else ():
-        k = min(int(rng.integers(0, spec.max_predecessors + 1)), tid - 1)
+        k = min(rng.integers(0, spec.max_predecessors + 1), tid - 1)
         if k:   # k distinct ids below tid
-            preds = rng.choice(tid - 1, size=k, replace=False) + 1
-            preds_of[tid] = tuple(preds.tolist())
+            preds_of[tid] = tuple(p + 1 for p in rng.choice(tid - 1, k))
     redundant = set(PrecedenceGraph(preds_of).redundant_edges())
     tasks = tuple(
         Task(tid, kind, start, end, proc,
@@ -167,4 +197,4 @@ def generate_instance(spec: GenSpec,
 
     name = spec.name or f"gen-{spec.n_tasks}t-s{spec.seed}"
     return ProblemInstance(trajectory_map=fm, stations=tuple(stations),
-                           tasks=tasks, uavs=tuple(uavs), name=name)
+                           tasks=tasks, uavs=uavs, name=name)

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._draws import Draws
 from .eat import _construct, _dense_sequence, build_schedule
 from .model import ProblemInstance, Schedule
 from .sequences import (
@@ -32,6 +33,14 @@ from .sequences import (
 # The benchmark's tracer (benchmark/run.py) wraps `fitness`,
 # `update_velocity`, `repair`, `apply_swaps`, `priority_orderings` and
 # `build_schedule` as names of this module, so they stay bound here.
+
+# Up to this many tasks each particle draws from a `Draws`, which
+# computes its Generator's draws in Python; above it, from the Generator
+# itself. The stream's cost grows with the difference lists, numpy's is
+# mostly per call: in-process `run_pso` (Python 3.11, numpy 2.4, a
+# 2-core x86 host) ran x1.33 faster on the stream at 10 tasks, level at
+# 20 and 25, and x0.96 at 30.
+DRAWS_MAX_TASKS = 20
 
 
 @dataclass
@@ -99,6 +108,11 @@ def update_velocity(velocity, particle, local_best, global_best,
     nearest count. Pairs equal (as unordered index sets) to one already
     present are dropped.
 
+    rng is a numpy Generator or anything with its `random()` and
+    `choice(n, size=None, replace=False)`: each component draws its
+    pairs with one `choice`, scalar for a single pair, and takes them
+    in ascending index order.
+
     The bests must be permutations of the particle's distinct items, or
     `_relabel` raises SequenceError before any draw. `_step_velocity`
     does the rest on a pair mask of the old pairs (those out of range
@@ -111,7 +125,8 @@ def update_velocity(velocity, particle, local_best, global_best,
     for i, j in pairs:
         if 0 <= i < n and 0 <= j < n:
             mask[i * n + j] = mask[j * n + i] = 1
-    return pairs + _step_velocity(mask, range(n), local, best, c1, c2, rng)
+    return pairs + _step_velocity(mask, range(n), local, best, c1, c2,
+                                  _GeneratorSampler(rng))
 
 
 def _step_velocity(mask, particle, local_best, global_best,
@@ -122,9 +137,9 @@ def _step_velocity(mask, particle, local_best, global_best,
     mask holds n*n bytes with both orientations of every pair in the
     velocity set; a pair found there is dropped and each new pair is
     marked. One position list of the particle serves both difference
-    walks. A draw of the whole list is still made, to keep the stream,
-    but the list is then taken as it stands. A single pick takes the
-    scalar `choice`, which draws what `size=1` draws.
+    walks. rng gives `random()` and `sample(size, count)`: the sorted
+    indices of `count` pairs drawn from a difference list of `size`, or
+    None when the whole list is drawn, which is then taken as it stands.
     """
     n = len(particle)
     new: list[tuple[int, int]] = []
@@ -140,19 +155,33 @@ def _step_velocity(mask, particle, local_best, global_best,
         count = int((share if share < 1.0 else 1.0) * size + 0.5)
         if count <= 0:
             continue
-        if count == 1:
-            diff = [diff[rng.choice(size, replace=False)]]
-        else:
-            chosen = rng.choice(size, size=count, replace=False)
-            if count < size:
-                chosen.sort()
-                diff = [diff[idx] for idx in chosen.tolist()]
+        picks = rng.sample(size, count)
+        if picks is not None:
+            diff = [diff[idx] for idx in picks]
         for pair in diff:
             i, j = pair
             if not mask[i * n + j]:
                 mask[i * n + j] = mask[j * n + i] = 1
                 new.append(pair)
     return new
+
+
+class _GeneratorSampler:
+    """`_step_velocity`'s rng over a Generator-like `random` and
+    `choice`: a single pick takes the scalar `choice`, which draws what
+    `size=1` draws."""
+
+    def __init__(self, rng):
+        self.random, self._choice = rng.random, rng.choice
+
+    def sample(self, size: int, count: int) -> list[int] | None:
+        if count == 1:
+            return [self._choice(size, replace=False)]
+        chosen = self._choice(size, size=count, replace=False)
+        if count == size:
+            return None
+        chosen.sort()
+        return chosen.tolist()
 
 
 def _random_initial_velocity(n: int, cap: int,
@@ -251,10 +280,13 @@ def run_pso(instance: ProblemInstance, config: PsoConfig | None = None) -> RunRe
     config = config or PsoConfig()
     streams = np.random.SeedSequence(config.rng_seed).spawn(config.swarm_size + 1)
     rng_init = np.random.default_rng(streams[0])
-    particle_rngs = [np.random.default_rng(s) for s in streams[1:]]
-
     view = instance.compiled()
     n = len(view.tasks)
+    if n <= DRAWS_MAX_TASKS:
+        particle_rngs = [Draws(np.random.PCG64(s)) for s in streams[1:]]
+    else:
+        particle_rngs = [_GeneratorSampler(np.random.default_rng(s))
+                         for s in streams[1:]]
     seen: dict[tuple[int, ...], tuple[tuple[int, ...], int]] = {}
 
     def score(seq: tuple[int, ...]) -> tuple[tuple[int, ...], int]:

@@ -59,6 +59,11 @@ class TestSpecValidation:
         {"n_uavs": 2.5}, {"max_predecessors": 2.5},
         {"slots_per_station": 1.5}, {"material_handling_base": 60.5},
         {"single_band": (20.5, 80)}, {"compound_band": (100, "200")},
+        {"compound_band": (100, 200, 300)}, {"single_band": 5},
+        {"single_band": (True, 80)}, {"single_band": (1, 2**63)},
+        {"max_predecessors": 2**63},
+        {"type_weights": ("1", 1, 1)}, {"type_weights": None},
+        {"type_weights": (10**400, 1, 1)},
     ])
     def test_malformed_numbers_rejected(self, fields):
         spec = {"n_tasks": 3, **fields}
@@ -73,6 +78,31 @@ class TestSpecValidation:
         assert type(spec.n_tasks) is int
         assert generate_instance(spec).tasks == gen(12, 0, max_predecessors=3,
                                                     n_uavs=2).tasks
+
+    def test_band_ends_stored_as_int(self):
+        spec = GenSpec(n_tasks=12, single_band=(20.0, 80.0),
+                       compound_band=[100, 200.0])
+        assert spec.single_band == (20, 80)
+        assert spec.compound_band == (100, 200)
+        assert all(type(end) is int
+                   for end in spec.single_band + spec.compound_band)
+        assert generate_instance(spec).tasks == gen(12, 0).tasks
+
+    def test_widest_band_draws(self):
+        # the largest band numpy's int64 draw took; every draw is far
+        # over any battery, so the generator gives up
+        with pytest.raises(GenerationError, match="no draw fit"):
+            gen(1, 0, single_band=(1, 2**63 - 1),
+                type_weights=(1.0, 0.0, 0.0))
+
+    @pytest.mark.parametrize("env, message", [
+        ({"stations": ()}, "no recharge stations to place the fleet"),
+        ({"uavs": ()}, "need at least one uav"),
+        ({"stations": (), "uavs": ()}, "need at least one uav"),
+    ])
+    def test_empty_environment(self, env, message):
+        with pytest.raises(GenerationError, match=message):
+            generate_instance(GenSpec(n_tasks=2), **env)
 
     def test_no_stations_for_tasks(self):
         with pytest.raises(InstanceError, match="no recharge stations"):

@@ -4,11 +4,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from uavsched import eat, pso
+from uavsched._draws import Draws
 from uavsched.datagen import GenSpec, generate_instance
 from uavsched.eat import build_schedule
 from uavsched.model import SequenceError
 from uavsched.pso import (
     PsoConfig,
+    _GeneratorSampler,
     _mutate_preserving_precedence,
     _random_initial_velocity,
     _step_velocity,
@@ -327,9 +329,18 @@ class TestDenseVelocityStep:
         mask = bytearray(m * m)
         for i, j in pairs:
             mask[i * m + j] = mask[j * m + i] = 1
+        draws_mask = bytearray(mask)
         got = _step_velocity(mask, list(particle), list(local), list(best),
-                             c1, c2, dense_rng)
+                             c1, c2, _GeneratorSampler(dense_rng))
         assert pairs + got == want
+        # the swarm's stream computes the same draws from raw output
+        draws = Draws(np.random.PCG64(seed))
+        assert _step_velocity(draws_mask, list(particle), list(local),
+                              list(best), c1, c2, draws) == got
+        assert draws_mask == mask
+        twin = np.random.default_rng(seed)
+        twin.bit_generator.state = ref_rng.bit_generator.state
+        assert [draws.random() for _ in range(4)] == twin.random(4).tolist()
         # the step marks exactly the pairs it returns
         for i, j in got:
             mask[i * m + j] = mask[j * m + i] = 0
@@ -366,7 +377,8 @@ class TestDenseVelocityStep:
             mask = bytearray(m * m)
             for i, j in pairs:
                 mask[i * m + j] = mask[j * m + i] = 1
-            got = _step_velocity(mask, particle, local, best, 1.0, 2.0, rng)
+            got = _step_velocity(mask, particle, local, best, 1.0, 2.0,
+                                 _GeneratorSampler(rng))
             assert pairs + got == want
             assert rng.bit_generator.state == ref_rng.bit_generator.state
             if equal == "both":
@@ -621,6 +633,27 @@ class TestRunPsoDifferential:
                    converged=rep.converged)
         assert got == want
         assert rep.best_schedule.makespan() == rep.best_makespan
+
+    @pytest.mark.parametrize("n", [pso.DRAWS_MAX_TASKS,
+                                   pso.DRAWS_MAX_TASKS + 1])
+    def test_either_side_of_the_draw_stream_size(self, monkeypatch, n):
+        # up to DRAWS_MAX_TASKS tasks the particles draw from `Draws`,
+        # above it from Generators; the reference always from Generators
+        made = []
+        monkeypatch.setattr(pso, "Draws",
+                            lambda bits: made.append(bits) or Draws(bits))
+        inst = generate_instance(GenSpec(n_tasks=n, seed=n))
+        cfg = PsoConfig(max_iterations=12, convergence_window=12,
+                        rng_seed=n)
+        want, _, _ = reference_run_pso(inst, cfg)
+        rep = run_pso(inst, cfg)
+        got = dict(best_sequence=rep.best_sequence,
+                   best_makespan=rep.best_makespan, history=rep.history,
+                   iterations_run=rep.iterations_run,
+                   converged=rep.converged)
+        assert got == want
+        assert len(made) == (cfg.swarm_size
+                             if n <= pso.DRAWS_MAX_TASKS else 0)
 
     @pytest.mark.parametrize("n, inst_seed, rng_seed",
                              [(6, 3, 0), (12, 7, 11)])
