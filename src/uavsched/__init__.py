@@ -22,8 +22,6 @@ from .model import (
     TaskType,
     TrajectoryMap,
     Uav,
-    nearest_recharge_station,
-    task_upper_bound_time,
     validate_precedence,
 )
 from .eat import build_schedule, check_sequence
@@ -32,13 +30,11 @@ from .sequences import (
     PRIORITY_RULES,
     apply_swaps,
     extend_sequence,
-    is_feasible_sequence,
     priority_orderings,
     repair,
-    sequence_difference,
 )
 from .io import load_instance, save_instance
-from .pso import PsoConfig, RunReport, fitness, generate_initial_swarm, run_pso, update_velocity
+from .pso import PsoConfig, RunReport, fitness, run_pso, update_velocity
 from .datagen import GenSpec, GenerationError, generate_instance
 from .sampledata import sample_instance, sample_map
 

@@ -220,7 +220,8 @@ def _experiment_grid(args) -> ExperimentGrid:
     try:
         for _, c1, c2, swarm in grid.cells():
             PsoConfig(c1=c1, c2=c2, swarm_size=swarm,
-                      max_iterations=grid.max_iterations)
+                      max_iterations=grid.max_iterations,
+                      rng_seed=grid.base_seed)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     return grid

@@ -41,9 +41,10 @@ class GenerationError(SchedulingError):
     """The generation spec cannot be satisfied."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class GenSpec:
-    """Knobs for one generated instance."""
+    """Knobs for one generated instance; frozen, so a derived spec
+    (`dataclasses.replace`) is checked again."""
 
     n_tasks: int
     seed: int = 0
@@ -58,14 +59,15 @@ class GenSpec:
     name: str | None = None
 
     def __post_init__(self):
-        for field in ("n_tasks", "max_predecessors", "n_uavs",
+        for field in ("n_tasks", "seed", "max_predecessors", "n_uavs",
                       "slots_per_station", "material_handling_base"):
             value = exact_int(getattr(self, field))
             if value is None:
                 raise GenerationError(f"{field} must be an integer")
-            setattr(self, field, value)
-        if self.n_tasks < 0:
-            raise GenerationError("n_tasks must be non-negative")
+            object.__setattr__(self, field, value)
+        for field in ("n_tasks", "seed"):
+            if getattr(self, field) < 0:
+                raise GenerationError(f"{field} must be non-negative")
         # a draw's range stays inside numpy's int64 `integers`, whose
         # values the draw stream reproduces
         if not 0 <= self.max_predecessors < 2 ** 63:
@@ -78,7 +80,7 @@ class GenSpec:
                 raise GenerationError(
                     f"bad processing band {band!r}: need two integers "
                     f"0 < low <= high < 2**63")
-            setattr(self, field, (lo, hi))
+            object.__setattr__(self, field, (lo, hi))
         try:    # a non-number is left out; not three items or 10**400 raise
             w = tuple(float(x) for x in _items(self.type_weights, 3)
                       if isinstance(x, numbers.Real))
@@ -88,7 +90,7 @@ class GenSpec:
         if len(w) != 3 or not (min(w) >= 0 and 0 < sum(w) < math.inf):
             raise GenerationError("type weights must be three finite "
                                   "non-negative numbers, not all zero")
-        self.type_weights = w
+        object.__setattr__(self, "type_weights", w)
         if self.n_uavs < 1:
             raise GenerationError("need at least one uav")
 

@@ -235,10 +235,6 @@ class PrecedenceGraph:
                     succs[p].append(t)
         self.direct_successors = {t: tuple(s) for t, s in succs.items()}
 
-    @classmethod
-    def from_tasks(cls, tasks) -> PrecedenceGraph:
-        return cls({t.id: t.predecessors for t in tasks})
-
     def topological_order(self) -> list[int]:
         """Kahn topological order (ids ascending among ready tasks).
 
@@ -392,12 +388,6 @@ class ProblemInstance:
         except KeyError:
             raise SequenceError(f"unknown task id {task_id}") from None
 
-    def uav(self, uav_id: str) -> Uav:
-        try:
-            return self.uavs_by_id[uav_id]
-        except KeyError:
-            raise InstanceError(f"unknown uav id {uav_id!r}") from None
-
     def graph(self) -> PrecedenceGraph:
         """The precedence graph validation built; shared, so read-only."""
         return self._graph
@@ -511,37 +501,6 @@ def position_tables(trajectory_map: TrajectoryMap, stations
     return (tuple(map(max, m.seconds)),
             tuple(min([m.flight_time(p.id, s.pos) for s in stations],
                       default=float("inf")) for p in m.positions))
-
-
-def nearest_recharge_station(trajectory_map: TrajectoryMap, pos: str,
-                             stations) -> tuple[RechargeStation, int]:
-    """Closest station by flight time from pos; ties keep list order."""
-    stations = tuple(stations)
-    if not stations:
-        raise InstanceError("no recharge stations configured")
-    t, k = min((trajectory_map.flight_time(pos, s.pos), k)
-               for k, s in enumerate(stations))
-    return stations[k], t
-
-
-def task_upper_bound_time(prep_time: int, task: Task,
-                          trajectory_map: TrajectoryMap, stations) -> int:
-    """Airborne seconds a UAV must afford to take the task now.
-
-    Preparation (flight plus any hover) plus execution plus the escape
-    flight to the station nearest the task's end position.
-    """
-    _, rs = nearest_recharge_station(trajectory_map, task.end_pos, stations)
-    return prep_time + task.proc_time + rs
-
-
-def worst_case_engagement_time(task: Task, trajectory_map: TrajectoryMap,
-                               stations) -> int:
-    """Feasibility bound: a fresh UAV from the farthest position must be
-    able to fly in, execute, and still reach a recharge station."""
-    worst_in = max(trajectory_map.flight_time(p.id, task.start_pos)
-                   for p in trajectory_map.positions)
-    return task_upper_bound_time(worst_in, task, trajectory_map, stations)
 
 
 @dataclass

@@ -20,7 +20,7 @@ import numpy as np
 
 from ._draws import Draws
 from .eat import _construct, _dense_sequence, build_schedule
-from .model import ProblemInstance, Schedule
+from .model import ProblemInstance, Schedule, exact_int
 from .sequences import (
     _decode,
     _difference,
@@ -33,6 +33,8 @@ from .sequences import (
 # The benchmark's tracer (benchmark/run.py) wraps `fitness`,
 # `update_velocity`, `repair`, `apply_swaps`, `priority_orderings` and
 # `build_schedule` as names of this module, so they stay bound here.
+# `repair` and `apply_swaps` are imported for the tracer alone: no code
+# in this module calls them.
 
 # Up to this many tasks each particle draws from a `Draws`, which
 # computes its Generator's draws in Python; above it, from the Generator
@@ -43,10 +45,11 @@ from .sequences import (
 DRAWS_MAX_TASKS = 20
 
 
-@dataclass
+@dataclass(frozen=True)
 class PsoConfig:
     """Search knobs; the defaults are the tuned values from the bundled
-    experiment campaign (cognitive 1, social 2, 40 particles)."""
+    experiment campaign (cognitive 1, social 2, 40 particles). Frozen,
+    so a derived config (`dataclasses.replace`) is checked again."""
 
     c1: float = 1.0
     c2: float = 2.0
@@ -66,6 +69,10 @@ class PsoConfig:
             raise ValueError("acceleration factors must be finite")
         if self.c1 < 0 or self.c2 < 0:
             raise ValueError("acceleration factors must be non-negative")
+        seed = exact_int(self.rng_seed)
+        if seed is None or seed < 0:
+            raise ValueError("rng_seed must be a non-negative integer")
+        object.__setattr__(self, "rng_seed", seed)
 
 
 @dataclass
@@ -241,17 +248,10 @@ def _mutate_preserving_precedence(sequence, preds, succs, rng) -> list[int]:
     return seq
 
 
-def generate_initial_swarm(instance: ProblemInstance, swarm_size: int,
-                           rng) -> list[list[int]]:
-    """Eight priority-rule particles, the rest feasible mutations of them."""
-    ids = list(instance.compiled().task_index)
-    return [[ids[d] for d in p]
-            for p in _initial_swarm(instance, swarm_size, rng)]
-
-
 def _initial_swarm(instance: ProblemInstance, swarm_size: int,
                    rng) -> list[list[int]]:
-    """generate_initial_swarm in the compiled view's dense task indices."""
+    """Eight priority-rule particles, the rest feasible mutations of
+    them, in the compiled view's dense task indices."""
     view = instance.compiled()
     index = view.task_index
     rules = [[index[t] for t in seq]

@@ -2,11 +2,11 @@
 
 Sequences are lists of task ids; the difference walk and the greedy
 decode run on dense labels (the swarm passes the compiled view's task
-indices), and the public functions convert ids for them. Velocities for
-the discrete swarm are ordered lists of index transpositions (swap
-pairs) applied left to right. Repair restores precedence feasibility
-with a stable greedy decode that keeps the relative priority of every
-task as far as its predecessors allow.
+indices), and `repair` and `pso.update_velocity` convert ids for them.
+Velocities for the discrete swarm are ordered lists of index
+transpositions (swap pairs) applied left to right. Repair restores
+precedence feasibility with a stable greedy decode that keeps the
+relative priority of every task as far as its predecessors allow.
 """
 
 from __future__ import annotations
@@ -32,25 +32,10 @@ def apply_swaps(sequence, pairs) -> list[int]:
 _NOT_PERMUTATIONS = "sequences are not permutations of each other"
 
 
-def sequence_difference(target, current) -> list[tuple[int, int]]:
-    """Ordered swap pairs turning current into target.
-
-    Greedy: walk positions left to right and, wherever the working copy
-    disagrees with the target, swap the target's element into place.
-    Applying the result to current yields target; the list never exceeds
-    len - 1 pairs and skips positions already in agreement.
-
-    Both sequences must be permutations of one set of distinct items;
-    `_relabel` checks both before the walk (in update_velocity, before
-    any draw) and maps target onto 0..n-1.
-    """
-    (want,) = _relabel(current, target)
-    n = len(want)
-    return _difference(want, list(range(n)), list(range(n)))
-
-
 def _relabel(current, *targets):
-    """Each target with every item replaced by its position in current.
+    """Each target with every item replaced by its position in current:
+    how `update_velocity` puts a particle's bests onto the labels
+    0..n-1 that `_difference` walks.
 
     Raises SequenceError, before any draw, when current or a target
     repeats an item, or when a target differs in length or holds an
@@ -73,7 +58,13 @@ def _relabel(current, *targets):
 
 
 def _difference(target, work, pos):
-    """The difference walk on labels that index pos.
+    """Ordered swap pairs turning the current sequence into target, on
+    labels that index pos.
+
+    Greedy: walk positions left to right and, wherever the current
+    sequence disagrees with the target, swap the target's label into
+    place. Applying the pairs to it yields target; the list never
+    exceeds len - 1 pairs and skips positions already in agreement.
 
     target must be a permutation of the labels in work, as `_relabel`
     makes it; the walk does not check this. work is a copy of current
@@ -90,16 +81,6 @@ def _difference(target, work, pos):
         work[j] = have  # position i is never read again
         pos[want], pos[have] = i, j
     return pairs
-
-
-def is_feasible_sequence(sequence, instance: ProblemInstance) -> bool:
-    """True when every task appears once, after all of its predecessors
-    (the rule check_sequence enforces)."""
-    try:
-        check_sequence(instance, sequence)
-    except SequenceError:
-        return False
-    return True
 
 
 def _greedy_order(items, instance: ProblemInstance) -> list[int]:

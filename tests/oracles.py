@@ -1,0 +1,71 @@
+"""Reference implementations that more than one test file compares
+against, one frozen copy of each. Each is the package's rule as it was
+first written (or as its per-id form last read), kept here so a faster
+or denser package path is checked against the plain one. An oracle
+that a single test file needs stays in that file."""
+
+from uavsched.eat import check_sequence
+from uavsched.model import InstanceError, SequenceError, Task, TrajectoryMap
+
+
+def is_feasible_sequence(sequence, instance) -> bool:
+    """True when every task appears once, after all of its predecessors
+    (the rule check_sequence enforces)."""
+    try:
+        check_sequence(instance, sequence)
+    except SequenceError:
+        return False
+    return True
+
+
+def reference_difference(target, current):
+    """The swap-pair difference as first written: a sorted-multiset
+    check, then a walk with an id -> position dict."""
+    if sorted(current) != sorted(target):
+        raise SequenceError("sequences are not permutations of each other")
+    work = list(current)
+    pos = {t: i for i, t in enumerate(work)}
+    pairs = []
+    for i, want in enumerate(target):
+        have = work[i]
+        if have == want:
+            continue
+        j = pos[want]
+        pairs.append((i, j))
+        work[i], work[j] = want, have
+        pos[want], pos[have] = i, j
+    return pairs
+
+
+# The per-id battery bound: the rule `model.position_tables` computes
+# per position for validation, generation and the compiled view.
+
+def nearest_recharge_station(trajectory_map: TrajectoryMap, pos: str,
+                             stations):
+    """Closest station by flight time from pos; ties keep list order."""
+    stations = tuple(stations)
+    if not stations:
+        raise InstanceError("no recharge stations configured")
+    t, k = min((trajectory_map.flight_time(pos, s.pos), k)
+               for k, s in enumerate(stations))
+    return stations[k], t
+
+
+def task_upper_bound_time(prep_time: int, task: Task,
+                          trajectory_map: TrajectoryMap, stations) -> int:
+    """Airborne seconds a UAV must afford to take the task now.
+
+    Preparation (flight plus any hover) plus execution plus the escape
+    flight to the station nearest the task's end position.
+    """
+    _, rs = nearest_recharge_station(trajectory_map, task.end_pos, stations)
+    return prep_time + task.proc_time + rs
+
+
+def worst_case_engagement_time(task: Task, trajectory_map: TrajectoryMap,
+                               stations) -> int:
+    """Feasibility bound: a fresh UAV from the farthest position must be
+    able to fly in, execute, and still reach a recharge station."""
+    worst_in = max(trajectory_map.flight_time(p.id, task.start_pos)
+                   for p in trajectory_map.positions)
+    return task_upper_bound_time(worst_in, task, trajectory_map, stations)

@@ -18,12 +18,7 @@ from uavsched.experiments import BASELINE_MAKESPAN, BASELINE_RUNTIME_MS
 from uavsched.model import ActionKind
 from uavsched.pso import PsoConfig, run_pso, update_velocity
 from uavsched.sampledata import sample_instance
-from uavsched.sequences import (
-    apply_swaps,
-    is_feasible_sequence,
-    priority_orderings,
-    repair,
-)
+from uavsched.sequences import apply_swaps, priority_orderings, repair
 from uavsched.validate import validate_schedule
 
 from conftest import (
@@ -35,6 +30,7 @@ from conftest import (
     TABLE_ROWS,
     golden_schedule,
 )
+from oracles import is_feasible_sequence
 
 
 def report(num: int, name: str, ok: bool, detail: str = ""):

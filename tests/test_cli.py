@@ -567,6 +567,14 @@ class TestSearch:
         assert code == 1
         assert "convergence_window must be positive" in err
 
+    def test_negative_seed(self, capsys, tmp_path):
+        code, out, err = run(capsys, ["search", "--seed", "-1",
+                                      "--out-dir", str(tmp_path)])
+        assert code == 1
+        assert "rng_seed must be a non-negative integer" in err
+        assert "internal error" not in err
+        assert out == "" and not (tmp_path / "report.json").exists()
+
     @pytest.mark.parametrize("flag", ["--c1", "--c2"])
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_non_finite_factor(self, capsys, tmp_path, flag, value):
@@ -594,6 +602,13 @@ class TestGenerate:
                                     str(tmp_path / "instance.json")])
         assert code == 0
         assert "makespan:" in out
+
+    def test_negative_seed_exits_2(self, capsys, tmp_path):
+        code, _, err = run(capsys, ["generate", "--seed", "-1",
+                                    "--out-dir", str(tmp_path)])
+        assert code == 2
+        assert err == "error: seed must be non-negative\n"
+        assert not (tmp_path / "instance.json").exists()
 
 
 class TestExperiment:
@@ -624,6 +639,8 @@ class TestExperiment:
         (["--c2", "-1"], "acceleration factors must be non-negative"),
         (["--c1", "1,nan"], "acceleration factors must be finite"),
         (["--c2", "inf"], "acceleration factors must be finite"),
+        (["--seed", "-1", "--reps", "1"],
+         "rng_seed must be a non-negative integer"),
     ])
     def test_bad_grid_is_usage_error(self, capsys, tmp_path, argv, message):
         code, out, err = run(capsys, ["experiment", "--out-dir",

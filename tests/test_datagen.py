@@ -1,3 +1,4 @@
+import dataclasses
 from bisect import bisect_right
 
 import numpy as np
@@ -16,11 +17,11 @@ from uavsched.model import (
     Task,
     TaskType,
     Uav,
-    worst_case_engagement_time,
 )
 from uavsched.sampledata import sample_map
 
 from conftest import SMALL_MAP
+from oracles import worst_case_engagement_time
 
 
 def gen(n, seed, **kw):
@@ -64,6 +65,8 @@ class TestSpecValidation:
         {"max_predecessors": 2**63},
         {"type_weights": ("1", 1, 1)}, {"type_weights": None},
         {"type_weights": (10**400, 1, 1)},
+        {"seed": -1}, {"seed": 2.5}, {"seed": "7"}, {"seed": True},
+        {"seed": None},
     ])
     def test_malformed_numbers_rejected(self, fields):
         spec = {"n_tasks": 3, **fields}
@@ -78,6 +81,23 @@ class TestSpecValidation:
         assert type(spec.n_tasks) is int
         assert generate_instance(spec).tasks == gen(12, 0, max_predecessors=3,
                                                     n_uavs=2).tasks
+
+    def test_frozen(self):
+        # a reassigned field would skip every check
+        spec = GenSpec(n_tasks=3, type_weights=(1, 0, 0))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            spec.single_band = (20.5, 80)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            spec.seed = -1
+        assert spec.single_band == (20, 80) and spec.seed == 0
+
+    def test_replace_checks_again(self):
+        spec = GenSpec(n_tasks=3, type_weights=(1, 0, 0))
+        with pytest.raises(GenerationError, match="bad processing band"):
+            dataclasses.replace(spec, single_band=(20.5, 80))
+        with pytest.raises(GenerationError, match="seed must be non-neg"):
+            dataclasses.replace(spec, seed=-1)
+        assert dataclasses.replace(spec, seed=4.0).seed == 4
 
     def test_band_ends_stored_as_int(self):
         spec = GenSpec(n_tasks=12, single_band=(20.0, 80.0),
@@ -357,7 +377,8 @@ class TestReachabilityMatchesReference:
     @given(random_dags())
     def test_reduced_edges_equal(self, tasks):
         edges = edge_set(tasks)
-        redundant = set(PrecedenceGraph.from_tasks(tasks).redundant_edges())
+        redundant = set(PrecedenceGraph(
+            {t.id: t.predecessors for t in tasks}).redundant_edges())
         assert edges - redundant == reference_transitive_reduction(
             edges, [t.id for t in tasks])
 

@@ -19,7 +19,6 @@ from uavsched.model import (
     SequenceError,
     TrajectoryMap,
     Uav,
-    worst_case_engagement_time,
 )
 from uavsched.pso import fitness
 from uavsched.sequences import repair
@@ -36,6 +35,7 @@ from conftest import (
     inspect,
     make_instance,
 )
+from oracles import worst_case_engagement_time
 
 F, T, H, W, R = (ActionKind.FLIGHT, ActionKind.TASK_EXEC, ActionKind.HOVER,
                  ActionKind.WAIT_ON_GROUND, ActionKind.RECHARGE)
@@ -86,7 +86,8 @@ class TestGoldenTrace:
         s = build_schedule(lab, GOLDEN_PREFIX)
         rec = [a for a in s.actions["UAV1"] if a.kind is R]
         assert len(rec) == 1
-        assert rec[0].end - rec[0].start == lab.uav("UAV1").recharge_duration
+        assert (rec[0].end - rec[0].start
+                == lab.uavs_by_id["UAV1"].recharge_duration)
 
     def test_full_completion_makespan(self, lab):
         s = build_schedule(lab, FULL_COMPLETION)

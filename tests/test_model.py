@@ -21,15 +21,13 @@ from uavsched.model import (
     UnknownPositionError,
     exact_int,
     infer_task_type,
-    nearest_recharge_station,
     position_tables,
-    task_upper_bound_time,
-    worst_case_engagement_time,
 )
 from uavsched.io import read_task_csv
 from uavsched.sequences import priority_orderings
 
 from conftest import SMALL_MAP, haul, inspect, make_instance
+from oracles import nearest_recharge_station, worst_case_engagement_time
 
 
 class TestTrajectoryMap:
@@ -94,7 +92,7 @@ class TestTask:
 
 class TestPrecedenceGraph:
     def _graph(self, *tasks):
-        return PrecedenceGraph.from_tasks(tasks)
+        return PrecedenceGraph({t.id: t.predecessors for t in tasks})
 
     def test_topological_order_respects_edges(self):
         g = self._graph(inspect(1, "a", 5), inspect(2, "a", 5, [1]),
@@ -216,13 +214,8 @@ class TestInstanceValidation:
             built.append(stations)
             return position_tables(trajectory_map, stations)
 
-        def per_task_bound(*args):
-            raise AssertionError("validation computed a per-task bound")
-
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(model, "position_tables", recording_tables)
-            mp.setattr(model, "worst_case_engagement_time", per_task_bound)
-            mp.setattr(model, "nearest_recharge_station", per_task_bound)
             inst = ProblemInstance(trajectory_map=lab.trajectory_map,
                                    stations=lab.stations, tasks=lab.tasks,
                                    uavs=lab.uavs)
@@ -260,33 +253,34 @@ class TestExactInt:
 
 
 class TestGeometryHelpers:
+    """The battery bound's parts, as `position_tables` gives them and
+    validation applies them."""
+
     def test_nearest_station_prefers_shortest_leg(self):
         st = (RechargeStation("R1"), RechargeStation("R2"))
-        got, secs = nearest_recharge_station(SMALL_MAP, "b", st)
-        assert (got.pos, secs) == ("R2", 20)
-
-    def test_nearest_station_tie_keeps_listing_order(self):
-        fm = TrajectoryMap(
-            (Position("a"), Position("R1", PositionKind.RECHARGE),
-             Position("R2", PositionKind.RECHARGE)),
-            ((0, 7, 7), (7, 0, 9), (7, 9, 0)))
-        st = (RechargeStation("R1"), RechargeStation("R2"))
-        got, secs = nearest_recharge_station(fm, "a", st)
-        assert (got.pos, secs) == ("R1", 7)
+        _, nearest = position_tables(SMALL_MAP, st)
+        assert nearest[SMALL_MAP.index["b"]] == 20      # b -> R2
 
     def test_no_stations_is_an_error(self):
-        with pytest.raises(InstanceError):
-            nearest_recharge_station(SMALL_MAP, "a", ())
+        fm = TrajectoryMap((Position("a"), Position("b")),
+                           ((0, 30), (30, 0)))
+        with pytest.raises(InstanceError, match="no recharge stations"):
+            ProblemInstance(trajectory_map=fm, stations=(),
+                            tasks=(inspect(1, "a", 5),),
+                            uavs=(Uav("UAV1", "a"),))
 
     def test_task_upper_bound_adds_escape(self):
+        # longest flight into a 40 + proc 100 + escape b->R2 20
         t = haul(1, "a", "b", 100)
-        st = (RechargeStation("R1"), RechargeStation("R2"))
-        # prep 20 + proc 100 + escape b->R2 20
-        assert task_upper_bound_time(20, t, SMALL_MAP, st) == 140
+        assert make_instance([t], battery=160).tasks == (t,)
+        with pytest.raises(InstanceError, match="time 160 > capacity 159"):
+            make_instance([t], battery=159)
 
     def test_worst_case_engagement_fits_battery(self, lab):
-        worst = worst_case_engagement_time(lab.task(3), lab.trajectory_map,
-                                           lab.stations)
+        worst_in, nearest = position_tables(lab.trajectory_map, lab.stations)
+        idx, t = lab.trajectory_map.index, lab.task(3)
+        worst = (worst_in[idx[t.start_pos]] + t.proc_time
+                 + nearest[idx[t.end_pos]])
         assert worst <= lab.min_battery_capacity()
 
 
@@ -312,9 +306,9 @@ def symmetric_maps(draw):
 class TestPositionTables:
     @settings(max_examples=150, deadline=None)
     @given(symmetric_maps(), st.data())
-    def test_tables_equal_public_helpers(self, drawn, data):
+    def test_tables_equal_per_id_oracle(self, drawn, data):
         fm, stations = drawn
-        # any subset of the stations, for the helpers themselves
+        # any subset of the stations, for the per-id bound itself
         subset = data.draw(st.lists(st.sampled_from(stations), min_size=1,
                                     unique=True))
         worst_in, nearest = position_tables(fm, subset)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,22 +13,19 @@ from uavsched.model import SequenceError
 from uavsched.pso import (
     PsoConfig,
     _GeneratorSampler,
+    _initial_swarm,
     _mutate_preserving_precedence,
     _random_initial_velocity,
     _step_velocity,
     fitness,
-    generate_initial_swarm,
     run_pso,
     update_velocity,
     velocity_cap,
 )
-from uavsched.sequences import (
-    apply_swaps,
-    is_feasible_sequence,
-    repair,
-)
+from uavsched.sequences import apply_swaps, repair
 
 from conftest import inspect, make_instance
+from oracles import is_feasible_sequence, reference_difference
 
 WORKED_LOCAL = [1, 2, 4, 6, 5, 8, 3, 7, 10, 9, 11, 12]
 WORKED_GLOBAL = [2, 6, 1, 4, 3, 5, 7, 8, 10, 9, 11, 12]
@@ -71,6 +70,24 @@ class TestConfig:
     def test_non_finite_factor_rejected(self, factor, value):
         with pytest.raises(ValueError, match="must be finite"):
             PsoConfig(**{factor: value})
+
+    @pytest.mark.parametrize("seed", [-1, 2.5, "7", True, None])
+    def test_bad_seed_rejected(self, seed):
+        with pytest.raises(ValueError, match="rng_seed must be a non-neg"):
+            PsoConfig(rng_seed=seed)
+
+    def test_integral_seed_read_as_int(self):
+        cfg = PsoConfig(rng_seed=np.int64(7))
+        assert cfg.rng_seed == 7 and type(cfg.rng_seed) is int
+        assert PsoConfig(rng_seed=7.0).rng_seed == 7
+
+    def test_frozen(self):
+        cfg = PsoConfig()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.swarm_size = 2
+        assert cfg.swarm_size == 40
+        with pytest.raises(ValueError, match="swarm_size must be at least 8"):
+            dataclasses.replace(cfg, swarm_size=2)
 
 
 class TestVelocityCap:
@@ -203,25 +220,6 @@ class TestCarriedVelocity:
         pairs = [[0, 3], (1, 2)]
         assert apply_swaps(seq, pairs) == [8, 7, 6, 5]
         assert pairs == [[0, 3], (1, 2)]
-
-
-def reference_difference(target, current):
-    """sequence_difference as first written: a sorted-multiset check,
-    then a walk with an id -> position dict."""
-    if sorted(current) != sorted(target):
-        raise SequenceError("sequences are not permutations of each other")
-    work = list(current)
-    pos = {t: i for i, t in enumerate(work)}
-    pairs = []
-    for i, want in enumerate(target):
-        have = work[i]
-        if have == want:
-            continue
-        j = pos[want]
-        pairs.append((i, j))
-        work[i], work[j] = want, have
-        pos[want], pos[have] = i, j
-    return pairs
 
 
 def reference_update(velocity, particle, local_best, global_best, c1, c2,
@@ -482,23 +480,30 @@ class TestMutationWindowCheck:
         assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
+def initial_swarm_ids(instance, swarm_size, rng):
+    """`_initial_swarm`'s particles as lists of task ids."""
+    ids = list(instance.compiled().task_index)
+    return [[ids[d] for d in p]
+            for p in _initial_swarm(instance, swarm_size, rng)]
+
+
 class TestInitialSwarm:
     def test_rule_particles_lead(self, lab):
         from uavsched.sequences import priority_orderings
         rng = np.random.default_rng(0)
-        swarm = generate_initial_swarm(lab, 40, rng)
+        swarm = initial_swarm_ids(lab, 40, rng)
         assert len(swarm) == 40
         rules = [list(s) for s in priority_orderings(lab).values()]
         assert swarm[:8] == rules
 
     def test_all_members_feasible(self, lab):
         rng = np.random.default_rng(3)
-        for p in generate_initial_swarm(lab, 24, rng):
+        for p in initial_swarm_ids(lab, 24, rng):
             assert is_feasible_sequence(p, lab)
 
     def test_deterministic_given_seed(self, lab):
-        a = generate_initial_swarm(lab, 16, np.random.default_rng(5))
-        b = generate_initial_swarm(lab, 16, np.random.default_rng(5))
+        a = initial_swarm_ids(lab, 16, np.random.default_rng(5))
+        b = initial_swarm_ids(lab, 16, np.random.default_rng(5))
         assert a == b
 
 
@@ -572,7 +577,7 @@ def reference_run_pso(instance, config):
     rng_init = np.random.default_rng(streams[0])
     rngs = [np.random.default_rng(s) for s in streams[1:]]
     n = len(instance.tasks)
-    particles = generate_initial_swarm(instance, config.swarm_size, rng_init)
+    particles = initial_swarm_ids(instance, config.swarm_size, rng_init)
     initial = [list(p) for p in particles]
     velocities = [reference_initial_pairs(n, velocity_cap(n), rng_init)
                   for _ in particles]

@@ -11,16 +11,17 @@ from uavsched.model import SequenceError
 from uavsched.sequences import (
     PRIORITY_RULES,
     _decode,
+    _difference,
     _greedy_order,
+    _relabel,
     apply_swaps,
     extend_sequence,
-    is_feasible_sequence,
     priority_orderings,
     repair,
-    sequence_difference,
 )
 
 from conftest import TABLE_ROWS, inspect, make_instance
+from oracles import is_feasible_sequence, reference_difference
 
 permutations = st.permutations(list(range(1, 13)))
 
@@ -45,6 +46,15 @@ class TestApplySwaps:
         velocity = [(6, 7), (10, 11), (0, 1), (1, 3), (2, 3), (4, 7), (5, 7)]
         assert apply_swaps(particle, velocity) == \
             [2, 6, 1, 4, 7, 5, 3, 8, 10, 9, 11, 12]
+
+
+def sequence_difference(target, current):
+    """The difference walk as `update_velocity` runs it: `_relabel`
+    checks both sequences and puts target onto current's positions,
+    then `_difference` walks labels 0..n-1."""
+    (want,) = _relabel(current, target)
+    n = len(want)
+    return _difference(want, list(range(n)), list(range(n)))
 
 
 class TestSequenceDifference:
@@ -73,24 +83,6 @@ class TestSequenceDifference:
         pairs = sequence_difference(target, current)
         assert apply_swaps(current, pairs) == list(target)
         assert len(pairs) <= len(target) - 1
-
-
-def reference_sequence_difference(target, current):
-    """The difference as first written: a sorted-multiset check up front."""
-    if sorted(current) != sorted(target):
-        raise SequenceError("sequences are not permutations of each other")
-    work = list(current)
-    pos = {t: i for i, t in enumerate(work)}
-    pairs = []
-    for i, want in enumerate(target):
-        have = work[i]
-        if have == want:
-            continue
-        j = pos[want]
-        pairs.append((i, j))
-        work[i], work[j] = want, have
-        pos[want], pos[have] = i, j
-    return pairs
 
 
 @st.composite
@@ -128,7 +120,7 @@ def expected_difference(target, current):
     a difference."""
     if len(set(target)) < len(target) or len(set(current)) < len(current):
         return ("error", "sequences are not permutations of each other")
-    return outcome(reference_sequence_difference, target, current)
+    return outcome(reference_difference, target, current)
 
 
 class TestSequenceDifferenceMatchesReference:

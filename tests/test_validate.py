@@ -97,6 +97,28 @@ class TestPerActionRules:
         assert kinds(validate_schedule(s)) == {"ground_wait_position"}
 
 
+class TestZeroLengthActions:
+    """An action with end == start is no violation by itself; whichever
+    rule it breaks reports it."""
+
+    def test_zero_length_hover_is_clean(self, lab):
+        s = golden_schedule(lab)
+        acts = dict(s.actions)
+        row = list(acts["UAV2"])
+        row.insert(3, Action(H, 625, 625, "d", "d"))  # between flight, hover
+        acts["UAV2"] = row
+        assert validate_schedule(Schedule(instance=lab, actions=acts)) == []
+        assert validate_schedule(append(s, "UAV3",
+                                        Action(H, 1125, 1125, "c", "c"))) == []
+
+    def test_zero_length_flight_breaks_flight_duration_only(self, lab):
+        s = append(golden_schedule(lab), "UAV3",
+                   Action(F, 1125, 1125, "c", "R2"))
+        got = validate_schedule(s)
+        assert [v.kind for v in got] == ["flight_duration"]
+        assert got[0].message == "UAV3: flight c->R2 lasts 0, matrix says 60"
+
+
 class TestUnknownPositions:
     """A position the map does not know is reported, never raised."""
 

@@ -44,7 +44,7 @@ def reference_validate(schedule: Schedule) -> list[Violation]:
             add(Violation("unknown_uav", f"actions for unknown uav {uav_id!r}",
                           uav_id=uav_id))
             continue
-        uav = inst.uav(uav_id)
+        uav = inst.uavs_by_id[uav_id]
         prev = None
         for a in acts:
             if a.end < a.start:
