@@ -63,7 +63,9 @@ def build_schedule(instance: ProblemInstance, sequence) -> Schedule:
     listed task's predecessors must appear earlier in it); a permutation
     of all task ids yields a complete schedule.
     """
-    return _construct(instance, _dense_sequence(instance, sequence), True)
+    placed: list[tuple[int, ...]] = []
+    _construct(instance, _dense_sequence(instance, sequence), placed)
+    return _timeline(instance, placed)
 
 
 def _dense_sequence(instance: ProblemInstance, sequence) -> list[int]:
@@ -73,7 +75,7 @@ def _dense_sequence(instance: ProblemInstance, sequence) -> list[int]:
     return [index[t] for t in check_sequence(instance, sequence)]
 
 
-def _construct(instance: ProblemInstance, dense, record: bool):
+def _construct(instance: ProblemInstance, dense, placed=None) -> int:
     """The one EAT decision procedure, on the instance's compiled view.
 
     dense lists distinct dense task indices (`compiled().task_index`),
@@ -103,8 +105,11 @@ def _construct(instance: ProblemInstance, dense, record: bool):
     min-heap of the release times of the used ones, so memory follows
     the recharges made, not the slot count.
 
-    Returns the Schedule when record is true, else the makespan, and
-    builds the timelines only then.
+    Returns the makespan. A list given as placed gets one tuple per
+    task, (task, uav, position, ready, station, begin, start): the dense
+    task, the winner's fleet index, position and ready time before it,
+    its detour's station and recharge begin (-1, -1 without one), and
+    the start; `_timeline` turns them into the Schedule.
     """
     view = instance.compiled()
     secs, names, nearest = view.seconds, view.position_ids, view.nearest_leg
@@ -120,9 +125,6 @@ def _construct(instance: ProblemInstance, dense, record: bool):
     ready = [0] * len(pos)
     fleet = range(len(pos))
     stations, stranded = view.stations, view.stranded
-    if record:
-        timelines = [[] for _ in fleet]
-        ids = list(view.task_index)
     ends = [0] * len(tasks)
     for d in dense:
         s, e, proc, escape = tasks[d]
@@ -170,62 +172,27 @@ def _construct(instance: ProblemInstance, dense, record: bool):
                 if start == at and k >= stranded:
                     break               # later UAVs can only tie
 
-        k, start = best, best_start
+        k, start, j = best, best_start, best_station
         here, t0 = pos[k], ready[k]
-        if record:
-            acts = timelines[k]
-        if best_station >= 0:
-            j = best_station
+        if j >= 0:
             sp = station_pos[j]
             charge = t0 + secs[here][sp]
             begin = bay_free[j] if bay_free[j] > charge else charge
-            done = begin + durations[k]
             out = secs[sp][s]
-            depart = start - out
-            if record:
-                st = names[sp]
-                if charge > t0:
-                    acts.append(Action(_FLIGHT, t0, charge, names[here], st))
-                if begin > charge:
-                    acts.append(Action(_WAIT, charge, begin, st, st, station=st))
-                acts.append(Action(_RECHARGE, begin, done, st, st, station=st))
-                if depart > done:
-                    acts.append(Action(_WAIT, done, depart, st, st, station=st))
-                if out:
-                    acts.append(Action(_FLIGHT, depart, start, st, names[s]))
             b = bays[j]
             if unused[j]:
                 unused[j] -= 1
-                heapq.heappush(b, depart)
+                heapq.heappush(b, start - out)
             else:
-                heapq.heapreplace(b, depart)
+                heapq.heapreplace(b, start - out)
             bay_free[j] = 0 if unused[j] else b[0]
             left[k] = caps[k] - out
-        elif is_station[here]:
-            ft = secs[here][s]
-            depart = start - ft
-            if record:
-                if depart > t0:
-                    acts.append(Action(_WAIT, t0, depart, names[here],
-                                       names[here], station=names[here]))
-                if ft:
-                    acts.append(Action(_FLIGHT, depart, start, names[here],
-                                       names[s]))
-            left[k] -= ft
         else:
-            arrival = t0 + secs[here][s]
-            if record:
-                if arrival > t0:
-                    acts.append(Action(_FLIGHT, t0, arrival, names[here],
-                                       names[s]))
-                if arrival < start:
-                    acts.append(Action(_HOVER, arrival, start, names[s],
-                                       names[s]))
-            left[k] -= start - t0
+            begin = -1
+            left[k] -= secs[here][s] if is_station[here] else start - t0
+        if placed is not None:
+            placed.append((d, k, here, t0, j, begin, start))
         end = start + proc
-        if record:
-            acts.append(Action(_EXEC, start, end, names[s], names[e],
-                               task_id=ids[d]))
         left[k] -= proc
         if left[k] < 0:
             raise SchedulingError(
@@ -236,7 +203,46 @@ def _construct(instance: ProblemInstance, dense, record: bool):
         if end > release[e]:
             release[e] = end
         ends[d] = end
-    if record:
-        return Schedule(instance=instance,
-                        actions=dict(zip(view.uav_ids, timelines)))
     return max(ready, default=0)
+
+
+def _timeline(instance: ProblemInstance, placed) -> Schedule:
+    """The Schedule of `_construct`'s placements: per task, a recharge
+    detour if any, then the ground wait and flight out of a station or
+    the flight and hover from elsewhere, then the execution."""
+    view = instance.compiled()
+    secs, names, tasks = view.seconds, view.position_ids, view.tasks
+    ids = list(view.task_index)
+    timelines = [[] for _ in view.uav_ids]
+    for d, k, here, t0, j, begin, start in placed:
+        s, e, proc, _ = tasks[d]
+        acts = timelines[k]
+        if j >= 0:
+            sp = view.station_pos[j]
+            st = names[sp]
+            charge = t0 + secs[here][sp]
+            if charge > t0:
+                acts.append(Action(_FLIGHT, t0, charge, names[here], st))
+            if begin > charge:
+                acts.append(Action(_WAIT, charge, begin, st, st, station=st))
+            here, t0 = sp, begin + view.uav_recharge[k]
+            acts.append(Action(_RECHARGE, begin, t0, st, st, station=st))
+        if view.is_station[here]:
+            st = names[here]
+            depart = start - secs[here][s]
+            if depart > t0:
+                acts.append(Action(_WAIT, t0, depart, st, st, station=st))
+            if depart < start:
+                acts.append(Action(_FLIGHT, depart, start, st, names[s]))
+        else:
+            arrival = t0 + secs[here][s]
+            if arrival > t0:
+                acts.append(Action(_FLIGHT, t0, arrival, names[here],
+                                   names[s]))
+            if arrival < start:
+                acts.append(Action(_HOVER, arrival, start, names[s],
+                                   names[s]))
+        acts.append(Action(_EXEC, start, start + proc, names[s], names[e],
+                           task_id=ids[d]))
+    return Schedule(instance=instance,
+                    actions=dict(zip(view.uav_ids, timelines)))

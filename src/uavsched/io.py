@@ -7,6 +7,7 @@ endings) so identical inputs produce identical files.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
 import os
 import re
@@ -286,16 +287,8 @@ def write_history_csv(history, path):
 def report_to_dict(report) -> dict:
     """JSON payload for a search run. Wall-clock time is deliberately
     left out so repeated seeded runs serialize byte-identically."""
-    cfg = report.config
     return {
-        "config": {
-            "c1": cfg.c1,
-            "c2": cfg.c2,
-            "swarm_size": cfg.swarm_size,
-            "max_iterations": cfg.max_iterations,
-            "convergence_window": cfg.convergence_window,
-            "rng_seed": cfg.rng_seed,
-        },
+        "config": dataclasses.asdict(report.config),
         "best_makespan": report.best_makespan,
         "best_sequence": list(report.best_sequence),
         "iterations_run": report.iterations_run,

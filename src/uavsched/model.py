@@ -12,7 +12,7 @@ from __future__ import annotations
 import enum
 import heapq
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

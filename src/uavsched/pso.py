@@ -13,6 +13,7 @@ schedule the list constructor builds for the sequence.
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from dataclasses import dataclass
 
@@ -59,6 +60,19 @@ class PsoConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
+        for name in ("swarm_size", "max_iterations", "convergence_window"):
+            value = exact_int(getattr(self, name))
+            if value is None:
+                raise ValueError(f"{name} must be an integer")
+            object.__setattr__(self, name, value)
+        for name in ("c1", "c2"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Real) or isinstance(value, bool):
+                raise ValueError("acceleration factors must be real numbers")
+            try:
+                object.__setattr__(self, name, float(value))
+            except OverflowError:
+                raise ValueError("acceleration factors must be finite") from None
         if self.swarm_size < 8:
             raise ValueError("swarm_size must be at least 8, one per seeding rule")
         if self.max_iterations < 1:
@@ -103,7 +117,7 @@ def velocity_cap(n_tasks: int) -> int:
 def fitness(sequence, instance: ProblemInstance) -> int:
     """Makespan of build_schedule(instance, sequence) without recording
     the timeline; 0 for an empty sequence."""
-    return _construct(instance, _dense_sequence(instance, sequence), False)
+    return _construct(instance, _dense_sequence(instance, sequence))
 
 
 def update_velocity(velocity, particle, local_best, global_best,
@@ -292,7 +306,7 @@ def run_pso(instance: ProblemInstance, config: PsoConfig | None = None) -> RunRe
     def score(seq: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
         hit = seen.get(seq)
         if hit is None:
-            hit = seen[seq] = (seq, _construct(instance, seq, False))
+            hit = seen[seq] = (seq, _construct(instance, seq))
         return hit
 
     particles = [score(tuple(p))[0] for p in

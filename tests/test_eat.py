@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from uavsched.datagen import GenSpec, generate_instance
-from uavsched.eat import build_schedule, check_sequence
+from uavsched.eat import _construct, build_schedule, check_sequence
 from uavsched.model import (
     Action,
     ActionKind,
@@ -366,6 +366,22 @@ class TestMakespanPathMatchesSchedule:
         assert fitness(seq, inst) == schedule.makespan()
         assert validate_schedule(schedule) == []
         assert sorted(schedule.task_executions()) == sorted(seq)
+
+    @settings(max_examples=100, deadline=None)
+    @given(mixed_fleet_draws())
+    def test_placements(self, draw):
+        # the walk lists one placement per task, in sequence order, and
+        # listing them changes neither the makespan nor the schedule
+        inst, seq = draw
+        view = inst.compiled()
+        dense = [view.task_index[t] for t in seq]
+        placed = []
+        assert _construct(inst, dense, placed) == _construct(inst, dense)
+        assert [p[0] for p in placed] == dense
+        assert all((j < 0) == (begin < 0) for *_, j, begin, _ in placed)
+        execs = build_schedule(inst, seq).task_executions()
+        assert [(view.uav_ids[k], start) for _, k, *_, start in placed] == \
+            [(execs[t][0], execs[t][1].start) for t in seq]
 
     @settings(max_examples=60, deadline=None)
     @given(mixed_fleet_draws())

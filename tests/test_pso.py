@@ -66,7 +66,7 @@ class TestConfig:
 
     @pytest.mark.parametrize("factor", ["c1", "c2"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf"),
-                                       float("-inf")])
+                                       float("-inf"), 10**400])
     def test_non_finite_factor_rejected(self, factor, value):
         with pytest.raises(ValueError, match="must be finite"):
             PsoConfig(**{factor: value})
@@ -80,6 +80,34 @@ class TestConfig:
         cfg = PsoConfig(rng_seed=np.int64(7))
         assert cfg.rng_seed == 7 and type(cfg.rng_seed) is int
         assert PsoConfig(rng_seed=7.0).rng_seed == 7
+
+    @pytest.mark.parametrize("field", ["swarm_size", "max_iterations",
+                                       "convergence_window"])
+    def test_integral_counts_read_as_int(self, field):
+        for value in (40.0, np.int64(40)):
+            got = getattr(PsoConfig(**{field: value}), field)
+            assert got == 40 and type(got) is int
+
+    @pytest.mark.parametrize("field,value", [
+        ("swarm_size", 8.5), ("max_iterations", 2.5),
+        ("convergence_window", 1.5), ("swarm_size", True),
+        ("max_iterations", "3"), ("convergence_window", None)])
+    def test_non_integer_count_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            PsoConfig(**{field: value})
+
+    @pytest.mark.parametrize("factor", ["c1", "c2"])
+    @pytest.mark.parametrize("value", [True, False, np.bool_(True), "1"])
+    def test_non_number_factor_rejected(self, factor, value):
+        with pytest.raises(ValueError, match="must be real numbers"):
+            PsoConfig(**{factor: value})
+
+    @pytest.mark.parametrize("value", [2, np.int64(2), np.float32(2)])
+    def test_factors_read_as_float(self, value):
+        # report.json serializes them; numpy scalars would not
+        cfg = PsoConfig(c1=value, c2=value)
+        assert (cfg.c1, cfg.c2) == (2.0, 2.0)
+        assert type(cfg.c1) is float and type(cfg.c2) is float
 
     def test_frozen(self):
         cfg = PsoConfig()
@@ -692,9 +720,9 @@ class TestRunPsoDifferential:
             decodes.append(tuple(seq))
             return decode(seq, view)
 
-        def counting_construct(instance, seq, record):
-            builds.append((tuple(seq), record))
-            return construct(instance, seq, record)
+        def counting_construct(instance, seq, placed=None):
+            builds.append((tuple(seq), placed is not None))
+            return construct(instance, seq, placed)
 
         monkeypatch.setattr(pso, "_decode", counting_decode)
         monkeypatch.setattr(pso, "_construct", counting_construct)

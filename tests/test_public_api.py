@@ -87,3 +87,38 @@ def test_no_unreferenced_definitions():
     unreferenced = {shown for shown, name in defined_names()
                     if name not in known}
     assert unreferenced == UNREFERENCED_ALLOWED
+
+
+# Imported names a module binds for others, by module.
+UNUSED_IMPORTS_ALLOWED = {
+    # the package's re-exports
+    "__init__": exported_names(),
+    # `uavsched.datagen` still exports it from its old home
+    "datagen": {"validate_precedence"},
+    # wrapped by the benchmark's tracer as names of `uavsched.pso`
+    "pso": {"repair", "apply_swaps"},
+}
+
+
+def unused_imports():
+    """(module, name) of every name a src/uavsched module imports and
+    never uses."""
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported |= {(a.asname or a.name).split(".")[0]
+                             for a in node.names}
+            elif isinstance(node, ast.ImportFrom) and \
+                    node.module != "__future__":
+                imported |= {a.asname or a.name for a in node.names}
+        used = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)}
+        allowed = UNUSED_IMPORTS_ALLOWED.get(path.stem, set())
+        yield from sorted((path.stem, name)
+                          for name in imported - used - allowed)
+
+
+def test_no_unused_imports():
+    assert list(unused_imports()) == []
