@@ -215,6 +215,8 @@ def _experiment_grid(args) -> ExperimentGrid:
                           base_seed=args.seed)
     if grid.repetitions < 1:
         raise UsageError("--reps must be at least 1")
+    if args.jobs < 1:
+        raise UsageError("--jobs must be at least 1")
     if min(grid.task_counts) < 0:
         raise UsageError("--tasks must be non-negative")
     try:

@@ -2,10 +2,12 @@
 
 Tasks are drawn from three families: quick single inspections, longer
 compound inspections, and material handling whose duration is a fixed
-handling overhead plus the carry flight. Every generated task must fit
-the tightest battery window in the fleet no matter where the assigned
-UAV comes from; draws that cannot are resampled. Precedence edges run
-from lower to higher ids and are transitively reduced.
+handling overhead plus the carry flight. A family only picks what is
+drawn; each task's type is `infer_task_type` of the draw. Every
+generated task must fit the tightest battery window in the fleet no
+matter where the assigned UAV comes from; draws that cannot are
+resampled. Precedence edges run from lower to higher ids and are
+transitively reduced.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from .model import (
     TrajectoryMap,
     Uav,
     exact_int,
+    infer_task_type,
     position_tables,
     validate_precedence,  # re-exported as uavsched.datagen.validate_precedence
 )
@@ -49,7 +52,9 @@ class GenSpec:
     n_tasks: int
     seed: int = 0
     max_predecessors: int = 2
-    # (single inspection, compound inspection, material handling)
+    # draw weights of (single_band, compound_band, material handling);
+    # a task's type is infer_task_type of its draw, so a band that
+    # crosses 80 s gives tasks of the other inspection type
     type_weights: tuple[float, float, float] = (1.0, 1.0, 1.0)
     single_band: tuple[int, int] = (20, 80)
     compound_band: tuple[int, int] = (100, 200)
@@ -118,7 +123,8 @@ def _type_cdf(weights) -> list[float]:
 def _draw_task(tid: int, spec: GenSpec, fm: TrajectoryMap, worst_in,
                nearest_leg, capacity: int, work: list[str], cdf, rng):
     """(type, start, end, proc_time) of the first draw that a fresh UAV
-    can fly from the farthest position, escape flight included."""
+    can fly from the farthest position, escape flight included; the
+    type is `infer_task_type`'s."""
     for _ in range(MAX_RESAMPLE_ATTEMPTS):
         kind = _TYPES[bisect_right(cdf, rng.random())]
         if kind is TaskType.MATERIAL_HANDLING:
@@ -132,7 +138,7 @@ def _draw_task(tid: int, spec: GenSpec, fm: TrajectoryMap, worst_in,
             proc = rng.integers(lo, hi + 1)
         if (worst_in[fm.index[start]] + proc
                 + nearest_leg[fm.index[end]] <= capacity):
-            return kind, start, end, proc
+            return infer_task_type(start, end, proc), start, end, proc
     raise GenerationError(
         f"task {tid}: no draw fit the battery window after "
         f"{MAX_RESAMPLE_ATTEMPTS} attempts; bands exceed capacity {capacity}")

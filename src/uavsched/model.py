@@ -216,10 +216,10 @@ class Action:
 
 
 class PrecedenceGraph:
-    """Directed acyclic dependency structure over task ids.
-
-    The one owner of reachability: topological order, transitive
-    closures and redundant-edge detection all live here.
+    """Directed acyclic dependency structure over task ids, as
+    validation and generation check it: topological order, the
+    successor closure and redundant-edge detection. The priority rules
+    run the same `_closure` over the compiled view's dense indices.
     """
 
     def __init__(self, predecessors):
@@ -254,9 +254,6 @@ class PrecedenceGraph:
             raise CycleError([t for t in self.task_ids if indeg[t]])
         return order
 
-    def transitive_predecessors(self) -> dict[int, frozenset[int]]:
-        return _closure(self.topological_order(), self.direct_predecessors)
-
     def transitive_successors(self) -> dict[int, frozenset[int]]:
         return _closure(reversed(self.topological_order()),
                         self.direct_successors)
@@ -275,8 +272,8 @@ class PrecedenceGraph:
 
 
 def _closure(order, edges) -> dict[int, frozenset[int]]:
-    """Every id reachable over edges from each id; order must list each
-    id after all of its edge targets."""
+    """Every task (id or dense index) reachable over edges from each
+    task; order must list each task after all of its edge targets."""
     closure: dict[int, frozenset[int]] = {}
     for t in order:
         acc: set[int] = set()
@@ -295,12 +292,6 @@ def validate_precedence(tasks) -> list[str]:
     caught in a cycle or the redundant edges already implied by longer
     paths. The edges of repeated ids are pooled.
     """
-    return _precedence_findings(tasks)[0]
-
-
-def _precedence_findings(tasks) -> tuple[list[str], PrecedenceGraph]:
-    """validate_precedence's findings and the graph of the known edges
-    it checked for a cycle and for redundancy."""
     counts = Counter(t.id for t in tasks)
     problems = [f"task {tid} appears more than once"
                 for tid in sorted(tid for tid, c in counts.items() if c > 1)]
@@ -314,13 +305,12 @@ def _precedence_findings(tasks) -> tuple[list[str], PrecedenceGraph]:
                 problems.append(f"task {t.id} depends on itself")
             else:
                 preds[t.id].add(p)
-    graph = PrecedenceGraph(preds)
     try:
         problems += [f"edge {u} -> {v} is redundant (implied by a longer path)"
-                     for u, v in graph.redundant_edges()]
+                     for u, v in PrecedenceGraph(preds).redundant_edges()]
     except CycleError as exc:
         problems.append(f"cycle among tasks {exc.tasks}")
-    return problems, graph
+    return problems
 
 
 @dataclass(frozen=True)
@@ -380,17 +370,13 @@ class ProblemInstance:
         self.uavs_by_id = {u.id: u for u in self.uavs}
         self._station_pos = frozenset(s.pos for s in self.stations)
         self._compiled: CompiledInstance | None = None
-        self.validate()     # sets self._graph and self._nearest_leg
+        self.validate()     # sets self._nearest_leg
 
     def task(self, task_id: int) -> Task:
         try:
             return self.tasks_by_id[task_id]
         except KeyError:
             raise SequenceError(f"unknown task id {task_id}") from None
-
-    def graph(self) -> PrecedenceGraph:
-        """The precedence graph validation built; shared, so read-only."""
-        return self._graph
 
     def station_positions(self) -> frozenset[str]:
         return self._station_pos
@@ -406,7 +392,10 @@ class ProblemInstance:
             ordered = [self.tasks_by_id[t] for t in task_index]
             preds = tuple(tuple(task_index[p] for p in t.predecessors)
                           for t in ordered)
-            succs = self._graph.direct_successors
+            succs = [[] for _ in preds]
+            for d, ps in enumerate(preds):  # d ascending
+                for p in ps:
+                    succs[p].append(d)
             self._compiled = CompiledInstance(
                 position_ids=tuple(p.id for p in m.positions),
                 seconds=m.seconds,
@@ -419,8 +408,7 @@ class ProblemInstance:
                              nearest_leg[idx[t.end_pos]]) for t in ordered),
                 task_index=task_index,
                 task_preds=preds,
-                task_succs=tuple(tuple(map(task_index.get, succs[t]))
-                                 for t in task_index),
+                task_succs=tuple(map(tuple, succs)),
                 uav_ids=tuple(u.id for u in self.uavs),
                 uav_start=tuple(idx[u.initial_pos] for u in self.uavs),
                 uav_capacity=tuple(u.battery_capacity for u in self.uavs),
@@ -473,7 +461,7 @@ class ProblemInstance:
             if t.type != TaskType.MATERIAL_HANDLING and t.start_pos != t.end_pos:
                 raise InstanceError(
                     f"inspection task {t.id} must start and end at one position")
-        problems, self._graph = _precedence_findings(self.tasks)
+        problems = validate_precedence(self.tasks)
         if problems:
             raise InstanceError("; ".join(problems))
         worst_in, self._nearest_leg = position_tables(m, self.stations)

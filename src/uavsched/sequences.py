@@ -1,8 +1,9 @@
 """Permutation algebra for task sequences.
 
-Sequences are lists of task ids; the difference walk and the greedy
-decode run on dense labels (the swarm passes the compiled view's task
-indices), and `repair` and `pso.update_velocity` convert ids for them.
+Sequences are lists of task ids; the difference walk, the greedy
+decode and the priority rules run on dense labels (the swarm passes the
+compiled view's task indices), and `repair`, `priority_orderings` and
+`pso.update_velocity` convert ids for them.
 Velocities for the discrete swarm are ordered lists of index
 transpositions (swap pairs) applied left to right. Repair restores
 precedence feasibility with a stable greedy decode that keeps the
@@ -14,7 +15,7 @@ from __future__ import annotations
 import heapq
 
 from .eat import _task_ids, check_sequence
-from .model import ProblemInstance, SequenceError
+from .model import ProblemInstance, SequenceError, _closure
 
 
 def apply_swaps(sequence, pairs) -> list[int]:
@@ -196,26 +197,27 @@ def priority_orderings(instance: ProblemInstance) -> dict[str, list[int]]:
     transitive followers; the inverse variant sums transitive
     predecessors instead. Ties always break toward the lower task id.
     """
-    graph = instance.graph()
-    ids = graph.task_ids
-    proc = {t: instance.task(t).proc_time for t in ids}
-    trans_pred = graph.transitive_predecessors()
-    trans_succ = graph.transitive_successors()
-    pw = {t: proc[t] + sum(proc[s] for s in trans_succ[t]) for t in ids}
-    ipw = {t: proc[t] + sum(proc[p] for p in trans_pred[t]) for t in ids}
-    keys = {
-        "positional-weight-desc": lambda t: -pw[t],
-        "inverse-positional-weight-asc": lambda t: ipw[t],
-        "direct-predecessors-asc": lambda t: len(graph.direct_predecessors[t]),
-        "direct-followers-desc": lambda t: -len(graph.direct_successors[t]),
-        "proc-time-desc": lambda t: -proc[t],
-        "proc-time-asc": lambda t: proc[t],
-        "transitive-predecessors-asc": lambda t: len(trans_pred[t]),
-        "transitive-followers-desc": lambda t: -len(trans_succ[t]),
-    }
-    out: dict[str, list[int]] = {}
-    for name in PRIORITY_RULES:
-        key = keys[name]
-        ranked = sorted(ids, key=lambda t: (key(t), t))
-        out[name] = repair(ranked, instance)
-    return out
+    view = instance.compiled()
+    ids = list(view.task_index)
+    return {name: [ids[d] for d in seq]
+            for name, seq in zip(PRIORITY_RULES, _priority_rules(view))}
+
+
+def _priority_rules(view) -> list[list[int]]:
+    """`priority_orderings` on the compiled view: the rules in
+    PRIORITY_RULES order as dense sequences. Dense indices follow the
+    ids, so the stable sort breaks ties toward the lower id."""
+    preds, succs = view.task_preds, view.task_succs
+    proc = [t[2] for t in view.tasks]
+    every = range(len(proc))
+    order = _decode(every, view)    # a topological order
+    trans_pred = _closure(order, preds)
+    trans_succ = _closure(reversed(order), succs)
+    pw = [proc[d] + sum(proc[s] for s in trans_succ[d]) for d in every]
+    ipw = [proc[d] + sum(proc[p] for p in trans_pred[d]) for d in every]
+    keys = ([-w for w in pw], ipw,
+            [len(p) for p in preds], [-len(s) for s in succs],
+            [-p for p in proc], proc,
+            [len(trans_pred[d]) for d in every],
+            [-len(trans_succ[d]) for d in every])
+    return [_decode(sorted(every, key=key.__getitem__), view) for key in keys]

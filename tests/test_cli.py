@@ -641,6 +641,8 @@ class TestExperiment:
         (["--c2", "inf"], "acceleration factors must be finite"),
         (["--seed", "-1", "--reps", "1"],
          "rng_seed must be a non-negative integer"),
+        (["--jobs", "0"], "--jobs must be at least 1"),
+        (["--jobs", "-4"], "--jobs must be at least 1"),
     ])
     def test_bad_grid_is_usage_error(self, capsys, tmp_path, argv, message):
         code, out, err = run(capsys, ["experiment", "--out-dir",

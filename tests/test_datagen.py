@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from uavsched import datagen
 from uavsched.datagen import GenSpec, GenerationError, generate_instance, \
     validate_precedence
+from uavsched.io import read_task_csv, write_task_csv
 from uavsched.model import (
     InstanceError,
     PrecedenceGraph,
@@ -17,6 +18,7 @@ from uavsched.model import (
     Task,
     TaskType,
     Uav,
+    infer_task_type,
 )
 from uavsched.sampledata import sample_map
 
@@ -152,6 +154,18 @@ class TestTaskFamilies:
             assert t.type == TaskType.MATERIAL_HANDLING
             assert t.start_pos != t.end_pos
             assert t.proc_time == 60 + fm.flight_time(t.start_pos, t.end_pos)
+
+    def test_type_follows_the_type_rule(self, tmp_path):
+        # bands that cross the 80 s line: a family only picks the draw,
+        # and a task CSV round trip keeps every type
+        inst = gen(30, 1, single_band=(20, 150), compound_band=(50, 70))
+        for t in inst.tasks:
+            assert t.type == infer_task_type(t.start_pos, t.end_pos,
+                                             t.proc_time)
+        assert {t.type for t in inst.tasks} == set(TaskType)
+        path = tmp_path / "tasks.csv"
+        write_task_csv(inst.tasks, path)
+        assert read_task_csv(path) == inst.tasks
 
     def test_every_task_fits_tightest_battery(self):
         inst = gen(60, 4)

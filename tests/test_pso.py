@@ -9,7 +9,7 @@ from uavsched import eat, pso
 from uavsched._draws import Draws
 from uavsched.datagen import GenSpec, generate_instance
 from uavsched.eat import build_schedule
-from uavsched.model import SequenceError
+from uavsched.model import PrecedenceGraph, SequenceError
 from uavsched.pso import (
     PsoConfig,
     _GeneratorSampler,
@@ -497,7 +497,7 @@ class TestMutationWindowCheck:
         ids = [t.id for t in inst.tasks]
         order = np.random.default_rng(seed).permutation(len(ids))
         base = repair([ids[k] for k in order], inst)
-        graph = inst.graph()
+        graph = PrecedenceGraph({t.id: t.predecessors for t in inst.tasks})
         rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
         got = _mutate_preserving_precedence(
             base, graph.direct_predecessors, graph.direct_successors, rng)

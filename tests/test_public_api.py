@@ -122,3 +122,39 @@ def unused_imports():
 
 def test_no_unused_imports():
     assert list(unused_imports()) == []
+
+
+def stored_private_attributes():
+    """(class.attribute, attribute) of every `self._x = ...` (plain,
+    augmented or unpacking) in a method of a src/uavsched class."""
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        for cls in ast.walk(tree):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for node in ast.walk(cls):
+                if (isinstance(node, ast.Attribute)
+                        and isinstance(node.ctx, ast.Store)
+                        and isinstance(node.value, ast.Name)
+                        and node.value.id == "self"
+                        and node.attr.startswith("_")
+                        and not node.attr.startswith("__")):
+                    yield f"{cls.name}.{node.attr}", node.attr
+
+
+def read_attributes() -> set[str]:
+    """Every attribute name src/uavsched reads, on any object."""
+    return {node.attr for path in SRC.glob("*.py")
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load)}
+
+
+def test_no_unread_private_attributes():
+    # a private attribute nothing reads is a stash that outlived its
+    # reader: a second copy of state kept up to date for no one
+    stored = dict(stored_private_attributes())
+    assert stored, "the walk found no stored private attribute"
+    read = read_attributes()
+    unread = {shown for shown, name in stored.items() if name not in read}
+    assert unread == set()

@@ -7,7 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from uavsched.datagen import GenSpec, generate_instance
-from uavsched.model import SequenceError
+from uavsched.model import (
+    PrecedenceGraph,
+    ProblemInstance,
+    SequenceError,
+    Task,
+)
 from uavsched.sequences import (
     PRIORITY_RULES,
     _decode,
@@ -358,3 +363,66 @@ class TestPriorityRules:
         inst = make_instance(tasks)
         for seq in priority_orderings(inst).values():
             assert sorted(seq) == [1, 2, 3]
+
+
+def reference_priority_orderings(instance):
+    """`priority_orderings` as it ran on the id-keyed `PrecedenceGraph`
+    validation kept, before the dense core, with `reference_repair`
+    standing in for `repair`."""
+    graph = PrecedenceGraph({t.id: t.predecessors for t in instance.tasks})
+    ids = graph.task_ids
+    proc = {t: instance.task(t).proc_time for t in ids}
+    order = graph.topological_order()
+    trans_pred = {}
+    for t in order:
+        trans_pred[t] = set(graph.direct_predecessors[t]).union(
+            *(trans_pred[p] for p in graph.direct_predecessors[t]))
+    trans_succ = graph.transitive_successors()
+    pw = {t: proc[t] + sum(proc[s] for s in trans_succ[t]) for t in ids}
+    ipw = {t: proc[t] + sum(proc[p] for p in trans_pred[t]) for t in ids}
+    keys = {
+        "positional-weight-desc": lambda t: -pw[t],
+        "inverse-positional-weight-asc": lambda t: ipw[t],
+        "direct-predecessors-asc": lambda t: len(graph.direct_predecessors[t]),
+        "direct-followers-desc": lambda t: -len(graph.direct_successors[t]),
+        "proc-time-desc": lambda t: -proc[t],
+        "proc-time-asc": lambda t: proc[t],
+        "transitive-predecessors-asc": lambda t: len(trans_pred[t]),
+        "transitive-followers-desc": lambda t: -len(trans_succ[t]),
+    }
+    return {name: reference_repair(
+        sorted(ids, key=lambda t: (keys[name](t), t)), instance)
+        for name in PRIORITY_RULES}
+
+
+@st.composite
+def relabelled_instances(draw):
+    """Generated instances with sparse ids drawn in random order, so
+    ascending ids are mostly not a topological order, and the tasks
+    listed shuffled."""
+    inst = generate_instance(GenSpec(
+        n_tasks=draw(st.integers(0, 60)), seed=draw(st.integers(0, 10**6)),
+        max_predecessors=draw(st.integers(0, 4))))
+    new_ids = draw(st.lists(st.integers(0, 10**6), min_size=len(inst.tasks),
+                            max_size=len(inst.tasks), unique=True))
+    label = dict(zip((t.id for t in inst.tasks), new_ids))
+    tasks = [Task(label[t.id], t.type, t.start_pos, t.end_pos, t.proc_time,
+                  tuple(label[p] for p in t.predecessors))
+             for t in inst.tasks]
+    return ProblemInstance(trajectory_map=inst.trajectory_map,
+                           stations=inst.stations,
+                           tasks=draw(st.permutations(tasks)),
+                           uavs=inst.uavs)
+
+
+class TestPriorityRulesMatchReference:
+    @settings(max_examples=80, deadline=None)
+    @given(relabelled_instances())
+    def test_equal_on_relabelled_ids(self, inst):
+        assert priority_orderings(inst) == reference_priority_orderings(inst)
+        # the compiled view's successors invert its predecessors
+        view = inst.compiled()
+        graph = PrecedenceGraph({t.id: t.predecessors for t in inst.tasks})
+        assert view.task_succs == tuple(
+            tuple(view.task_index[s] for s in graph.direct_successors[t])
+            for t in view.task_index)
