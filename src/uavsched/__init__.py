@@ -12,7 +12,6 @@ from .model import (
     InstanceError,
     Position,
     PositionKind,
-    PrecedenceGraph,
     ProblemInstance,
     RechargeStation,
     Schedule,

@@ -22,7 +22,6 @@ import numpy as np
 from ._draws import Draws
 from .model import (
     InstanceError,
-    PrecedenceGraph,
     ProblemInstance,
     RechargeStation,
     SchedulingError,
@@ -30,6 +29,7 @@ from .model import (
     TaskType,
     TrajectoryMap,
     Uav,
+    _check_precedence,
     exact_int,
     infer_task_type,
     position_tables,
@@ -197,7 +197,7 @@ def generate_instance(spec: GenSpec,
         k = min(rng.integers(0, spec.max_predecessors + 1), tid - 1)
         if k:   # k distinct ids below tid
             preds_of[tid] = tuple(p + 1 for p in rng.choice(tid - 1, k))
-    redundant = set(PrecedenceGraph(preds_of).redundant_edges())
+    redundant = set(_check_precedence(preds_of.items())[1])
     tasks = tuple(
         Task(tid, kind, start, end, proc,
              tuple(p for p in preds_of[tid] if (p, tid) not in redundant))

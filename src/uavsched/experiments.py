@@ -123,10 +123,12 @@ def run_experiment(grid: ExperimentGrid, jobs: int = 1,
             if progress:
                 progress(len(results), len(work))
 
+    # each cell's runs are consecutive, in cells() order, so a grid that
+    # repeats a value still summarises every cell from its own runs
     report = ExperimentReport(grid=grid, runs=results)
-    for (n, c1, c2, swarm) in grid.cells():
-        cell = [r for r in results
-                if (r.n_tasks, r.c1, r.c2, r.swarm_size) == (n, c1, c2, swarm)]
+    reps = grid.repetitions
+    for k, (n, c1, c2, swarm) in enumerate(grid.cells()):
+        cell = results[k * reps:(k + 1) * reps]
         spans = [r.best_makespan for r in cell]
         report.summaries.append(CellSummary(
             n_tasks=n, c1=c1, c2=c2, swarm_size=swarm,

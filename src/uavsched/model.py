@@ -36,14 +36,6 @@ class SequenceError(SchedulingError):
     """A task sequence is malformed or precedence-infeasible."""
 
 
-class CycleError(InstanceError):
-    """The precedence graph has a cycle; `tasks` are the ids caught in it."""
-
-    def __init__(self, tasks: list[int]):
-        super().__init__(f"precedence graph has a cycle among tasks {tasks}")
-        self.tasks = tasks
-
-
 def exact_int(value) -> int | None:
     """value as an int when it equals one: an integer or an integral
     float (3.0 is 3). None for a boolean, a string, a fraction or
@@ -215,62 +207,6 @@ class Action:
         d["task_id"], d["station"] = task_id, station
 
 
-class PrecedenceGraph:
-    """Directed acyclic dependency structure over task ids, as
-    validation and generation check it: topological order, the
-    successor closure and redundant-edge detection. The priority rules
-    run the same `_closure` over the compiled view's dense indices.
-    """
-
-    def __init__(self, predecessors):
-        """predecessors maps each task id to the ids it depends on; each
-        id's direct neighbours are kept as ascending tuples."""
-        self.task_ids = sorted(predecessors)
-        self.direct_predecessors = {
-            t: tuple(sorted(set(predecessors[t]))) for t in self.task_ids}
-        succs: dict[int, list[int]] = {t: [] for t in self.task_ids}
-        for t, preds in self.direct_predecessors.items():   # t ascending
-            for p in preds:
-                if p in succs:
-                    succs[p].append(t)
-        self.direct_successors = {t: tuple(s) for t, s in succs.items()}
-
-    def topological_order(self) -> list[int]:
-        """Kahn topological order (ids ascending among ready tasks).
-
-        Raises CycleError naming the tasks left in a cycle.
-        """
-        indeg = {t: len(p) for t, p in self.direct_predecessors.items()}
-        ready = [t for t in self.task_ids if not indeg[t]]  # sorted: a heap
-        order = []
-        while ready:
-            t = heapq.heappop(ready)
-            order.append(t)
-            for s in self.direct_successors[t]:
-                indeg[s] -= 1
-                if not indeg[s]:
-                    heapq.heappush(ready, s)
-        if len(order) != len(self.task_ids):
-            raise CycleError([t for t in self.task_ids if indeg[t]])
-        return order
-
-    def transitive_successors(self) -> dict[int, frozenset[int]]:
-        return _closure(reversed(self.topological_order()),
-                        self.direct_successors)
-
-    def redundant_edges(self) -> list[tuple[int, int]]:
-        """Direct edges already implied by a longer path, ordered by
-        (source, target); raises CycleError on a cycle."""
-        closure = self.transitive_successors()
-        redundant = []
-        for u in self.task_ids:
-            for v in self.direct_successors[u]:
-                if any(v in closure[w]
-                       for w in self.direct_successors[u] if w != v):
-                    redundant.append((u, v))
-        return redundant
-
-
 def _closure(order, edges) -> dict[int, frozenset[int]]:
     """Every task (id or dense index) reachable over edges from each
     task; order must list each task after all of its edge targets."""
@@ -284,6 +220,109 @@ def _closure(order, edges) -> dict[int, frozenset[int]]:
     return closure
 
 
+def _decode(dense, preds, succs, labels=None) -> list[int]:
+    """Emit the tasks of dense (distinct indices into preds and succs,
+    which the walk does not check) in the given priority order, each as
+    soon as its predecessors among them are emitted; predecessors
+    outside dense count as already placed. The result is shorter than
+    dense exactly when edges among its tasks form a cycle; the tasks
+    left out are those on a cycle or behind one.
+
+    The task at rank r comes out as labels[r] (dense[r] by default).
+    `rank` maps each task to its place in dense (-1 when absent). A
+    cursor walks dense in order and emits every task whose pending count
+    is zero; a task it has to skip goes onto a heap (by rank) once its
+    last predecessor is emitted, and the heap, holding only ranks behind
+    the cursor, always goes first. On range(n) this is Kahn's order with
+    the lowest ready index first.
+    """
+    if labels is None:
+        labels = dense
+    n = len(dense)
+    rank = [-1] * len(preds)
+    for r, d in enumerate(dense):
+        rank[d] = r
+    if n == len(preds):     # every task: all predecessors count
+        pending = [len(preds[d]) for d in dense]
+    else:
+        pending = [0] * n
+        for r, d in enumerate(dense):
+            for p in preds[d]:
+                if rank[p] >= 0:
+                    pending[r] += 1
+    deferred: list[int] = []
+    cursor = 0
+    out: list[int] = []
+    while True:
+        if deferred:
+            r = heapq.heappop(deferred)
+        else:
+            while cursor < n and pending[cursor]:
+                cursor += 1
+            if cursor == n:
+                break
+            r = cursor
+            cursor += 1
+        out.append(labels[r])
+        for f in succs[dense[r]]:
+            q = rank[f]
+            if q >= 0:
+                pending[q] -= 1
+                if not pending[q] and q < cursor:
+                    heapq.heappush(deferred, q)
+    return out
+
+
+def _check_precedence(pairs):
+    """The precedence structure of tasks given as (id, predecessor ids)
+    pairs, checked in one walk.
+
+    Returns (findings, redundant, task_index, task_preds, task_succs):
+    the findings `validate_precedence` reports; the redundant edges as
+    (source, target) id pairs in that order; and the kept edges on dense
+    indices. `task_index` maps each distinct id to its index, in
+    ascending id order, and `task_preds`/`task_succs` hold each index's
+    direct predecessors and successors, ascending. The edges of repeated
+    ids are pooled.
+    """
+    counts = Counter(tid for tid, _ in pairs)
+    findings = [f"task {tid} appears more than once"
+                for tid in sorted(tid for tid, c in counts.items() if c > 1)]
+    ids = sorted(counts)
+    index = {tid: d for d, tid in enumerate(ids)}
+    kept: list[set[int]] = [set() for _ in ids]
+    for tid, predecessors in pairs:
+        for p in predecessors:
+            if p not in index:
+                findings.append(
+                    f"task {tid} references unknown predecessor {p}")
+            elif p == tid:
+                findings.append(f"task {tid} depends on itself")
+            else:
+                kept[index[tid]].add(index[p])
+    preds = tuple(tuple(sorted(ps)) for ps in kept)
+    succs: list[list[int]] = [[] for _ in ids]
+    for d, ps in enumerate(preds):  # d ascending
+        for p in ps:
+            succs[p].append(d)
+    succs = tuple(map(tuple, succs))
+    order = _decode(range(len(ids)), preds, succs)
+    redundant = []
+    if len(order) < len(ids):
+        placed = set(order)
+        findings.append(f"cycle among tasks "
+                        f"{[t for d, t in enumerate(ids) if d not in placed]}")
+    else:
+        closure = _closure(reversed(order), succs)
+        for u, vs in enumerate(succs):
+            for v in vs:
+                if any(v in closure[w] for w in vs if w != v):
+                    redundant.append((ids[u], ids[v]))
+        findings += [f"edge {u} -> {v} is redundant (implied by a longer path)"
+                     for u, v in redundant]
+    return findings, redundant, index, preds, succs
+
+
 def validate_precedence(tasks) -> list[str]:
     """Report structural problems in a raw task list.
 
@@ -292,25 +331,7 @@ def validate_precedence(tasks) -> list[str]:
     caught in a cycle or the redundant edges already implied by longer
     paths. The edges of repeated ids are pooled.
     """
-    counts = Counter(t.id for t in tasks)
-    problems = [f"task {tid} appears more than once"
-                for tid in sorted(tid for tid, c in counts.items() if c > 1)]
-    preds: dict[int, set[int]] = {tid: set() for tid in counts}
-    for t in tasks:
-        for p in t.predecessors:
-            if p not in counts:
-                problems.append(
-                    f"task {t.id} references unknown predecessor {p}")
-            elif p == t.id:
-                problems.append(f"task {t.id} depends on itself")
-            else:
-                preds[t.id].add(p)
-    try:
-        problems += [f"edge {u} -> {v} is redundant (implied by a longer path)"
-                     for u, v in PrecedenceGraph(preds).redundant_edges()]
-    except CycleError as exc:
-        problems.append(f"cycle among tasks {exc.tasks}")
-    return problems
+    return _check_precedence([(t.id, t.predecessors) for t in tasks])[0]
 
 
 @dataclass(frozen=True)
@@ -370,7 +391,7 @@ class ProblemInstance:
         self.uavs_by_id = {u.id: u for u in self.uavs}
         self._station_pos = frozenset(s.pos for s in self.stations)
         self._compiled: CompiledInstance | None = None
-        self.validate()     # sets self._nearest_leg
+        self.validate()     # sets self._task_graph and self._nearest_leg
 
     def task(self, task_id: int) -> Task:
         try:
@@ -388,14 +409,8 @@ class ProblemInstance:
             idx = m.index
             station_pos = tuple(idx[s.pos] for s in self.stations)
             nearest_leg = self._nearest_leg     # validation's table
-            task_index = {t: k for k, t in enumerate(sorted(self.tasks_by_id))}
+            task_index, preds, succs = self._task_graph     # validation's
             ordered = [self.tasks_by_id[t] for t in task_index]
-            preds = tuple(tuple(task_index[p] for p in t.predecessors)
-                          for t in ordered)
-            succs = [[] for _ in preds]
-            for d, ps in enumerate(preds):  # d ascending
-                for p in ps:
-                    succs[p].append(d)
             self._compiled = CompiledInstance(
                 position_ids=tuple(p.id for p in m.positions),
                 seconds=m.seconds,
@@ -408,7 +423,7 @@ class ProblemInstance:
                              nearest_leg[idx[t.end_pos]]) for t in ordered),
                 task_index=task_index,
                 task_preds=preds,
-                task_succs=tuple(map(tuple, succs)),
+                task_succs=succs,
                 uav_ids=tuple(u.id for u in self.uavs),
                 uav_start=tuple(idx[u.initial_pos] for u in self.uavs),
                 uav_capacity=tuple(u.battery_capacity for u in self.uavs),
@@ -461,7 +476,8 @@ class ProblemInstance:
             if t.type != TaskType.MATERIAL_HANDLING and t.start_pos != t.end_pos:
                 raise InstanceError(
                     f"inspection task {t.id} must start and end at one position")
-        problems = validate_precedence(self.tasks)
+        problems, _, *self._task_graph = _check_precedence(
+            [(t.id, t.predecessors) for t in self.tasks])
         if problems:
             raise InstanceError("; ".join(problems))
         worst_in, self._nearest_leg = position_tables(m, self.stations)

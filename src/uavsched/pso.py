@@ -21,9 +21,8 @@ import numpy as np
 
 from ._draws import Draws
 from .eat import _construct, _dense_sequence, build_schedule
-from .model import ProblemInstance, Schedule, exact_int
+from .model import ProblemInstance, Schedule, _decode, exact_int
 from .sequences import (
-    _decode,
     _difference,
     _relabel,
     apply_swaps,
@@ -295,6 +294,7 @@ def run_pso(instance: ProblemInstance, config: PsoConfig | None = None) -> RunRe
     streams = np.random.SeedSequence(config.rng_seed).spawn(config.swarm_size + 1)
     rng_init = np.random.default_rng(streams[0])
     view = instance.compiled()
+    preds, succs = view.task_preds, view.task_succs
     n = len(view.tasks)
     if n <= DRAWS_MAX_TASKS:
         particle_rngs = [Draws(np.random.PCG64(s)) for s in streams[1:]]
@@ -335,7 +335,7 @@ def run_pso(instance: ProblemInstance, config: PsoConfig | None = None) -> RunRe
             raw = tuple([particle[k] for k in perm])
             hit = seen.get(raw)
             if hit is None:
-                hit = seen[raw] = score(tuple(_decode(raw, view)))
+                hit = seen[raw] = score(tuple(_decode(raw, preds, succs)))
             moved, f = hit
             particles[i] = moved
             fits[i] = f

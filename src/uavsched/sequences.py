@@ -1,21 +1,20 @@
 """Permutation algebra for task sequences.
 
-Sequences are lists of task ids; the difference walk, the greedy
-decode and the priority rules run on dense labels (the swarm passes the
-compiled view's task indices), and `repair`, `priority_orderings` and
-`pso.update_velocity` convert ids for them.
+Sequences are lists of task ids; the difference walk and the priority
+rules run on dense labels (the swarm passes the compiled view's task
+indices), and `repair`, `priority_orderings` and `pso.update_velocity`
+convert ids for them.
 Velocities for the discrete swarm are ordered lists of index
 transpositions (swap pairs) applied left to right. Repair restores
-precedence feasibility with a stable greedy decode that keeps the
+precedence feasibility with `model._decode`, the stable greedy walk
+that also orders validation, generation and the swarm: it keeps the
 relative priority of every task as far as its predecessors allow.
 """
 
 from __future__ import annotations
 
-import heapq
-
 from .eat import _task_ids, check_sequence
-from .model import ProblemInstance, SequenceError, _closure
+from .model import ProblemInstance, SequenceError, _closure, _decode
 
 
 def apply_swaps(sequence, pairs) -> list[int]:
@@ -96,62 +95,11 @@ def _greedy_order(items, instance: ProblemInstance) -> list[int]:
     except KeyError as missing:
         instance.task(missing.args[0])  # raises: unknown id
         raise
-    return _decode(dense, view, items)
-
-
-def _decode(dense, view, labels=None) -> list[int]:
-    """Emit the tasks of dense (distinct compiled-view indices, which the
-    walk does not check) in the given priority order, each as soon as
-    its predecessors among them are emitted; predecessors outside dense
-    count as already placed.
-
-    The task at rank r comes out as labels[r] (dense[r] by default).
-    `rank` maps each task to its place in dense (-1 when absent). A
-    cursor walks dense in order and emits every task whose pending count
-    is zero; a task it has to skip goes onto a heap (by rank) once its
-    last predecessor is emitted, and the heap, holding only ranks behind
-    the cursor, always goes first.
-    """
-    preds, succs = view.task_preds, view.task_succs
-    if labels is None:
-        labels = dense
-    n = len(dense)
-    rank = [-1] * len(preds)
-    for r, d in enumerate(dense):
-        rank[d] = r
-    if n == len(preds):     # every task: all predecessors count
-        pending = [len(preds[d]) for d in dense]
-    else:
-        pending = [0] * n
-        for r, d in enumerate(dense):
-            for p in preds[d]:
-                if rank[p] >= 0:
-                    pending[r] += 1
-    deferred: list[int] = []
-    cursor = 0
-    out: list[int] = []
-    while True:
-        if deferred:
-            r = heapq.heappop(deferred)
-        else:
-            while cursor < n and pending[cursor]:
-                cursor += 1
-            if cursor == n:
-                break
-            r = cursor
-            cursor += 1
-        out.append(labels[r])
-        for f in succs[dense[r]]:
-            q = rank[f]
-            if q >= 0:
-                pending[q] -= 1
-                if not pending[q] and q < cursor:
-                    heapq.heappush(deferred, q)
-    if len(out) != n:
-        ids = list(view.task_index)
-        stuck = sorted(ids[dense[r]] for r in range(n) if pending[r])
+    out = _decode(dense, view.task_preds, view.task_succs, items)
+    if len(out) != len(items):
         raise SequenceError(
-            f"tasks {stuck} cannot be ordered: missing or cyclic predecessors")
+            f"tasks {sorted(set(items).difference(out))} cannot be ordered: "
+            "missing or cyclic predecessors")
     return out
 
 
@@ -210,7 +158,7 @@ def _priority_rules(view) -> list[list[int]]:
     preds, succs = view.task_preds, view.task_succs
     proc = [t[2] for t in view.tasks]
     every = range(len(proc))
-    order = _decode(every, view)    # a topological order
+    order = _decode(every, preds, succs)    # a topological order
     trans_pred = _closure(order, preds)
     trans_succ = _closure(reversed(order), succs)
     pw = [proc[d] + sum(proc[s] for s in trans_succ[d]) for d in every]
@@ -220,4 +168,5 @@ def _priority_rules(view) -> list[list[int]]:
             [-p for p in proc], proc,
             [len(trans_pred[d]) for d in every],
             [-len(trans_succ[d]) for d in every])
-    return [_decode(sorted(every, key=key.__getitem__), view) for key in keys]
+    return [_decode(sorted(every, key=key.__getitem__), preds, succs)
+            for key in keys]

@@ -4,6 +4,8 @@ first written (or as its per-id form last read), kept here so a faster
 or denser package path is checked against the plain one. An oracle
 that a single test file needs stays in that file."""
 
+import heapq
+
 from uavsched.eat import check_sequence
 from uavsched.model import InstanceError, SequenceError, Task, TrajectoryMap
 
@@ -69,3 +71,75 @@ def worst_case_engagement_time(task: Task, trajectory_map: TrajectoryMap,
     worst_in = max(trajectory_map.flight_time(p.id, task.start_pos)
                    for p in trajectory_map.positions)
     return task_upper_bound_time(worst_in, task, trajectory_map, stations)
+
+
+# The id-keyed precedence graph that validation and generation used
+# before they shared the dense walk `model._decode`, with the error its
+# Kahn pass raised.
+
+class CycleError(InstanceError):
+    """The precedence graph has a cycle; `tasks` are the ids caught in it."""
+
+    def __init__(self, tasks: list[int]):
+        super().__init__(f"precedence graph has a cycle among tasks {tasks}")
+        self.tasks = tasks
+
+
+class PrecedenceGraph:
+    """Directed acyclic dependency structure over task ids: topological
+    order, the successor closure and redundant-edge detection."""
+
+    def __init__(self, predecessors):
+        """predecessors maps each task id to the ids it depends on; each
+        id's direct neighbours are kept as ascending tuples."""
+        self.task_ids = sorted(predecessors)
+        self.direct_predecessors = {
+            t: tuple(sorted(set(predecessors[t]))) for t in self.task_ids}
+        succs: dict[int, list[int]] = {t: [] for t in self.task_ids}
+        for t, preds in self.direct_predecessors.items():   # t ascending
+            for p in preds:
+                if p in succs:
+                    succs[p].append(t)
+        self.direct_successors = {t: tuple(s) for t, s in succs.items()}
+
+    def topological_order(self) -> list[int]:
+        """Kahn topological order (ids ascending among ready tasks).
+
+        Raises CycleError naming the tasks left in a cycle.
+        """
+        indeg = {t: len(p) for t, p in self.direct_predecessors.items()}
+        ready = [t for t in self.task_ids if not indeg[t]]  # sorted: a heap
+        order = []
+        while ready:
+            t = heapq.heappop(ready)
+            order.append(t)
+            for s in self.direct_successors[t]:
+                indeg[s] -= 1
+                if not indeg[s]:
+                    heapq.heappush(ready, s)
+        if len(order) != len(self.task_ids):
+            raise CycleError([t for t in self.task_ids if indeg[t]])
+        return order
+
+    def transitive_successors(self) -> dict[int, frozenset[int]]:
+        closure: dict[int, frozenset[int]] = {}
+        for t in reversed(self.topological_order()):
+            acc: set[int] = set()
+            for u in self.direct_successors[t]:
+                acc.add(u)
+                acc |= closure[u]
+            closure[t] = frozenset(acc)
+        return closure
+
+    def redundant_edges(self) -> list[tuple[int, int]]:
+        """Direct edges already implied by a longer path, ordered by
+        (source, target); raises CycleError on a cycle."""
+        closure = self.transitive_successors()
+        redundant = []
+        for u in self.task_ids:
+            for v in self.direct_successors[u]:
+                if any(v in closure[w]
+                       for w in self.direct_successors[u] if w != v):
+                    redundant.append((u, v))
+        return redundant
+

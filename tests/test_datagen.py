@@ -12,18 +12,18 @@ from uavsched.datagen import GenSpec, GenerationError, generate_instance, \
 from uavsched.io import read_task_csv, write_task_csv
 from uavsched.model import (
     InstanceError,
-    PrecedenceGraph,
     ProblemInstance,
     RechargeStation,
     Task,
     TaskType,
     Uav,
+    _check_precedence,
     infer_task_type,
 )
 from uavsched.sampledata import sample_map
 
 from conftest import SMALL_MAP
-from oracles import worst_case_engagement_time
+from oracles import PrecedenceGraph, worst_case_engagement_time
 
 
 def gen(n, seed, **kw):
@@ -283,7 +283,8 @@ class TestRawPrecedenceFindings:
             "task 1 appears more than once", "cycle among tasks [1, 3]"]
 
 
-# Reference copies of the reachability code that PrecedenceGraph replaced:
+# Reference copies of the reachability code that the id-keyed
+# PrecedenceGraph (now in oracles.py) replaced:
 # the old validate_precedence (own Kahn pass and DFS) and
 # model.transitive_reduction.
 
@@ -391,8 +392,8 @@ class TestReachabilityMatchesReference:
     @given(random_dags())
     def test_reduced_edges_equal(self, tasks):
         edges = edge_set(tasks)
-        redundant = set(PrecedenceGraph(
-            {t.id: t.predecessors for t in tasks}).redundant_edges())
+        redundant = set(_check_precedence(
+            [(t.id, t.predecessors) for t in tasks])[1])
         assert edges - redundant == reference_transitive_reduction(
             edges, [t.id for t in tasks])
 
@@ -400,15 +401,14 @@ class TestReachabilityMatchesReference:
     @given(st.integers(0, 40), st.integers(0, 10_000), st.integers(0, 4))
     def test_generation_keeps_reference_reduction(self, n, seed, max_preds):
         drawn = []
+        check = datagen._check_precedence
 
-        class Recorder(PrecedenceGraph):
-            def __init__(self, predecessors):
-                drawn.append({(p, t) for t, ps in predecessors.items()
-                              for p in ps})
-                super().__init__(predecessors)
+        def recording_check(pairs):
+            drawn.append({(p, t) for t, ps in pairs for p in ps})
+            return check(pairs)
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(datagen, "PrecedenceGraph", Recorder)
+            mp.setattr(datagen, "_check_precedence", recording_check)
             inst = gen(n, seed, max_predecessors=max_preds)
         assert len(drawn) == 1
         assert edge_set(inst.tasks) == reference_transitive_reduction(

@@ -1,4 +1,5 @@
 import dataclasses
+import statistics
 
 from uavsched import experiments
 from uavsched.experiments import ExperimentGrid, run_experiment
@@ -50,3 +51,22 @@ def test_pool_never_larger_than_the_run_count(monkeypatch):
     single = dataclasses.replace(grid, repetitions=1)
     run_experiment(single, jobs=10**6)
     assert InProcessPool.asked == [2]      # one run: no pool at all
+
+
+def test_repeated_grid_value_keeps_cells_apart():
+    grid = ExperimentGrid(task_counts=(5,), c1_values=(1.0, 2.0, 1.0),
+                          swarm_sizes=(8,), repetitions=2, max_iterations=3)
+    report = run_experiment(grid)
+    assert len(report.summaries) == 3
+    for k, s in enumerate(report.summaries):
+        own = report.runs[2 * k:2 * k + 2]
+        assert [r.run_index for r in own] == [2 * k, 2 * k + 1]
+        assert {r.c1 for r in own} == {s.c1}
+        spans = [r.best_makespan for r in own]
+        assert s.repetitions == 2
+        assert (s.min_makespan, s.max_makespan) == (min(spans), max(spans))
+        assert s.mean_makespan == statistics.fmean(spans)
+        assert s.median_makespan == statistics.median(spans)
+        assert s.mean_runtime_ms == statistics.fmean(
+            r.wall_clock_ms for r in own)
+        assert s.converged_runs == sum(r.converged for r in own)

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,7 +12,6 @@ from uavsched.model import (
     InstanceError,
     Position,
     PositionKind,
-    PrecedenceGraph,
     ProblemInstance,
     RechargeStation,
     Schedule,
@@ -19,15 +20,24 @@ from uavsched.model import (
     TrajectoryMap,
     Uav,
     UnknownPositionError,
+    _check_precedence,
+    _closure,
+    _decode,
     exact_int,
     infer_task_type,
     position_tables,
+    validate_precedence,
 )
 from uavsched.io import read_task_csv
 from uavsched.sequences import priority_orderings
 
 from conftest import SMALL_MAP, haul, inspect, make_instance
-from oracles import nearest_recharge_station, worst_case_engagement_time
+from oracles import (
+    CycleError,
+    PrecedenceGraph,
+    nearest_recharge_station,
+    worst_case_engagement_time,
+)
 
 
 class TestTrajectoryMap:
@@ -91,39 +101,122 @@ class TestTask:
 
 
 class TestPrecedenceGraph:
+    """The one precedence walk: `_check_precedence`'s dense lists and
+    `_decode` over all of them."""
+
     def _graph(self, *tasks):
-        return PrecedenceGraph({t.id: t.predecessors for t in tasks})
+        return _check_precedence([(t.id, t.predecessors) for t in tasks])
 
     def test_topological_order_respects_edges(self):
-        g = self._graph(inspect(1, "a", 5), inspect(2, "a", 5, [1]),
-                        inspect(3, "a", 5, [1]), inspect(4, "a", 5, [2, 3]))
-        order = g.topological_order()
+        _, _, index, preds, succs = self._graph(
+            inspect(1, "a", 5), inspect(2, "a", 5, [1]),
+            inspect(3, "a", 5, [1]), inspect(4, "a", 5, [2, 3]))
+        ids = list(index)
+        order = [ids[d] for d in _decode(range(len(ids)), preds, succs)]
         pos = {t: i for i, t in enumerate(order)}
         assert pos[1] < pos[2] and pos[1] < pos[3]
         assert pos[2] < pos[4] and pos[3] < pos[4]
 
     def test_direct_neighbours_ascending(self):
-        g = PrecedenceGraph({4: [3, 2, 3], 3: [1], 2: [1], 1: []})
-        assert g.direct_predecessors == {1: (), 2: (1,), 3: (1,), 4: (2, 3)}
-        assert g.direct_successors == {1: (2, 3), 2: (4,), 3: (4,), 4: ()}
+        _, _, index, preds, succs = _check_precedence(
+            [(4, [3, 2, 3]), (3, [1]), (2, [1]), (1, [])])
+        assert index == {1: 0, 2: 1, 3: 2, 4: 3}
+        assert preds == ((), (0,), (0,), (1, 2))
+        assert succs == ((1, 2), (3,), (3,), ())
 
     def test_cycle_detected(self):
         a = Task(1, TaskType.SINGLE_INSPECTION, "a", "a", 5, (2,))
         b = Task(2, TaskType.SINGLE_INSPECTION, "a", "a", 5, (1,))
-        with pytest.raises(InstanceError):
-            self._graph(a, b).topological_order()
+        findings, _, _, preds, succs = self._graph(a, b)
+        assert findings == ["cycle among tasks [1, 2]"]
+        assert _decode(range(2), preds, succs) == []
+        with pytest.raises(InstanceError,
+                           match=r"^cycle among tasks \[1, 2\]$"):
+            make_instance([a, b])
 
     def test_transitive_closures(self):
-        g = self._graph(inspect(1, "a", 5), inspect(2, "a", 5, [1]),
-                        inspect(3, "a", 5, [2]))
-        assert g.transitive_successors()[1] == {2, 3}
+        _, _, index, preds, succs = self._graph(
+            inspect(1, "a", 5), inspect(2, "a", 5, [1]),
+            inspect(3, "a", 5, [2]))
+        order = _decode(range(len(index)), preds, succs)
+        assert _closure(reversed(order), succs)[index[1]] == {
+            index[2], index[3]}
 
     def test_redundant_edge_reported(self):
         # 1 -> 2 -> 3 plus shortcut 1 -> 3
-        g = self._graph(inspect(1, "a", 5), inspect(2, "a", 5, [1]),
-                        inspect(3, "a", 5, [1, 2]))
-        assert g.redundant_edges() == [(1, 3)]
+        findings, redundant, *_ = self._graph(
+            inspect(1, "a", 5), inspect(2, "a", 5, [1]),
+            inspect(3, "a", 5, [1, 2]))
+        assert redundant == [(1, 3)]
+        assert findings == [
+            "edge 1 -> 3 is redundant (implied by a longer path)"]
 
+
+def graph_validate_precedence(tasks) -> list[str]:
+    """`validate_precedence` as it ran on the id-keyed `PrecedenceGraph`."""
+    counts = Counter(t.id for t in tasks)
+    problems = [f"task {tid} appears more than once"
+                for tid in sorted(tid for tid, c in counts.items() if c > 1)]
+    preds: dict[int, set[int]] = {tid: set() for tid in counts}
+    for t in tasks:
+        for p in t.predecessors:
+            if p not in counts:
+                problems.append(
+                    f"task {t.id} references unknown predecessor {p}")
+            elif p == t.id:
+                problems.append(f"task {t.id} depends on itself")
+            else:
+                preds[t.id].add(p)
+    try:
+        problems += [f"edge {u} -> {v} is redundant (implied by a longer path)"
+                     for u, v in PrecedenceGraph(preds).redundant_edges()]
+    except CycleError as exc:
+        problems.append(f"cycle among tasks {exc.tasks}")
+    return problems
+
+
+@st.composite
+def raw_task_lists(draw, clean=False):
+    """Tasks with sparse ids, listed shuffled. Half the lists only draw
+    predecessors from tasks earlier in an id order that is mostly not
+    ascending, so they are acyclic and often hold redundant edges; the
+    rest draw from every task, so cycles come up. Unless clean, an id
+    may repeat and a predecessor may be unknown or the task itself."""
+    ids = draw(st.lists(st.integers(0, 10**6), max_size=12, unique=True))
+    acyclic = draw(st.booleans())
+    tasks = []
+    for k, tid in enumerate(ids):
+        copies = 1 if clean else draw(st.integers(1, 2))
+        for _ in range(copies):
+            pool = ids[:k] if acyclic else [p for p in ids if p != tid]
+            picks = [st.sampled_from(pool)] if pool else []
+            if not clean:
+                picks += [st.integers(0, 10**6), st.just(tid)]
+            preds = draw(st.lists(st.one_of(picks), max_size=4)) \
+                if picks else []
+            tasks.append(Task(tid, TaskType.SINGLE_INSPECTION, "a", "a", 30,
+                              tuple(preds)))
+    return draw(st.permutations(tasks))
+
+
+class TestPrecedenceMatchesOracle:
+    @settings(max_examples=500, deadline=None)
+    @given(raw_task_lists())
+    def test_findings_equal(self, tasks):
+        assert validate_precedence(tasks) == graph_validate_precedence(tasks)
+
+    @settings(max_examples=500, deadline=None)
+    @given(raw_task_lists(clean=True))
+    def test_walk_equals_kahn(self, tasks):
+        graph = PrecedenceGraph({t.id: t.predecessors for t in tasks})
+        _, _, index, preds, succs = _check_precedence(
+            [(t.id, t.predecessors) for t in tasks])
+        ids = list(index)
+        walked = [ids[d] for d in _decode(range(len(ids)), preds, succs)]
+        try:
+            assert walked == graph.topological_order()
+        except CycleError as exc:
+            assert sorted(set(ids).difference(walked)) == exc.tasks
 
 class TestInstanceValidation:
     def test_sample_passes(self, lab):
@@ -189,14 +282,14 @@ class TestInstanceValidation:
 
     def test_one_graph_per_validation(self, lab):
         built = []
+        check = model._check_precedence
 
-        class Recorder(PrecedenceGraph):
-            def __init__(self, predecessors):
-                built.append(predecessors)
-                super().__init__(predecessors)
+        def recording_check(pairs):
+            built.append(pairs)
+            return check(pairs)
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(model, "PrecedenceGraph", Recorder)
+            mp.setattr(model, "_check_precedence", recording_check)
             inst = ProblemInstance(trajectory_map=lab.trajectory_map,
                                    stations=lab.stations, tasks=lab.tasks,
                                    uavs=lab.uavs)

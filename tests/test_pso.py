@@ -9,7 +9,7 @@ from uavsched import eat, pso
 from uavsched._draws import Draws
 from uavsched.datagen import GenSpec, generate_instance
 from uavsched.eat import build_schedule
-from uavsched.model import PrecedenceGraph, SequenceError
+from uavsched.model import SequenceError
 from uavsched.pso import (
     PsoConfig,
     _GeneratorSampler,
@@ -25,7 +25,11 @@ from uavsched.pso import (
 from uavsched.sequences import apply_swaps, repair
 
 from conftest import inspect, make_instance
-from oracles import is_feasible_sequence, reference_difference
+from oracles import (
+    PrecedenceGraph,
+    is_feasible_sequence,
+    reference_difference,
+)
 
 WORKED_LOCAL = [1, 2, 4, 6, 5, 8, 3, 7, 10, 9, 11, 12]
 WORKED_GLOBAL = [2, 6, 1, 4, 3, 5, 7, 8, 10, 9, 11, 12]
@@ -716,9 +720,9 @@ class TestRunPsoDifferential:
         decodes, builds = [], []
         decode, construct = pso._decode, eat._construct
 
-        def counting_decode(seq, view):
+        def counting_decode(seq, preds, succs):
             decodes.append(tuple(seq))
-            return decode(seq, view)
+            return decode(seq, preds, succs)
 
         def counting_construct(instance, seq, placed=None):
             builds.append((tuple(seq), placed is not None))

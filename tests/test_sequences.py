@@ -7,15 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from uavsched.datagen import GenSpec, generate_instance
-from uavsched.model import (
-    PrecedenceGraph,
-    ProblemInstance,
-    SequenceError,
-    Task,
-)
+from uavsched.model import ProblemInstance, SequenceError, Task, _decode
 from uavsched.sequences import (
     PRIORITY_RULES,
-    _decode,
     _difference,
     _greedy_order,
     _relabel,
@@ -26,7 +20,11 @@ from uavsched.sequences import (
 )
 
 from conftest import TABLE_ROWS, inspect, make_instance
-from oracles import is_feasible_sequence, reference_difference
+from oracles import (
+    PrecedenceGraph,
+    is_feasible_sequence,
+    reference_difference,
+)
 
 permutations = st.permutations(list(range(1, 13)))
 
@@ -306,7 +304,7 @@ class TestGreedyOrderMatchesReference:
         seq = data.draw(st.permutations([t.id for t in inst.tasks]))
         dense = [view.task_index[t] for t in seq]
         want = [view.task_index[t] for t in reference_repair(seq, inst)]
-        assert _decode(dense, view) == want
+        assert _decode(dense, view.task_preds, view.task_succs) == want
 
     def test_cycle_message(self):
         # No valid instance has a cycle, so a stub carries the compiled
