@@ -33,7 +33,6 @@ from .model import (
     exact_int,
     infer_task_type,
     position_tables,
-    validate_precedence,  # re-exported as uavsched.datagen.validate_precedence
 )
 from .sampledata import sample_map
 

@@ -29,7 +29,6 @@ from .model import (
     TaskType,
     TrajectoryMap,
     Uav,
-    exact_int,
     infer_task_type,
 )
 
@@ -73,18 +72,6 @@ def _name(value, what: str) -> str:
     return value
 
 
-def _integer(value, what: str) -> int:
-    """value as an integer field (ids, times, counts) by `exact_int`:
-    int() would silently truncate a boolean or a fraction, or read a
-    string, so those are rejected."""
-    out = exact_int(value)
-    if out is None:
-        raise InstanceError(
-            f"malformed instance document: {what} must be an integer, "
-            f"not {value!r}")
-    return out
-
-
 _INTEGER_TEXT = re.compile(r"\s*[+-]?[0-9]+\s*")
 
 
@@ -102,38 +89,32 @@ def instance_from_dict(doc: dict) -> ProblemInstance:
         positions = [Position(_name(p["id"], "position id"),
                               PositionKind(p.get("kind", "work")))
                      for p in doc["positions"]]
-        fm = TrajectoryMap(positions,
-                           [[_integer(v, "flight time") for v in row]
-                            for row in doc["flight_time"]])
+        fm = TrajectoryMap(positions, doc["flight_time"])
         stations = tuple(RechargeStation(_name(s["pos"], "station pos"),
-                                         _integer(s.get("slots", 1), "slots"))
+                                         s.get("slots", 1))
                          for s in doc["stations"])
         tasks = tuple(Task(
-            id=_integer(t["id"], "task id"),
+            id=t["id"],
             type=TaskType(t["type"]),
             start_pos=_name(t["start"], "task start"),
             end_pos=_name(t["end"], "task end"),
-            proc_time=_integer(t["proc_time"], "proc_time"),
-            predecessors=tuple(_integer(p, "predecessor id")
-                               for p in t.get("predecessors", ())),
+            proc_time=t["proc_time"],
+            predecessors=t.get("predecessors", ()),
         ) for t in doc["tasks"])
         uavs = tuple(Uav(
             id=_name(u["id"], "uav id"),
             initial_pos=_name(u["initial_pos"], "uav initial_pos"),
-            battery_capacity=_integer(u.get("battery_capacity",
-                                            DEFAULT_BATTERY_CAPACITY),
-                                      "battery_capacity"),
-            recharge_duration=_integer(u.get("recharge_duration",
-                                             DEFAULT_RECHARGE_DURATION),
-                                       "recharge_duration"),
+            battery_capacity=u.get("battery_capacity",
+                                   DEFAULT_BATTERY_CAPACITY),
+            recharge_duration=u.get("recharge_duration",
+                                    DEFAULT_RECHARGE_DURATION),
         ) for u in doc["uavs"])
         # Inside the try: validation may still meet a wrongly typed
         # field and raise TypeError or ValueError.
         return ProblemInstance(trajectory_map=fm, stations=stations,
                                tasks=tasks, uavs=uavs,
                                name=doc.get("name", "instance"))
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        # OverflowError: a flight time beyond int64
+    except (KeyError, TypeError, ValueError) as exc:
         raise InstanceError(f"malformed instance document: {exc}") from exc
 
 

@@ -49,6 +49,18 @@ def exact_int(value) -> int | None:
     return out if out == value else None
 
 
+def _integer(value, what: str) -> int:
+    """value as an integer field of an instance (an id, a count or a
+    time) by `exact_int`, so 3.0 is stored as 3; a boolean, a fraction,
+    a string, NaN or an infinity raises InstanceError naming the field."""
+    if type(value) is int:
+        return value
+    out = exact_int(value)
+    if out is None:
+        raise InstanceError(f"{what} must be an integer, not {value!r}")
+    return out
+
+
 class PositionKind(str, enum.Enum):
     WORK = "work"
     RECHARGE = "recharge"
@@ -72,7 +84,8 @@ class TrajectoryMap:
     def __init__(self, positions: list[Position] | tuple[Position, ...],
                  seconds: list[list[int]]):
         self.positions = tuple(positions)
-        self.seconds = tuple(tuple(int(v) for v in row) for row in seconds)
+        self.seconds = tuple(tuple(_integer(v, "flight time") for v in row)
+                             for row in seconds)
         self.index = {p.id: i for i, p in enumerate(self.positions)}
         if len(self.index) != len(self.positions):
             raise InstanceError("duplicate position ids in trajectory map")
@@ -80,7 +93,12 @@ class TrajectoryMap:
 
     def _check_matrix(self):
         n = len(self.positions)
-        m = np.array(self.seconds, dtype=np.int64)
+        try:
+            m = np.array(self.seconds, dtype=np.int64)
+        except OverflowError:
+            big = max((v for row in self.seconds for v in row), key=abs)
+            raise InstanceError(
+                f"flight time {big} does not fit in int64") from None
         if m.shape != (n, n):
             raise InstanceError(
                 f"flight time matrix is {m.shape}, expected ({n}, {n})")
@@ -149,8 +167,11 @@ class Task:
     predecessors: tuple[int, ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "predecessors",
-                           tuple(sorted(set(self.predecessors))))
+        object.__setattr__(self, "id", _integer(self.id, "task id"))
+        object.__setattr__(self, "proc_time",
+                           _integer(self.proc_time, "proc_time"))
+        object.__setattr__(self, "predecessors", tuple(sorted(
+            {_integer(p, "predecessor id") for p in self.predecessors})))
 
 
 @dataclass(frozen=True)
@@ -160,6 +181,9 @@ class RechargeStation:
     pos: str
     slots: int = 1
 
+    def __post_init__(self):
+        object.__setattr__(self, "slots", _integer(self.slots, "slots"))
+
 
 @dataclass(frozen=True)
 class Uav:
@@ -167,6 +191,11 @@ class Uav:
     initial_pos: str
     battery_capacity: int = DEFAULT_BATTERY_CAPACITY
     recharge_duration: int = DEFAULT_RECHARGE_DURATION
+
+    def __post_init__(self):
+        for field in ("battery_capacity", "recharge_duration"):
+            object.__setattr__(self, field,
+                               _integer(getattr(self, field), field))
 
 
 class ActionKind(str, enum.Enum):

@@ -7,8 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from uavsched import datagen
-from uavsched.datagen import GenSpec, GenerationError, generate_instance, \
-    validate_precedence
+from uavsched.datagen import GenSpec, GenerationError, generate_instance
 from uavsched.io import read_task_csv, write_task_csv
 from uavsched.model import (
     InstanceError,
@@ -19,6 +18,7 @@ from uavsched.model import (
     Uav,
     _check_precedence,
     infer_task_type,
+    validate_precedence,
 )
 from uavsched.sampledata import sample_map
 

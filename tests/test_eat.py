@@ -3,14 +3,16 @@ import re
 import tracemalloc
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from uavsched.datagen import GenSpec, generate_instance
 from uavsched.eat import _construct, build_schedule, check_sequence
 from uavsched.model import (
+    AIRBORNE_KINDS,
     Action,
     ActionKind,
+    InstanceError,
     Position,
     PositionKind,
     RechargeStation,
@@ -670,6 +672,76 @@ class TestPrunedConstructorMatchesReference:
         assert constructed(build_schedule, ok, [1, 2]) == \
             constructed(reference_construct, ok, [1, 2], True)
         assert timeline(ok, [1, 2], "UAV1")[-1][:3] == (T, 181, 1181)
+
+
+def longest_sortie(schedule):
+    """The most airborne seconds any UAV of the schedule flies between
+    recharges, escape flight included: a sortie that ends in a recharge
+    counts the flight into its station, and each UAV's last sortie the
+    flight from its last position to the nearest station."""
+    fm = schedule.instance.trajectory_map
+    nearest = schedule.instance.compiled().nearest_leg
+    longest = 0
+    for acts in schedule.actions.values():
+        airborne = 0
+        for a in acts:
+            if a.kind == R:
+                longest = max(longest, airborne)
+                airborne = 0
+            elif a.kind in AIRBORNE_KINDS:
+                airborne += a.end - a.start
+        if acts:
+            longest = max(longest,
+                          airborne + nearest[fm.index[acts[-1].to_pos]])
+    return longest
+
+
+@st.composite
+def margin_draws(draw):
+    """A generated instance (1-40 tasks, 1-4 UAVs, 1-3 bays per station)
+    and a repaired full sequence, with every UAV's battery cut to the
+    longest sortie the default-capacity schedule of that sequence flies;
+    draws whose cut instance fails validation are skipped."""
+    spec = GenSpec(n_tasks=draw(st.integers(1, 40)),
+                   seed=draw(st.integers(0, 2**20)),
+                   max_predecessors=draw(st.integers(0, 3)),
+                   n_uavs=draw(st.integers(1, 4)),
+                   slots_per_station=draw(st.integers(1, 3)))
+    inst = generate_instance(spec)
+    seq = repair(draw(st.permutations([t.id for t in inst.tasks])), inst)
+    cap = longest_sortie(build_schedule(inst, seq))
+    try:
+        inst = dataclasses.replace(inst, uavs=tuple(
+            dataclasses.replace(u, battery_capacity=cap) for u in inst.uavs))
+    except InstanceError:   # a task no longer fits the battery window
+        assume(False)
+    return inst, seq
+
+
+class TestMarginHuggingBatteries:
+    """Batteries cut to the longest sortie flown put a battery check of
+    the constructor exactly at its margin (airborne time plus the task
+    and its escape flight equal to the battery left), which generated
+    draws at the default capacity almost never reach. There the
+    constructor must match the reference and build a validator-clean
+    schedule.
+
+    The mutant `left[k] < 0` -> `left[k] <= 0` in `eat._construct` is
+    equivalent and no test can kill it: after any task the battery left
+    still holds the escape flight to the nearest station, which is
+    positive, so `left[k]` is never 0 there.
+    """
+
+    @settings(max_examples=100, deadline=None)
+    @given(margin_draws())
+    def test_match_reference_and_validate_clean(self, draw):
+        inst, seq = draw
+        schedule = build_schedule(inst, seq)
+        assert constructed(lambda: schedule) == \
+            constructed(reference_construct, inst, seq, True)
+        assert constructed(fitness, seq, inst) == \
+            constructed(reference_construct, inst, seq, False)
+        assert validate_schedule(schedule) == []
 
 
 def with_slots(instance, slots):

@@ -1,3 +1,5 @@
+import dataclasses
+import json
 from collections import Counter
 
 import numpy as np
@@ -6,6 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from uavsched import model
+from uavsched.datagen import GenSpec, generate_instance
+from uavsched.eat import build_schedule
 from uavsched.model import (
     Action,
     ActionKind,
@@ -28,8 +32,8 @@ from uavsched.model import (
     position_tables,
     validate_precedence,
 )
-from uavsched.io import read_task_csv
-from uavsched.sequences import priority_orderings
+from uavsched.io import instance_to_dict, read_task_csv
+from uavsched.sequences import priority_orderings, repair
 
 from conftest import SMALL_MAP, haul, inspect, make_instance
 from oracles import (
@@ -76,6 +80,14 @@ class TestTrajectoryMap:
     def test_rejects_duplicate_ids(self):
         with pytest.raises(InstanceError):
             TrajectoryMap((Position("a"), Position("a")), ((0, 5), (5, 0)))
+
+    @pytest.mark.parametrize("far", [2**70, -2**70, 2**63])
+    def test_flight_time_beyond_int64(self, far):
+        # the matrix checks run on int64, and an input error must be an
+        # InstanceError
+        with pytest.raises(InstanceError,
+                           match=f"^flight time {far} does not fit in int64$"):
+            TrajectoryMap((Position("a"), Position("b")), ((0, far), (far, 0)))
 
     def test_work_positions(self):
         assert SMALL_MAP.work_positions() == ["a", "b"]
@@ -341,6 +353,141 @@ class TestExactInt:
         None, [1]])
     def test_other_values_are_none(self, value):
         assert exact_int(value) is None
+
+
+# Forms a numeric field of an instance can take: the integral ones are
+# read as the int, the others raise InstanceError naming the field.
+INTEGRAL_FORMS = {
+    "int": lambda v: v,
+    "integral float": float,
+    "numpy integer": np.int64,
+    "integral numpy float": np.float64,
+}
+REJECTED_FORMS = {
+    "fractional float": lambda v: v + 0.5,
+    "fractional numpy float": lambda v: np.float32(v + 0.25),
+    "bool": lambda v: v % 2 == 1,
+}
+FORMS = {**INTEGRAL_FORMS, **REJECTED_FORMS}
+
+
+def pair_map(seconds):
+    """A two-position map with seconds between a and b."""
+    return TrajectoryMap((Position("a"), Position("b")),
+                         ((0, seconds), (seconds, 0)))
+
+
+class TestIntegerRule:
+    """Every id, count and duration of an instance is an integer by
+    `exact_int`, checked when its object is built: an integral value is
+    stored as an int, anything else raises InstanceError naming the
+    field."""
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda: RechargeStation("R1", slots=1.5),
+         "slots must be an integer, not 1.5"),
+        (lambda: inspect(1, "a", 10.5),
+         "proc_time must be an integer, not 10.5"),
+        (lambda: inspect(1, "a", True),
+         "proc_time must be an integer, not True"),
+        (lambda: Uav("UAV1", "R1", battery_capacity=1200.5),
+         "battery_capacity must be an integer, not 1200.5"),
+        (lambda: Uav("UAV1", "R1", recharge_duration="2700"),
+         "recharge_duration must be an integer, not '2700'"),
+        (lambda: pair_map(108.7), "flight time must be an integer, not 108.7"),
+        (lambda: pair_map("12"), "flight time must be an integer, not '12'"),
+        (lambda: pair_map(float("nan")),
+         "flight time must be an integer, not nan"),
+        (lambda: inspect(2.5, "a", 10),
+         "task id must be an integer, not 2.5"),
+        (lambda: inspect(2, "a", 10, [np.bool_(True)]),
+         "predecessor id must be an integer, not "),
+        (lambda: inspect(2, "a", float("inf")),
+         "proc_time must be an integer, not inf"),
+    ])
+    def test_constructors_reject(self, build, message):
+        with pytest.raises(InstanceError) as exc:
+            build()
+        assert str(exc.value).startswith(message)
+
+    def test_integral_values_stored_as_int(self):
+        t = Task(id=3.0, type=TaskType.SINGLE_INSPECTION, start_pos="a",
+                 end_pos="a", proc_time=30.0, predecessors=(np.int64(2), 1.0))
+        assert (t.id, t.proc_time, t.predecessors) == (3, 30, (1, 2))
+        u = Uav("UAV1", "R1", np.float64(1200), np.int32(2700))
+        s = RechargeStation("R1", np.uint8(2))
+        fm = pair_map(np.float32(5))
+        assert fm.seconds == ((0, 5), (5, 0))
+        for value in (t.id, t.proc_time, *t.predecessors, u.battery_capacity,
+                      u.recharge_duration, s.slots, *fm.seconds[0]):
+            assert type(value) is int
+
+    def test_replace_checks_again(self):
+        with pytest.raises(InstanceError, match="^battery_capacity"):
+            dataclasses.replace(Uav("UAV1", "R1"), battery_capacity=0.5)
+        with pytest.raises(InstanceError, match="^slots"):
+            dataclasses.replace(RechargeStation("R1"), slots=True)
+        assert dataclasses.replace(inspect(1, "a", 5), proc_time=7.0) \
+            .proc_time == 7
+
+    def test_fractional_slots_raise_at_the_station(self):
+        # the constructor counts a station's unused bays down to 0, which
+        # 1.5 never reaches, while the validator holds 1.5 as the limit
+        inst = generate_instance(GenSpec(n_tasks=60, seed=3, n_uavs=5))
+        with pytest.raises(InstanceError,
+                           match=r"^slots must be an integer, not 1\.5$"):
+            dataclasses.replace(inst, stations=tuple(
+                RechargeStation(s.pos, 1.5) for s in inst.stations))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 12), st.integers(0, 2**20), st.integers(1, 3),
+           st.integers(1, 3), st.booleans(),
+           st.randoms(use_true_random=False))
+    def test_each_field_is_read_or_named(self, n_tasks, seed, n_uavs, slots,
+                                         integral, rnd):
+        """Every numeric field of a generated instance drawn in one of
+        FORMS: the rebuilt instance raises at the first rejected field,
+        in build order, or equals the all-int one and schedules alike."""
+        inst = generate_instance(GenSpec(n_tasks=n_tasks, seed=seed,
+                                         n_uavs=n_uavs,
+                                         slots_per_station=slots))
+        forms = sorted(INTEGRAL_FORMS if integral else FORMS)
+        drawn = []      # (field, rejected), in the order they are built
+
+        def reform(value, field):
+            form = rnd.choice(forms)
+            drawn.append((field, form in REJECTED_FORMS))
+            return FORMS[form](value)
+
+        fm = inst.trajectory_map
+        try:
+            rebuilt = ProblemInstance(
+                trajectory_map=TrajectoryMap(fm.positions, [
+                    [reform(v, "flight time") for v in row]
+                    for row in fm.seconds]),
+                stations=[RechargeStation(s.pos, reform(s.slots, "slots"))
+                          for s in inst.stations],
+                tasks=[Task(reform(t.id, "task id"), t.type, t.start_pos,
+                            t.end_pos, reform(t.proc_time, "proc_time"),
+                            [reform(p, "predecessor id")
+                             for p in t.predecessors])
+                       for t in inst.tasks],
+                uavs=[Uav(u.id, u.initial_pos,
+                          reform(u.battery_capacity, "battery_capacity"),
+                          reform(u.recharge_duration, "recharge_duration"))
+                      for u in inst.uavs],
+                name=inst.name)
+        except InstanceError as exc:
+            first = next(field for field, rejected in drawn if rejected)
+            assert str(exc).startswith(f"{first} must be an integer, not ")
+            return
+        assert not any(rejected for _, rejected in drawn)
+        # json writes 3.0 as "3.0" and rejects numpy scalars
+        assert json.dumps(instance_to_dict(rebuilt)) == \
+            json.dumps(instance_to_dict(inst))
+        seq = repair([t.id for t in inst.tasks], inst)
+        assert build_schedule(rebuilt, seq).actions == \
+            build_schedule(inst, seq).actions
 
 
 class TestGeometryHelpers:

@@ -93,8 +93,6 @@ def test_no_unreferenced_definitions():
 UNUSED_IMPORTS_ALLOWED = {
     # the package's re-exports
     "__init__": exported_names(),
-    # `uavsched.datagen` still exports it from its old home
-    "datagen": {"validate_precedence"},
     # wrapped by the benchmark's tracer as names of `uavsched.pso`
     "pso": {"repair", "apply_swaps"},
 }
