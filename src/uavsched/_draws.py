@@ -16,15 +16,32 @@ fresh `Generator` on the same bit generator returns, call for call:
   method and then a shuffle, or, when n > 10000 and k > n // 50, a
   partial shuffle of range(n) whose tail is the result.
 
+`sample` and `skip`, the particles' draws, take a run of bounds up to
+`_SMALL` in one slice of the half-word stream. Such a bound rejects
+only a word of `_REJECTABLE` (138 of them), so when the slice holds
+none, each draw is its word times its bound over 2**32, and only the
+values a caller uses are computed; otherwise the exact loop redraws the
+run from the words already taken.
+
 The bit generator runs ahead of the draws by up to one block, so a
 `Draws` must be the only user of its bit generator.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
+from itertools import chain, islice
+
 _BLOCK = 64
 _WORD = 1 << 32
 _LOW = _WORD - 1
+# above the bounds of every particle draw: a difference list at
+# pso.DRAWS_MAX_TASKS tasks or fewer holds fewer pairs
+_SMALL = 32
+# the words w that some bound b <= _SMALL rejects: for w * b =
+# q * 2**32 + r, the low half r = -q * 2**32 mod b is below 2**32 mod b
+_REJECTABLE = frozenset((q * _WORD + r) // b for b in range(2, _SMALL + 1)
+                        for q in range(b) if (r := -q * _WORD % b) < _WORD % b)
 
 
 def _outputs(bit_generator):
@@ -49,15 +66,30 @@ def _redraw(m: int, bound: int, bits: int, draw) -> int:
     return m
 
 
+def _bounds(n: int, k: int) -> tuple[int, ...]:
+    """What choice(n, k) draws below with Floyd's method: Floyd's j over
+    max(n-k, 1)..n-1 draws below j + 1 (so j = 0 draws nothing), then
+    the shuffle's i over k-1..1 below i + 1."""
+    return (*range(max(n - k, 1) + 1, n + 1), *range(k, 1, -1))
+
+
+_small_bounds = lru_cache(maxsize=None)(_bounds)    # for n <= _SMALL
+
+
 class Draws:
     """What `Generator(bit_generator)` would draw, for `random`,
-    `integers(low, high)` and `choice(n, size=k, replace=False)`."""
+    `integers(low, high)` and `choice(n, size=k, replace=False)`.
 
-    __slots__ = ("_output", "_word")
+    `sample` and `skip` make every draw of choice's, so the stream
+    advances exactly, but compute only the values their caller uses:
+    `skip`, for draws whose values cannot matter, computes none."""
+
+    __slots__ = ("_output", "_halves", "_word")
 
     def __init__(self, bit_generator):
         self._output = _outputs(bit_generator).__next__
-        self._word = _halves(self._output).__next__
+        self._halves = _halves(self._output)
+        self._word = self._halves.__next__
 
     def random(self) -> float:
         return (self._output() >> 11) * (1.0 / 9007199254740992.0)
@@ -97,10 +129,8 @@ class Draws:
             return out[n - k:]
         if not k:
             return []
-        # Floyd's j runs over n-k..n-1, drawing below j + 1 (so j = 0
-        # draws nothing), then the shuffle's i over k-1..1
         start = max(n - k, 1)
-        bounds = (*range(start + 1, n + 1), *range(k, 1, -1))
+        bounds = _bounds(n, k)
         drawn = (self._draw(bounds) if n <= _WORD
                  else list(map(self._below, bounds)))
         out = [0] * (start - (n - k))
@@ -114,19 +144,40 @@ class Draws:
             out[i], out[j] = out[j], out[i]
         return out
 
+    def _floyd(self, n: int, k: int) -> tuple[tuple[int, ...], list[int]]:
+        """The draws of choice(n, k) for 0 < k <= n <= 10000: its bounds
+        and the word each draw accepts, so that draw i is words[i] *
+        bounds[i] >> 32."""
+        if n <= _SMALL:
+            bounds = _small_bounds(n, k)
+            words = list(islice(self._halves, len(bounds)))
+            if _REJECTABLE.isdisjoint(words):
+                return bounds, words
+            word = chain(words, self._halves).__next__
+        else:
+            bounds, word = _bounds(n, k), self._word
+        return bounds, [_redraw(word() * b, b, 32, word) // b for b in bounds]
+
     def sample(self, n: int, k: int) -> list[int] | None:
         """sorted(choice(n, k)) for 0 < k <= n, or None for all of
         range(n) when k == n, whose draws are made but not used."""
         if n > 10000:
             picks = self.choice(n, k)
             return sorted(picks) if k < n else None
+        bounds, words = self._floyd(n, k)
         if k == n:
-            self._draw((*range(2, n + 1), *range(n, 1, -1)))
             return None
-        if k == 1:
-            return [self._below(n)]
-        taken = set()   # Floyd's picks, as in choice
-        for j, v in zip(range(n - k, n), self._draw(range(n - k + 1, n + 1))):
+        # Floyd's picks, as in choice; sorting undoes the shuffle
+        taken = set()
+        for j, w, b in zip(range(n - k, n), words, bounds):
+            v = w * b >> 32
             taken.add(j if v in taken else v)
-        self._draw(range(k, 1, -1))     # the shuffle, which sorting undoes
         return sorted(taken)
+
+    def skip(self, n: int, k: int) -> None:
+        """Leaves the stream where sample(n, k) leaves it: the draws are
+        made, but for n up to _SMALL no value is computed."""
+        if n > 10000:
+            self.choice(n, k)
+        else:
+            self._floyd(n, k)

@@ -93,6 +93,9 @@ class TrajectoryMap:
 
     def _check_matrix(self):
         n = len(self.positions)
+        if len({len(row) for row in self.seconds}) > 1:
+            raise InstanceError(
+                f"flight time matrix is ragged, expected ({n}, {n})")
         try:
             m = np.array(self.seconds, dtype=np.int64)
         except OverflowError:

@@ -40,8 +40,9 @@ from .sequences import (
 # computes its Generator's draws in Python; above it, from the Generator
 # itself. The stream's cost grows with the difference lists, numpy's is
 # mostly per call: in-process `run_pso` (Python 3.11, numpy 2.4, a
-# 2-core x86 host) ran x1.33 faster on the stream at 10 tasks, level at
-# 20 and 25, and x0.96 at 30.
+# 2-core Xeon host, call-by-call interleaved pairs) ran x1.33 faster on
+# the stream at 10 tasks, x1.09 at 20, x1.03-1.05 at 25 and x0.98-1.03
+# at 30.
 DRAWS_MAX_TASKS = 20
 
 
@@ -157,9 +158,13 @@ def _step_velocity(mask, particle, local_best, global_best,
     mask holds n*n bytes with both orientations of every pair in the
     velocity set; a pair found there is dropped and each new pair is
     marked. One position list of the particle serves both difference
-    walks. rng gives `random()` and `sample(size, count)`: the sorted
+    walks. rng gives `random()`; `sample(size, count)`, the sorted
     indices of `count` pairs drawn from a difference list of `size`, or
-    None when the whole list is drawn, which is then taken as it stands.
+    None when the whole list is drawn, which is then taken as it stands;
+    and `skip(size, count)`, which leaves rng where `sample` would. A
+    list whose every pair is already in the mask can add nothing, so
+    its draw is skipped: still made, so the stream advances exactly,
+    but with no value computed.
     """
     n = len(particle)
     new: list[tuple[int, int]] = []
@@ -174,6 +179,12 @@ def _step_velocity(mask, particle, local_best, global_best,
         size = len(diff)
         count = int((share if share < 1.0 else 1.0) * size + 0.5)
         if count <= 0:
+            continue
+        for i, j in diff:
+            if not mask[i * n + j]:
+                break
+        else:   # every pair is in the mask, so every pick is dropped
+            rng.skip(size, count)
             continue
         picks = rng.sample(size, count)
         if picks is not None:
@@ -202,6 +213,9 @@ class _GeneratorSampler:
             return None
         chosen.sort()
         return chosen.tolist()
+
+    # the `choice` call is the cost, values used or not
+    skip = sample
 
 
 def _random_initial_velocity(n: int, cap: int,

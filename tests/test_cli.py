@@ -136,6 +136,10 @@ def _fractional_asymmetric_flight_times(doc):
     doc["flight_time"][1][0] = 108.2
 
 
+def _ragged_flight_times(doc):
+    del doc["flight_time"][1][-1]
+
+
 RAW = "@raw@"   # stands for a raw JSON token that json.dumps cannot write
 
 
@@ -197,6 +201,7 @@ class TestBadInputFiles:
         _raw_instance(("uavs", 0, "battery_capacity"), "1200.5"),
         _raw_instance(("uavs", 0, "recharge_duration"), "true"),
         _mutated_instance(_fractional_asymmetric_flight_times),
+        _mutated_instance(_ragged_flight_times),
     ], ids=lambda f: f.__name__)
     def test_exits_2(self, capsys, tmp_path, make_args):
         code, _, err = run(capsys, ["schedule", *make_args(tmp_path)])

@@ -6,8 +6,11 @@ return the same value; after each script the next 16 draws of both
 sides must agree too, which checks that the stream stands exactly where
 the Generator stands, buffered half-word included. The edge cases reach
 every branch: Lemire's rejection loop (a range of 2**31 + 1 rejects
-about half its words), numpy's direct-word and 64-bit paths, and the
-tail shuffle that `choice` takes when n > 10000 and k > n // 50.
+about half its words), numpy's direct-word and 64-bit paths, the tail
+shuffle that `choice` takes when n > 10000 and k > n // 50, and the
+bulk path of `sample` and `skip` for n up to `_SMALL`, both when its
+slice of words holds none that a bound can reject and, at a pinned
+stream position, when it holds one.
 """
 
 import numpy as np
@@ -15,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from uavsched._draws import Draws
+from uavsched._draws import _REJECTABLE, _SMALL, Draws
 
 EDGE_RANGES = [1, 2, 3, 2**31 + 1, 2**32 - 1, 2**32, 2**32 + 1, 2**40,
                2**63 - 1, 2**64 - 1, 2**64]
@@ -34,6 +37,8 @@ def twin_call(rng, op, args):
         return rng.choice(n, size=k, replace=False).tolist()
     picks = (rng.choice(n, size=k, replace=False).tolist() if k > 1
              else [int(rng.choice(n, replace=False))])
+    if op == "skip":
+        return None
     return sorted(picks) if k < n else None          # "sample"
 
 
@@ -63,7 +68,7 @@ calls = st.one_of(
     st.tuples(st.just("integers"),
               st.sampled_from(EDGE_RANGES).flatmap(integer_range)
               | st.integers(1, 100).flatmap(integer_range)),
-    st.tuples(st.sampled_from(["choice", "sample"]),
+    st.tuples(st.sampled_from(["choice", "sample", "skip"]),
               st.integers(1, 60).flatmap(
                   lambda n: st.tuples(st.just(n), st.integers(1, n)))),
     st.tuples(st.just("choice"), st.just((0, 0))),
@@ -124,3 +129,51 @@ class TestMatchesGenerator:
         picks = Draws(np.random.PCG64(seed)).choice(n, k)
         got = Draws(np.random.PCG64(seed)).sample(n, k)
         assert got == (sorted(picks) if k < n else None)
+
+
+class TestBulkRuns:
+    """`sample` and `skip` take a run of bounds up to _SMALL in one slice
+    of words and fall back to the exact loop only when the slice holds a
+    word that such a bound can reject."""
+
+    @given(seed=seeds, n=st.integers(1, 60), k=st.integers(1, 60))
+    def test_skip_stops_where_sample_stops(self, seed, n, k):
+        assert _SMALL < 60      # n runs on both sides of the bulk path
+        k = min(k, n)
+        skipped = Draws(np.random.PCG64(seed))
+        sampled = Draws(np.random.PCG64(seed))
+        assert skipped.skip(n, k) is None
+        sampled.sample(n, k)
+        for _ in range(8):
+            assert skipped.integers(0, 1000) == sampled.integers(0, 1000)
+            assert skipped.random() == sampled.random()
+
+    # The high half of PCG64(0)'s output 15,125,250 is the stream's word
+    # 30,250,501, and a bound of 19 rejects it: a draw below 19 that
+    # meets it takes the next word.
+    REJECTED_AT = 15_125_250
+    REJECTED = 2_712_610_924
+
+    def test_the_pinned_word_is_rejected(self):
+        bits = np.random.PCG64(0)
+        bits.advance(self.REJECTED_AT)
+        assert int(bits.random_raw()) >> 32 == self.REJECTED
+        assert self.REJECTED in _REJECTABLE
+        assert self.REJECTED * 19 % 2**32 < 2**32 % 19
+
+    @pytest.mark.parametrize("op", ["sample", "skip"])
+    @pytest.mark.parametrize("n, k", [(19, 2), (20, 3), (30, 13), (40, 23),
+                                      (19, 19)])
+    def test_rejection_inside_a_run(self, op, n, k):
+        # the run's second draw is below 19, except for (19, 19), whose
+        # bounds run 2..19, so the pinned word meets a bound of 3 that
+        # accepts it; (40, 23) is beyond the bulk path
+        bits = np.random.PCG64(0)
+        bits.advance(self.REJECTED_AT)
+        draws = Draws(bits)
+        twin = np.random.Generator(np.random.PCG64(0))
+        twin.bit_generator.advance(self.REJECTED_AT)
+        assert getattr(draws, op)(n, k) == twin_call(twin, op, (n, k))
+        for _ in range(16):
+            assert draws.integers(0, 1000) == int(twin.integers(0, 1000))
+            assert draws.random() == twin.random()

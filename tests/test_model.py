@@ -77,6 +77,14 @@ class TestTrajectoryMap:
         with pytest.raises(InstanceError):
             TrajectoryMap((Position("a"), Position("b")), ((0, 5),))
 
+    @pytest.mark.parametrize("seconds", [((0, 1), (1,)), ((0,), (1, 0)),
+                                         ((0, 1), (1, 0, 2))])
+    def test_rejects_ragged_rows(self, seconds):
+        # numpy cannot build an array of rows of different lengths
+        with pytest.raises(InstanceError, match=r"^flight time matrix is "
+                           r"ragged, expected \(2, 2\)$"):
+            TrajectoryMap((Position("a"), Position("b")), seconds)
+
     def test_rejects_duplicate_ids(self):
         with pytest.raises(InstanceError):
             TrajectoryMap((Position("a"), Position("a")), ((0, 5), (5, 0)))

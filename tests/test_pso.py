@@ -254,6 +254,23 @@ class TestCarriedVelocity:
         assert pairs == [[0, 3], (1, 2)]
 
 
+class CountingSampler:
+    """A `_step_velocity` rng that counts its `sample` and `skip` calls
+    into calls."""
+
+    def __init__(self, rng, calls):
+        self._rng, self._calls = rng, calls
+        self.random = rng.random
+
+    def sample(self, size, count):
+        self._calls["sample"] += 1
+        return self._rng.sample(size, count)
+
+    def skip(self, size, count):
+        self._calls["skip"] += 1
+        self._rng.skip(size, count)
+
+
 def reference_update(velocity, particle, local_best, global_best, c1, c2,
                      rng):
     """update_velocity as first written: a set of the old pairs, checked
@@ -413,6 +430,52 @@ class TestDenseVelocityStep:
             assert rng.bit_generator.state == ref_rng.bit_generator.state
             if equal == "both":
                 assert got == []
+
+    @pytest.mark.parametrize("m", [12, 40])
+    @pytest.mark.parametrize("sampler", ["draws", "generator"])
+    @pytest.mark.parametrize("covered", ["local", "global", "both", "all"])
+    def test_list_already_in_the_mask_is_skipped(self, covered, sampler, m):
+        # a difference list whose every pair the mask holds adds nothing,
+        # so the step skips its draw: the reference's pairs, and the
+        # stream left where the reference's choice leaves it
+        perms = np.random.default_rng(11)
+        calls = {"sample": 0, "skip": 0}
+        for seed in range(25):
+            particle, local, best = (perms.permutation(m).tolist()
+                                     for _ in range(3))
+            diffs = {"local": reference_difference(local, particle),
+                     "global": reference_difference(best, particle)}
+            if covered == "all":
+                pairs = [(i, j) for i in range(m) for j in range(i)]
+            elif covered == "both":
+                pairs = diffs["local"] + diffs["global"]
+            else:
+                pairs = diffs[covered]
+            ref_rng = np.random.default_rng(seed)
+            want = reference_update(pairs, particle, local, best, 1.0, 2.0,
+                                    ref_rng)
+            mask = bytearray(m * m)
+            for i, j in pairs:
+                mask[i * m + j] = mask[j * m + i] = 1
+            if sampler == "draws":
+                stream = rng = Draws(np.random.PCG64(seed))
+            else:
+                stream = np.random.default_rng(seed)
+                rng = _GeneratorSampler(stream)
+            got = _step_velocity(mask, particle, local, best, 1.0, 2.0,
+                                 CountingSampler(rng, calls))
+            assert pairs + got == want
+            if covered in ("both", "all"):
+                assert got == []
+            twin = np.random.default_rng(seed)
+            twin.bit_generator.state = ref_rng.bit_generator.state
+            for _ in range(4):
+                assert (int(stream.integers(0, 1000))
+                        == int(twin.integers(0, 1000)))
+                assert stream.random() == twin.random()
+        assert calls["skip"] >= 20
+        if covered in ("both", "all"):
+            assert calls["sample"] == 0
 
     def test_best_that_is_not_a_permutation_raises(self):
         with pytest.raises(SequenceError, match="not permutations"):
