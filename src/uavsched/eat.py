@@ -11,7 +11,9 @@ station, where it waits on the ground instead and conserves battery.
 
 from __future__ import annotations
 
+import functools
 import heapq
+import textwrap
 
 from .model import (
     Action,
@@ -105,6 +107,16 @@ def _construct(instance: ProblemInstance, dense, placed=None) -> int:
     min-heap of the release times of the used ones, so memory follows
     the recharges made, not the slot count.
 
+    The procedure is written once, as the source templates below, and
+    generated per fleet shape (number of UAVs, number of stations) with
+    the fleet loop, the station loop and the winner's commit unrolled,
+    so each UAV's position, ready time and battery left are locals.
+    `_kernel` compiles a shape on its first walk and keeps it for the
+    process, so `fitness`, `run_pso` and `build_schedule` share it; the
+    instance's values (batteries, recharge times, flight rows, bays,
+    `stranded`) are read from the view on each call, so instances of one
+    shape share one kernel. A traceback through it names the shape.
+
     Returns the makespan. A list given as placed gets one tuple per
     task, (task, uav, position, ready, station, begin, start): the dense
     task, the winner's fleet index, position and ready time before it,
@@ -112,19 +124,27 @@ def _construct(instance: ProblemInstance, dense, placed=None) -> int:
     the start; `_timeline` turns them into the Schedule.
     """
     view = instance.compiled()
-    secs, names, nearest = view.seconds, view.position_ids, view.nearest_leg
-    tasks, preds = view.tasks, view.task_preds
-    is_station, station_pos = view.is_station, view.station_pos
-    caps, durations = view.uav_capacity, view.uav_recharge
-    left = list(caps)                   # battery seconds left
-    unused = list(view.station_slots)   # per station: bays never used
-    bays = [[] for _ in unused]         # per station: heap of used releases
-    bay_free = [0] * len(unused)        # earliest bay release per station
-    release = [0] * len(names)          # per position
-    pos = list(view.uav_start)
-    ready = [0] * len(pos)
-    fleet = range(len(pos))
-    stations, stranded = view.stations, view.stranded
+    walk = _kernel(len(view.uav_ids), len(view.station_pos))
+    return walk(view, dense, placed)
+
+
+# The walk of one fleet shape. A name ending in {k} or {j} is a local of
+# UAV k or station j; a bracketed list names that local for every UAV or
+# station; {offers}, {bay} and {winner} are the blocks below, one per
+# UAV or station.
+_WALK = """\
+def walk(view, dense, placed):
+    secs, is_station, nearest = view.seconds, view.is_station, view.nearest_leg
+    tasks, preds, stranded = view.tasks, view.task_preds, view.stranded
+    [{pos}] = view.uav_start
+    [{ready}] = [0] * len(view.uav_ids)
+    [{left}] = [{cap}] = view.uav_capacity      # battery seconds left
+    [{dur}] = view.uav_recharge
+    [{out}] = [secs[sp] for sp in view.station_pos]
+    [{unused}] = view.station_slots             # bays never used
+    [{bays}] = [[] for _ in view.station_pos]   # heaps of used releases
+    [{free}] = [0] * len(view.station_pos)      # earliest bay release
+    release = [0] * len(secs)                   # per position
     ends = [0] * len(tasks)
     for d in dense:
         s, e, proc, escape = tasks[d]
@@ -133,77 +153,135 @@ def _construct(instance: ProblemInstance, dense, placed=None) -> int:
         for p in preds[d]:
             if ends[p] > at:
                 at = ends[p]
-        best = -1
         col = secs[s]                   # symmetric: col[p] is p -> s
-        for k in fleet:
-            here, t0, room = pos[k], ready[k], left[k]
-            ft = col[here]
-            start = t0 + ft
-            if start < at:
-                start = at
-            airborne = ft if is_station[here] else start - t0
-            station = -1
-            if airborne + need > room:
-                dur = durations[k]
-                start = t0 + dur        # no recharge offer starts earlier
-                if start < at:
-                    start = at
-                if best >= 0 and start >= best_start and \
-                        nearest[here] <= room:
-                    continue            # cannot win; a station is in reach
-                for j, out in stations:
-                    leg = out[here]
-                    if leg > room:
-                        continue
-                    charge = t0 + leg
-                    begin = bay_free[j] if bay_free[j] > charge else charge
-                    prepared = begin + dur + out[s]
-                    if prepared < at:
-                        prepared = at
-                    if station < 0 or prepared < start:
-                        station, start = j, prepared
-                if station < 0:
-                    raise SchedulingError(
-                        f"uav {view.uav_ids[k]} cannot reach any recharge "
-                        f"station from {names[here]} with "
-                        f"{caps[k] - room}s used")
-            if best < 0 or start < best_start:
-                best, best_start, best_station = k, start, station
-                if start == at and k >= stranded:
-                    break               # later UAVs can only tie
-
-        k, start, j = best, best_start, best_station
-        here, t0 = pos[k], ready[k]
-        if j >= 0:
-            sp = station_pos[j]
-            charge = t0 + secs[here][sp]
-            begin = bay_free[j] if bay_free[j] > charge else charge
-            out = secs[sp][s]
-            b = bays[j]
-            if unused[j]:
-                unused[j] -= 1
-                heapq.heappush(b, start - out)
-            else:
-                heapq.heapreplace(b, start - out)
-            bay_free[j] = 0 if unused[j] else b[0]
-            left[k] = caps[k] - out
-        else:
+        while True:                     # a break skips the later UAVs
+{offers}
+            break
+        start, station = best_start, best_station
+        here, t0 = best_here, best_t0
+        if station < 0:
             begin = -1
-            left[k] -= secs[here][s] if is_station[here] else start - t0
+            drain = proc + (col[here] if is_station[here] else start - t0)
+{bay}
         if placed is not None:
-            placed.append((d, k, here, t0, j, begin, start))
+            placed.append((d, best, here, t0, station, begin, start))
         end = start + proc
-        left[k] -= proc
-        if left[k] < 0:
-            raise SchedulingError(
-                f"internal accounting error: uav {view.uav_ids[k]} over budget")
-        pos[k], ready[k] = e, end
+{winner}
         if end > release[s]:
             release[s] = end
         if end > release[e]:
             release[e] = end
         ends[d] = end
-    return max(ready, default=0)
+    return {makespan}
+"""
+
+# UAV {k}'s offer; {detours} holds its offers through each station.
+# {first} is True for UAV 0, which has no best offer to beat, and False
+# after it; the compiler drops the tests that a True or False decides.
+_OFFER = """\
+ft = col[pos{k}]
+start = ready{k} + ft
+if start < at:
+    start = at
+station = -1
+if (ft if is_station[pos{k}] else start - ready{k}) + need > left{k}:
+    start = ready{k} + dur{k}           # no recharge offer starts earlier
+    if start < at:
+        start = at
+    if {first} or start < best_start or nearest[pos{k}] > left{k}:
+{detours}
+        if station < 0:
+            raise _unreachable(view, {k}, pos{k}, cap{k} - left{k})
+if {first} or start < best_start:
+    best, best_start, best_station = {k}, start, station
+    best_here, best_t0 = pos{k}, ready{k}
+    if start == at and stranded <= {k}:
+        break                           # later UAVs can only tie
+"""
+
+# UAV {k}'s offer through station {j}.
+_DETOUR = """\
+leg = out{j}[pos{k}]
+if leg <= left{k}:
+    begin = ready{k} + leg
+    if begin < free{j}:
+        begin = free{j}
+    prepared = begin + dur{k} + out{j}[s]
+    if prepared < at:
+        prepared = at
+    if station < 0 or prepared < start:
+        station, start = {j}, prepared
+"""
+
+# The winner's recharge at station {j}, which holds a bay until departure.
+_BAY = """\
+elif station == {j}:
+    back = out{j}[s]
+    if placed is not None:
+        begin = t0 + out{j}[here]
+        if begin < free{j}:
+            begin = free{j}
+    if unused{j}:
+        unused{j} -= 1
+        heappush(bays{j}, start - back)
+        if not unused{j}:
+            free{j} = bays{j}[0]
+    else:
+        heapreplace(bays{j}, start - back)
+        free{j} = bays{j}[0]
+    drain = proc + back
+"""
+
+# The winner's new state when it is UAV {k}.
+_WINNER = """\
+{branch} best == {k}:
+    left{k} = (left{k} if station < 0 else cap{k}) - drain
+    if left{k} < 0:
+        raise SchedulingError(
+            f"internal accounting error: uav {{view.uav_ids[{k}]}} over budget")
+    pos{k}, ready{k} = e, end
+"""
+
+
+def _unreachable(view, k, here, used) -> SchedulingError:
+    return SchedulingError(
+        f"uav {view.uav_ids[k]} cannot reach any recharge station from "
+        f"{view.position_ids[here]} with {used}s used")
+
+
+def _fill(template, depth, fields):
+    """The template filled in with each of fields, indented depth levels."""
+    text = "".join(template.format(**f) for f in fields)
+    return textwrap.indent(text, "    " * depth).rstrip("\n")
+
+
+@functools.lru_cache(maxsize=64)
+def _kernel(n_uavs: int, n_stations: int):
+    """The walk compiled for n_uavs UAVs and n_stations stations."""
+    fleet, stations = range(n_uavs), range(n_stations)
+
+    def names(prefix, count):
+        return ", ".join(f"{prefix}{i}" for i in count)
+
+    offers = [{"k": k, "first": k == 0, "detours": _fill(
+        _DETOUR, 2, [{"k": k, "j": j} for j in stations])} for k in fleet]
+    readies = names("ready", fleet)
+    source = _WALK.format(
+        pos=names("pos", fleet), ready=readies, left=names("left", fleet),
+        cap=names("cap", fleet), dur=names("dur", fleet),
+        out=names("out", stations), unused=names("unused", stations),
+        bays=names("bays", stations), free=names("free", stations),
+        offers=_fill(_OFFER, 3, offers),
+        bay=_fill(_BAY, 2, [{"j": j} for j in stations]),
+        winner=_fill(_WINNER, 2, [{"k": k, "branch": "elif" if k else "if"}
+                                  for k in fleet]),
+        makespan=f"max({readies})" if n_uavs > 1 else readies or "0")
+    namespace = {"_unreachable": _unreachable,
+                 "SchedulingError": SchedulingError,
+                 "heappush": heapq.heappush, "heapreplace": heapq.heapreplace}
+    shape = f"<eat._construct for {n_uavs} UAVs and {n_stations} stations>"
+    exec(compile(source, shape, "exec"), namespace)
+    return namespace["walk"]
 
 
 def _timeline(instance: ProblemInstance, placed) -> Schedule:

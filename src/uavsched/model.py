@@ -61,6 +61,15 @@ def _integer(value, what: str) -> int:
     return out
 
 
+def _iterate(value, what: str):
+    """An iterator over value; InstanceError naming what when value
+    is not a sequence."""
+    try:
+        return iter(value)
+    except TypeError:
+        raise InstanceError(f"{what} is not a sequence: {value!r}") from None
+
+
 class PositionKind(str, enum.Enum):
     WORK = "work"
     RECHARGE = "recharge"
@@ -84,8 +93,10 @@ class TrajectoryMap:
     def __init__(self, positions: list[Position] | tuple[Position, ...],
                  seconds: list[list[int]]):
         self.positions = tuple(positions)
-        self.seconds = tuple(tuple(_integer(v, "flight time") for v in row)
-                             for row in seconds)
+        self.seconds = tuple(
+            tuple(_integer(v, "flight time")
+                  for v in _iterate(row, f"flight time matrix row {i}"))
+            for i, row in enumerate(_iterate(seconds, "flight time matrix")))
         self.index = {p.id: i for i, p in enumerate(self.positions)}
         if len(self.index) != len(self.positions):
             raise InstanceError("duplicate position ids in trajectory map")
@@ -377,9 +388,8 @@ class CompiledInstance:
     proc_time, escape seconds from its end), and
     `task_preds`/`task_succs` hold the indices of its direct
     predecessors and successors, ascending. `nearest_leg` is the flight
-    time from each position to its nearest station. `stations` pairs
-    each station's index with the flight times from it. `stranded` is
-    the last UAV in fleet order that starts out of every station's
+    time from each position to its nearest station. `stranded` is the
+    last UAV in fleet order that starts out of every station's
     reach, or -1.
     """
 
@@ -397,7 +407,6 @@ class CompiledInstance:
     uav_start: tuple[int, ...]
     uav_capacity: tuple[int, ...]
     uav_recharge: tuple[int, ...]
-    stations: tuple[tuple[int, tuple[int, ...]], ...]
     stranded: int
 
 
@@ -460,7 +469,6 @@ class ProblemInstance:
                 uav_start=tuple(idx[u.initial_pos] for u in self.uavs),
                 uav_capacity=tuple(u.battery_capacity for u in self.uavs),
                 uav_recharge=tuple(u.recharge_duration for u in self.uavs),
-                stations=tuple(enumerate(m.seconds[sp] for sp in station_pos)),
                 stranded=max((k for k, u in enumerate(self.uavs)
                               if nearest_leg[idx[u.initial_pos]]
                               > u.battery_capacity), default=-1),
@@ -552,9 +560,10 @@ class Schedule:
                 yield uav_id, a
 
     def uav_order(self) -> list[str]:
+        """The timelines' UAV ids in fleet order, then any others sorted."""
         ordered = [u.id for u in self.instance.uavs if u.id in self.actions]
-        extra = [u for u in self.actions if u not in set(ordered)]
-        return ordered + sorted(extra)
+        known = set(ordered)
+        return ordered + sorted(u for u in self.actions if u not in known)
 
     def task_executions(self) -> dict[int, tuple[str, Action]]:
         out: dict[int, tuple[str, Action]] = {}

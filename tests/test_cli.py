@@ -228,6 +228,8 @@ class TestBadInputFiles:
          "slots must be an integer, not True"),
         (("flight_time", 1, 0), "108.2",
          "flight time must be an integer, not 108.2"),
+        (("flight_time", 1), "5",
+         "flight time matrix row 1 is not a sequence: 5"),
     ])
     def test_bad_integer_field_is_named(self, capsys, tmp_path, where,
                                         token, message):

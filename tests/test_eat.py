@@ -1,5 +1,6 @@
 import dataclasses
 import re
+import traceback
 import tracemalloc
 
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from uavsched.datagen import GenSpec, generate_instance
-from uavsched.eat import _construct, build_schedule, check_sequence
+from uavsched.eat import _construct, _kernel, build_schedule, check_sequence
 from uavsched.model import (
     AIRBORNE_KINDS,
     Action,
@@ -552,47 +553,77 @@ def reference_construct(instance, sequence, record):
     return max(ready, default=0)
 
 
-def with_far_position(instance, legs, hops):
-    """The instance with one more work position, "far": hops[i] seconds
-    from the i-th work position and legs[j] from the j-th station, which
-    may put every station out of a fresh battery's reach."""
-    fm = instance.trajectory_map
-    station_at = {s.pos: j for j, s in enumerate(instance.stations)}
+def far_map(trajectory_map, stations, legs, hops):
+    """The map with one more work position, "far": hops[i] seconds from
+    the i-th other position and legs[j] from the j-th station, which may
+    put every station out of a fresh battery's reach."""
+    fm = trajectory_map
+    station_at = {s.pos: j for j, s in enumerate(stations)}
     extra = []
     for i, p in enumerate(fm.positions):
         extra.append(legs[station_at[p.id]] if p.id in station_at
                      else hops[i % len(hops)])
     seconds = [list(row) + [extra[i]] for i, row in enumerate(fm.seconds)]
     seconds.append(extra + [0])
-    far = TrajectoryMap(fm.positions + (Position("far", PositionKind.WORK),),
-                        seconds)
-    return dataclasses.replace(instance, trajectory_map=far)
+    return TrajectoryMap(fm.positions + (Position("far", PositionKind.WORK),),
+                         seconds)
+
+
+def with_far_position(instance, legs, hops):
+    """The instance on `far_map` of its map and stations."""
+    return dataclasses.replace(instance, trajectory_map=far_map(
+        instance.trajectory_map, instance.stations, legs, hops))
+
+
+def station_map(trajectory_map, stations, count, legs):
+    """(map, stations) with count stations. Fewer than given keeps the
+    first count, and the others' positions become work positions. More
+    adds stations at new positions "S1", "S2", ..., the q-th of them
+    legs[(q + i) % len(legs)] seconds from the i-th position before it."""
+    fm = trajectory_map
+    kept = stations[:count]
+    hosted = {s.pos for s in kept}
+    positions = [p if p.kind != PositionKind.RECHARGE or p.id in hosted
+                 else Position(p.id, PositionKind.WORK) for p in fm.positions]
+    seconds = [list(row) for row in fm.seconds]
+    for q in range(count - len(kept)):
+        row = [legs[(q + i) % len(legs)] for i in range(len(seconds))]
+        for old, leg in zip(seconds, row):
+            old.append(leg)
+        seconds.append(row + [0])
+        positions.append(Position(f"S{q + 1}", PositionKind.RECHARGE))
+        kept += (RechargeStation(f"S{q + 1}"),)
+    return TrajectoryMap(positions, seconds), kept
 
 
 @st.composite
 def pruning_draws(draw):
-    """Heterogeneous fleets (per-UAV battery, recharge time and start
-    position, 1-3 bays per station) on a map with a "far" position that
-    may be beyond a fresh battery's reach of every station, and a
-    repaired sequence, maybe cut, maybe made malformed."""
+    """Heterogeneous fleets of 1-8 UAVs (per-UAV battery, recharge time
+    and start position) on a map of 1-4 stations (1-3 bays each) with a
+    "far" position that may be beyond a fresh battery's reach of every
+    station, and a repaired sequence, maybe cut, maybe made malformed.
+    Each fleet and station count is a shape of the compiled walk."""
     spec = GenSpec(n_tasks=draw(st.integers(0, 30)),
                    seed=draw(st.integers(0, 2**20)),
                    max_predecessors=draw(st.integers(0, 3)),
-                   n_uavs=draw(st.integers(1, 4)))
+                   n_uavs=draw(st.integers(1, 8)))
     inst = generate_instance(spec)
-    legs = [draw(st.integers(1, 3000)) for _ in inst.stations]
+    fm, stations = station_map(
+        inst.trajectory_map, inst.stations, draw(st.integers(1, 4)),
+        draw(st.lists(st.integers(1, 400), min_size=1, max_size=4)))
+    legs = [draw(st.integers(1, 3000)) for _ in stations]
     hops = draw(st.lists(st.integers(1, 60), min_size=1, max_size=4))
-    inst = with_far_position(inst, legs, hops)
-    fm = inst.trajectory_map
-    need = max((worst_case_engagement_time(t, fm, inst.stations)
+    fm = far_map(fm, stations, legs, hops)
+    need = max((worst_case_engagement_time(t, fm, stations)
                 for t in inst.tasks), default=1)
     uavs = tuple(
         Uav(u.id, draw(st.sampled_from(["far"] + [p.id for p in fm.positions])),
             draw(st.integers(need, need + 900)), draw(st.integers(100, 3200)))
         for u in inst.uavs)
     stations = tuple(RechargeStation(s.pos, draw(st.integers(1, 3)))
-                     for s in inst.stations)
-    inst = dataclasses.replace(inst, uavs=uavs, stations=stations)
+                     for s in stations)
+    inst = dataclasses.replace(inst, trajectory_map=fm, stations=stations,
+                               uavs=uavs)
     seq = repair(draw(st.permutations([t.id for t in inst.tasks])), inst)
     seq = seq[:draw(st.integers(len(seq) // 2, len(seq)))]
     if seq:
@@ -672,6 +703,54 @@ class TestPrunedConstructorMatchesReference:
         assert constructed(build_schedule, ok, [1, 2]) == \
             constructed(reference_construct, ok, [1, 2], True)
         assert timeline(ok, [1, 2], "UAV1")[-1][:3] == (T, 181, 1181)
+
+
+class TestOneKernelPerShape:
+    """The walk is compiled once per fleet shape (number of UAVs, number
+    of stations); instances of one shape share it, and each still walks
+    with its own batteries, recharge times, bays and stranded UAV."""
+
+    def test_instances_of_a_shape_share_one_kernel(self):
+        tasks = [inspect(1, "a", 161), inspect(2, "a", 1000),
+                 inspect(3, "b", 300), inspect(4, "b", 700, preds=(2,))]
+        base = with_far_position(make_instance(tasks), [2000, 2000], [20])
+        fleets = [
+            # UAV2 starts out of every station's reach and raises
+            (Uav("UAV1", "R1", 2400, 2700), Uav("UAV2", "far", 1200, 2700)),
+            (Uav("UAV1", "R1", 1300, 900), Uav("UAV2", "b", 1500, 4000)),
+            (Uav("UAV1", "R2", 1200, 2700), Uav("UAV2", "R1", 2100, 300)),
+        ]
+        instances = [with_slots(dataclasses.replace(base, uavs=fleet), slots)
+                     for fleet in fleets for slots in (1, 2)]
+        assert [i.compiled().stranded for i in instances[::2]] == [1, -1, -1]
+        sequences = ([1, 2, 3, 4], [2, 4, 3, 1], [3, 1, 2, 4])
+        _kernel.cache_clear()
+        walks = {}
+        for inst in instances:
+            for seq in sequences:
+                got = constructed(fitness, seq, inst)
+                assert got == constructed(reference_construct, inst, seq,
+                                          False)
+                assert constructed(build_schedule, inst, seq) == \
+                    constructed(reference_construct, inst, seq, True)
+                walks[inst.uavs, inst.stations, tuple(seq)] = got
+        info = _kernel.cache_info()
+        assert (info.misses, info.currsize) == (1, 1)
+        # the kernel read each instance's own values: the walks differ
+        assert len(set(map(str, walks.values()))) > len(sequences)
+        assert any(isinstance(w, tuple) for w in walks.values())
+
+    def test_traceback_names_the_shape(self):
+        base = with_far_position(
+            make_instance([inspect(1, "a", 161), inspect(2, "a", 1000)]),
+            [2000, 2000], [20])
+        inst = dataclasses.replace(base, uavs=(
+            Uav("UAV1", "R1", 2400, 2700), Uav("UAV2", "far", 1200, 2700)))
+        with pytest.raises(SchedulingError) as raised:
+            fitness([1, 2], inst)
+        files = [frame.filename
+                 for frame in traceback.extract_tb(raised.value.__traceback__)]
+        assert "<eat._construct for 2 UAVs and 2 stations>" in files
 
 
 def longest_sortie(schedule):
@@ -762,7 +841,7 @@ class TestHugeBayCounts:
         inst = generate_instance(GenSpec(n_tasks=40, seed=3))
         seq = repair([t.id for t in inst.tasks], inst)
         huge = with_slots(inst, 10**6)
-        huge.compiled()
+        fitness([], huge)   # builds the view and compiles the walk once
         tracemalloc.start()
         try:
             schedule = build_schedule(huge, seq)

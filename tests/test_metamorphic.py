@@ -5,6 +5,9 @@ Time scaling: every flight time, processing time, battery capacity and
 recharge duration multiplied by an integer c leaves every decision of
 the constructor and the priority rules alone, so the schedule is the
 same with each time multiplied by c, and the validator stays clean.
+The search follows suit: with the same config, `run_pso` moves the
+same particles, so it finds the same best sequence in the same number
+of iterations, with every makespan multiplied by c.
 """
 
 import dataclasses
@@ -15,6 +18,7 @@ from hypothesis import strategies as st
 from uavsched.datagen import GenSpec, generate_instance
 from uavsched.eat import build_schedule
 from uavsched.model import TrajectoryMap
+from uavsched.pso import PsoConfig, run_pso
 from uavsched.sequences import priority_orderings, repair
 from uavsched.validate import validate_schedule
 
@@ -66,3 +70,20 @@ class TestTimeScaling:
         assert timed(schedule) == timed(build_schedule(inst, seq), c)
         assert validate_schedule(schedule) == []
         assert priority_orderings(big) == priority_orderings(inst)
+
+    @settings(max_examples=15, deadline=None)
+    @given(scaling_draws(), st.integers(0, 2**32 - 1))
+    def test_search(self, draw, seed):
+        inst, _, c = draw
+        config = PsoConfig(rng_seed=seed)
+        small, big = run_pso(inst, config), run_pso(scaled(inst, c), config)
+        assert big.best_sequence == small.best_sequence
+        assert big.iterations_run == small.iterations_run
+        assert big.best_makespan == small.best_makespan * c
+        assert [best for _, best, _ in big.history] == \
+            [best * c for _, best, _ in small.history]
+        # a mean times c and the scaled sum over the swarm round apart,
+        # so the means are compared as the integer sums they divide
+        n = config.swarm_size
+        assert [round(mean * n) for *_, mean in big.history] == \
+            [round(mean * n) * c for *_, mean in small.history]

@@ -85,6 +85,15 @@ class TestTrajectoryMap:
                            r"ragged, expected \(2, 2\)$"):
             TrajectoryMap((Position("a"), Position("b")), seconds)
 
+    @pytest.mark.parametrize("row", [5, None, 1.5])
+    def test_rejects_a_row_that_is_not_a_sequence(self, row):
+        with pytest.raises(InstanceError, match=(
+                rf"^flight time matrix row 1 is not a sequence: {row!r}$")):
+            TrajectoryMap((Position("a"), Position("b")), ((0, 1), row))
+        with pytest.raises(InstanceError, match=(
+                rf"^flight time matrix is not a sequence: {row!r}$")):
+            TrajectoryMap((Position("a"),), row)
+
     def test_rejects_duplicate_ids(self):
         with pytest.raises(InstanceError):
             TrajectoryMap((Position("a"), Position("a")), ((0, 5), (5, 0)))
@@ -595,6 +604,11 @@ class TestSchedule:
         })
         assert s.makespan() == 260
         assert s.uav_order() == ["UAV1", "UAV2"]
+
+    def test_order_puts_unknown_uavs_last_sorted(self, lab):
+        s = Schedule(instance=lab, actions={
+            "ZZ": [], "UAV3": [], "AA": [], "UAV1": []})
+        assert s.uav_order() == ["UAV1", "UAV3", "AA", "ZZ"]
 
     def test_task_executions_index(self, lab):
         a = Action(ActionKind.TASK_EXEC, 60, 305, "c", "c", task_id=2)
