@@ -7,11 +7,13 @@ drawn; each task's type is `infer_task_type` of the draw. Every
 generated task must fit the tightest battery window in the fleet no
 matter where the assigned UAV comes from; draws that cannot are
 resampled. Precedence edges run from lower to higher ids and are
-transitively reduced.
+transitively reduced. Instances generated without an explicit map all
+share one read-only bundled map, built once per process.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from bisect import bisect_right
@@ -37,6 +39,9 @@ from .model import (
 from .sampledata import sample_map
 
 MAX_RESAMPLE_ATTEMPTS = 1000
+
+# the bundled map, built and checked once; read-only, so instances share it
+_bundled_map = functools.cache(sample_map)
 
 
 class GenerationError(SchedulingError):
@@ -152,9 +157,10 @@ def generate_instance(spec: GenSpec,
     Same spec (seed included) and environment give an identical
     instance. Without an explicit environment the bundled map is used,
     one station per recharge position, and the fleet is placed round
-    robin over the stations.
+    robin over the stations. That map is one read-only object that every
+    such instance shares; an explicit map is used as given.
     """
-    fm = trajectory_map or sample_map()
+    fm = _bundled_map() if trajectory_map is None else trajectory_map
     work = fm.work_positions()
     if not work:
         raise GenerationError("trajectory map has no work positions")

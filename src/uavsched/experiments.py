@@ -8,7 +8,6 @@ next to the paper's figures, which were measured on other datasets.
 from __future__ import annotations
 
 import statistics
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from itertools import product
@@ -115,8 +114,14 @@ def run_experiment(grid: ExperimentGrid, jobs: int = 1,
     # a pool may start all its workers at once, so it gets no more than
     # there are runs; map and pool.map both yield in run_index order
     workers = min(jobs, len(work))
-    with (ProcessPoolExecutor(max_workers=workers) if workers > 1
-          else nullcontext()) as pool:
+    if workers > 1:
+        # imported here: it loads multiprocessing, which a serial run,
+        # and every CLI call that imports this module, does not need
+        from concurrent.futures import ProcessPoolExecutor
+        runner = ProcessPoolExecutor(max_workers=workers)
+    else:
+        runner = nullcontext()
+    with runner as pool:
         results = []
         for r in (pool.map if pool else map)(_run_one, work):
             results.append(r)

@@ -6,8 +6,6 @@ text directly keeps output byte-stable across runs and platforms.
 
 from __future__ import annotations
 
-from xml.sax.saxutils import escape
-
 from .model import ActionKind, Schedule
 
 ACTION_COLORS = {
@@ -41,6 +39,13 @@ class _Memo(dict):
     def __missing__(self, key):
         out = self[key] = self.fn(key)
         return out
+
+
+def escape(text: str) -> str:
+    """`xml.sax.saxutils.escape`: `&`, `<` and `>` as entities, `&`
+    first. Written out here because importing `xml.sax` also loads
+    `urllib.request`, `http.client`, `ssl` and `email`."""
+    return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
 
 
 def _fmt(x: float) -> str:

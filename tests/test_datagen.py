@@ -224,6 +224,22 @@ class TestEnvironmentDefaults:
         starts = [u.initial_pos for u in inst.uavs]
         assert starts == ["R1", "R2", "R1"]
 
+    def test_bundled_map_shared(self):
+        a, b = gen(5, 0), gen(10, 1, n_uavs=2)
+        assert a.trajectory_map is b.trajectory_map
+        assert a.trajectory_map == sample_map()
+
+    def test_sample_map_fresh_on_each_call(self):
+        shared = gen(5, 0).trajectory_map
+        assert sample_map() is not sample_map()
+        assert sample_map() is not shared
+
+    def test_explicit_map_used_as_given(self):
+        fm = sample_map()
+        inst = generate_instance(GenSpec(n_tasks=5, seed=0), trajectory_map=fm)
+        assert inst.trajectory_map is fm
+        assert inst.tasks == gen(5, 0).tasks
+
     def test_empty_instance(self):
         inst = gen(0, 0)
         assert inst.tasks == ()

@@ -1,7 +1,7 @@
+import concurrent.futures
 import dataclasses
 import statistics
 
-from uavsched import experiments
 from uavsched.experiments import ExperimentGrid, run_experiment
 
 
@@ -39,7 +39,8 @@ class InProcessPool:
 
 def test_pool_never_larger_than_the_run_count(monkeypatch):
     monkeypatch.setattr(InProcessPool, "asked", [])
-    monkeypatch.setattr(experiments, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        InProcessPool)
     grid = ExperimentGrid(task_counts=(6,), swarm_sizes=(8,), repetitions=2,
                           max_iterations=3)
     many = run_experiment(grid, jobs=10**6)

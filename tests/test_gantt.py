@@ -1,16 +1,18 @@
-"""Number formatting in the Gantt chart: `_fmt` against its plain
-definition, and every bar and task label of a chart against positions
-computed directly from the schedule, zero-length actions and a zero
-makespan included."""
+"""Number formatting and escaping in the Gantt chart: `_fmt` against its
+plain definition, `escape` against `xml.sax.saxutils.escape`, and every
+bar and task label of a chart against positions computed directly from
+the schedule, zero-length actions and a zero makespan included."""
 
 from xml.dom import minidom
+from xml.sax import saxutils
 
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
 from uavsched.eat import build_schedule
-from uavsched.gantt import _MARGIN_L, _PLOT_W, _fmt, render_gantt_svg
+from uavsched.gantt import (_MARGIN_L, _PLOT_W, _fmt, escape,
+                            render_gantt_svg)
 from uavsched.model import Action, ActionKind, Schedule
 
 from conftest import FULL_COMPLETION, golden_schedule
@@ -39,6 +41,17 @@ def plain_fmt(x: float) -> str:
 @example(9.995)          # carries into the units
 def test_fmt_equals_plain_definition(x):
     assert _fmt(x) == plain_fmt(x)
+
+
+@given(st.text())
+@example("UAV&1")
+@example("<R1>")
+@example('"quoted" \'single\'')
+@example("&amp;")
+@example("&lt;&&gt;<>")
+@example("Bucht-Ü & 電池 <é>")
+def test_escape_equals_saxutils(text):
+    assert escape(text) == saxutils.escape(text)
 
 
 def bars_and_labels(svg: str):

@@ -7,20 +7,26 @@ the constructor and the priority rules alone, so the schedule is the
 same with each time multiplied by c, and the validator stays clean.
 The search follows suit: with the same config, `run_pso` moves the
 same particles, so it finds the same best sequence in the same number
-of iterations, with every makespan multiplied by c.
+of iterations, with every makespan multiplied by c. The validator too:
+each surgical mutation of `tests/test_validate.py`, with every time in
+its instance and schedule multiplied by c, reports the same findings.
 """
 
 import dataclasses
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from uavsched.datagen import GenSpec, generate_instance
 from uavsched.eat import build_schedule
-from uavsched.model import TrajectoryMap
+from uavsched.model import Action, Schedule, TrajectoryMap
 from uavsched.pso import PsoConfig, run_pso
 from uavsched.sequences import priority_orderings, repair
 from uavsched.validate import validate_schedule
+
+from conftest import golden_schedule, haul, inspect, make_instance
+from test_validate import F, H, R, T, W, append, mutate
 
 
 def scaled(instance, c):
@@ -87,3 +93,112 @@ class TestTimeScaling:
         n = config.swarm_size
         assert [round(mean * n) for *_, mean in big.history] == \
             [round(mean * n) * c for *_, mean in small.history]
+
+
+def on_tiny(tasks, n_uavs=2, **timelines):
+    """The given timelines on `make_instance(tasks, n_uavs)`, one bay
+    per station."""
+    return Schedule(instance=make_instance(tasks, n_uavs=n_uavs),
+                    actions=timelines)
+
+
+# Each surgical mutation of tests/test_validate.py, by that test's name:
+# the bundled instance's reference timeline -> the mutated schedule.
+MUTATIONS = {
+    "negative_span": lambda lab: append(
+        golden_schedule(lab), "UAV3", Action(H, 1125, 1120, "c", "c")),
+    "flight_duration_must_match_matrix": lambda lab: mutate(mutate(
+        golden_schedule(lab), "UAV3", 2, end=889),
+        "UAV3", 3, start=889, end=1124),
+    "stationary_action_must_not_move": lambda lab: append(
+        golden_schedule(lab), "UAV3", Action(H, 1125, 1200, "c", "b")),
+    "recharge_off_station": lambda lab: append(
+        golden_schedule(lab), "UAV3", Action(R, 1125, 3825, "c", "c")),
+    "recharge_duration_fixed": lambda lab: mutate(mutate(mutate(
+        golden_schedule(lab), "UAV1", 5, end=3800),
+        "UAV1", 6, start=3800, end=3840),
+        "UAV1", 7, start=3840, end=4318),
+    "ground_wait_off_station": lambda lab: append(
+        golden_schedule(lab), "UAV3", Action(W, 1125, 1500, "c", "c")),
+    "zero_length_flight": lambda lab: append(
+        golden_schedule(lab), "UAV3", Action(F, 1125, 1125, "c", "R2")),
+    "flight_to_unknown_position": lambda lab: mutate(
+        golden_schedule(lab), "UAV3", 2, to_pos="zz"),
+    "flight_from_unknown_position": lambda lab: mutate(
+        golden_schedule(lab), "UAV3", 2, from_pos="zz"),
+    "hover_at_unknown_position": lambda lab: append(
+        golden_schedule(lab), "UAV3", Action(H, 1125, 1200, "zz", "zz")),
+    "recharge_at_unknown_position": lambda lab: append(
+        golden_schedule(lab), "UAV3",
+        Action(R, 1125, 3825, "zz", "zz", station="zz")),
+    "task_at_unknown_position": lambda lab: mutate(
+        golden_schedule(lab), "UAV3", 3, to_pos="zz"),
+    "gap_between_actions": lambda lab: mutate(
+        golden_schedule(lab), "UAV3", 3, start=891, end=1126),
+    "overlap_between_actions": lambda lab: mutate(
+        golden_schedule(lab), "UAV3", 3, start=889, end=1124),
+    "first_action_must_leave_initial_position": lambda lab: mutate(
+        golden_schedule(lab), "UAV3", 0, from_pos="R1"),
+    "mid_chain_teleport": lambda lab: mutate(
+        golden_schedule(lab), "UAV3", 2, from_pos="b"),
+    "unknown_uav": lambda lab: Schedule(
+        instance=lab, actions={**golden_schedule(lab).actions, "UAV9": []}),
+    "unknown_task_id": lambda lab: append(
+        golden_schedule(lab), "UAV3",
+        Action(T, 1125, 1160, "c", "c", task_id=99)),
+    "duplicate_execution": lambda lab: mutate(
+        golden_schedule(lab), "UAV3", 3, task_id=2),
+    "wrong_duration": lambda lab: mutate(
+        golden_schedule(lab), "UAV3", 3, end=1120),
+    "wrong_position": lambda lab: mutate(
+        golden_schedule(lab), "UAV3", 3, to_pos="f"),
+    "missing_predecessor": lambda lab: mutate(
+        golden_schedule(lab), "UAV1", 1, task_id=None, kind=H),
+    "predecessor_order": lambda lab: on_tiny(
+        [inspect(1, "a", 100), inspect(2, "b", 50, preds=[1])],
+        UAV1=[Action(F, 0, 20, "R1", "a"),
+              Action(T, 20, 120, "a", "a", task_id=1)],
+        UAV2=[Action(F, 0, 20, "R2", "b"),
+              Action(T, 20, 70, "b", "b", task_id=2)]),
+    "position_exclusivity": lambda lab: on_tiny(
+        [inspect(1, "a", 100), inspect(2, "a", 50)],
+        UAV1=[Action(F, 0, 20, "R1", "a"),
+              Action(T, 20, 120, "a", "a", task_id=1)],
+        UAV2=[Action(F, 0, 40, "R2", "a"),
+              Action(T, 40, 90, "a", "a", task_id=2)]),
+    "haul_overlap": lambda lab: on_tiny(
+        [haul(1, "a", "b", 100), haul(2, "a", "b", 100)],
+        UAV1=[Action(F, 0, 20, "R1", "a"),
+              Action(T, 20, 120, "a", "b", task_id=1)],
+        UAV2=[Action(F, 0, 40, "R2", "a"),
+              Action(T, 40, 140, "a", "b", task_id=2)]),
+    "airborne_stretch_over_battery": lambda lab: on_tiny(
+        [inspect(1, "a", 100)], n_uavs=1,
+        UAV1=[Action(F, 0, 20, "R1", "a"),
+              Action(H, 20, 1500, "a", "a"),
+              Action(T, 1500, 1600, "a", "a", task_id=1)]),
+    "bay_capacity": lambda lab: on_tiny(
+        [inspect(1, "a", 100)],
+        UAV1=[Action(R, 0, 2700, "R1", "R1", station="R1")],
+        UAV2=[Action(F, 0, 50, "R2", "R1"),
+              Action(R, 50, 2750, "R1", "R1", station="R1")]),
+}
+
+
+def findings(violations, c=1):
+    """Each violation's fields, its time multiplied by c; the message
+    is left out, as it quotes times."""
+    return [(v.kind, v.uav_id, v.task_id, v.position,
+             None if v.tstp is None else v.tstp * c) for v in violations]
+
+
+class TestValidatorScaling:
+    @pytest.mark.parametrize("c", [2, 3, 7])
+    @pytest.mark.parametrize("name", MUTATIONS)
+    def test_same_findings(self, lab, name, c):
+        schedule = MUTATIONS[name](lab)
+        big = Schedule(instance=scaled(schedule.instance, c),
+                       actions=timed(schedule, c))
+        small = validate_schedule(schedule)
+        assert small     # a mutation the validator flags
+        assert findings(validate_schedule(big)) == findings(small, c)
