@@ -7,8 +7,9 @@ drawn; each task's type is `infer_task_type` of the draw. Every
 generated task must fit the tightest battery window in the fleet no
 matter where the assigned UAV comes from; draws that cannot are
 resampled. Precedence edges run from lower to higher ids and are
-transitively reduced. Instances generated without an explicit map all
-share one read-only bundled map, built once per process.
+transitively reduced. The bundled map, the default stations and UAVs
+and the type table are built once per process and distinct arguments;
+the instances that use them share those read-only objects.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ import numpy as np
 from ._draws import Draws
 from .model import (
     InstanceError,
+    PositionKind,
     ProblemInstance,
     RechargeStation,
     SchedulingError,
@@ -31,7 +33,7 @@ from .model import (
     TaskType,
     TrajectoryMap,
     Uav,
-    _check_precedence,
+    _closure,
     exact_int,
     infer_task_type,
     position_tables,
@@ -40,8 +42,10 @@ from .sampledata import sample_map
 
 MAX_RESAMPLE_ATTEMPTS = 1000
 
-# the bundled map, built and checked once; read-only, so instances share it
+# the bundled map, built and checked once, and the default stations and
+# UAVs, one per distinct fields: read-only, so instances share them
 _bundled_map = functools.cache(sample_map)
+_station, _uav = functools.cache(RechargeStation), functools.cache(Uav)
 
 
 class GenerationError(SchedulingError):
@@ -84,15 +88,18 @@ class GenSpec:
                                   "and below 2**63")
         for field in ("single_band", "compound_band"):
             band = getattr(self, field)
-            lo, hi = map(exact_int, _items(band, 2) or (None, None))
+            try:    # not a pair raises
+                lo, hi = map(exact_int, band)
+            except (TypeError, ValueError):
+                lo = hi = None
             if lo is None or hi is None or not 0 < lo <= hi < 2 ** 63:
                 raise GenerationError(
                     f"bad processing band {band!r}: need two integers "
                     f"0 < low <= high < 2**63")
             object.__setattr__(self, field, (lo, hi))
-        try:    # a non-number is left out; not three items or 10**400 raise
-            w = tuple(float(x) for x in _items(self.type_weights, 3)
-                      if isinstance(x, numbers.Real))
+        try:    # a non-number reads as NaN; 10**400 raises
+            w = tuple(float(x) if isinstance(x, numbers.Real) else math.nan
+                      for x in self.type_weights)
         except (TypeError, OverflowError):
             w = ()
         # a NaN fails min or sum, an inf the sum
@@ -104,24 +111,17 @@ class GenSpec:
             raise GenerationError("need at least one uav")
 
 
-def _items(value, count: int) -> tuple | None:
-    """value's items when it has exactly count of them, else None."""
-    try:
-        items = tuple(value)
-    except TypeError:
-        return None
-    return items if len(items) == count else None
-
-
 _TYPES = (TaskType.SINGLE_INSPECTION, TaskType.COMPOUND_INSPECTION,
           TaskType.MATERIAL_HANDLING)
 
 
-def _type_cdf(weights) -> list[float]:
-    """The table `Generator.choice(3, p=weights / weights.sum())`
-    searches: bisect_right of a `random()` in it draws what that does."""
-    cdf = (weights / weights.sum()).cumsum()
-    return (cdf / cdf[-1]).tolist()
+@functools.cache
+def _type_cdf(weights: tuple[float, float, float]) -> tuple[float, ...]:
+    """The table `Generator.choice(3, p=w / w.sum())` searches, w the
+    weights as an array: bisect_right of a `random()` in it draws that."""
+    w = np.array(weights)
+    cdf = (w / w.sum()).cumsum()
+    return tuple((cdf / cdf[-1]).tolist())
 
 
 def _draw_task(tid: int, spec: GenSpec, fm: TrajectoryMap, worst_in,
@@ -157,35 +157,35 @@ def generate_instance(spec: GenSpec,
     Same spec (seed included) and environment give an identical
     instance. Without an explicit environment the bundled map is used,
     one station per recharge position, and the fleet is placed round
-    robin over the stations. That map is one read-only object that every
-    such instance shares; an explicit map is used as given.
+    robin over the stations. Instances share these default objects; an
+    explicit map, stations or fleet is used as given.
     """
     fm = _bundled_map() if trajectory_map is None else trajectory_map
     work = fm.work_positions()
     if not work:
         raise GenerationError("trajectory map has no work positions")
     if stations is None:
-        recharge = [p.id for p in fm.positions if p.id not in set(work)]
+        recharge = [p.id for p in fm.positions if p.kind != PositionKind.WORK]
         if not recharge:
             raise GenerationError("trajectory map has no recharge positions")
-        stations = tuple(RechargeStation(pos, spec.slots_per_station)
+        stations = tuple(_station(pos, spec.slots_per_station)
                          for pos in recharge)
     if uavs is None:
         if not stations:
             raise GenerationError("no recharge stations to place the "
                                   "fleet at")
         uavs = tuple(
-            Uav(f"UAV{i + 1}", stations[i % len(stations)].pos)
+            _uav(f"UAV{i + 1}", stations[i % len(stations)].pos)
             for i in range(spec.n_uavs))
     uavs = tuple(uavs)
     if not uavs:
         raise GenerationError("need at least one uav")
     capacity = min(u.battery_capacity for u in uavs)
 
-    weights = np.asarray(spec.type_weights, dtype=float)
+    weights = spec.type_weights
     if len(work) < 2:
-        weights = weights * np.array([1.0, 1.0, 0.0])
-        if weights.sum() <= 0:
+        weights = (*weights[:2], 0.0)
+        if sum(weights) <= 0:
             raise GenerationError(
                 "material handling needs at least two work positions")
     cdf = _type_cdf(weights)
@@ -202,11 +202,15 @@ def generate_instance(spec: GenSpec,
         k = min(rng.integers(0, spec.max_predecessors + 1), tid - 1)
         if k:   # k distinct ids below tid
             preds_of[tid] = tuple(p + 1 for p in rng.choice(tid - 1, k))
-    redundant = set(_check_precedence(preds_of.items())[1])
+    # ids ascend topologically; p -> tid is redundant when p is an
+    # ancestor of another predecessor of tid, so never when it is alone
+    ancestors = _closure(preds_of, preds_of)
     tasks = tuple(
         Task(tid, kind, start, end, proc,
-             tuple(p for p in preds_of[tid] if (p, tid) not in redundant))
-        for tid, (kind, start, end, proc) in enumerate(drawn, 1))
+             [p for p in ps if not any(p in ancestors[q] for q in ps)]
+             if len(ps) > 1 else ps)
+        for (tid, ps), (kind, start, end, proc)
+        in zip(preds_of.items(), drawn))
 
     name = spec.name or f"gen-{spec.n_tasks}t-s{spec.seed}"
     return ProblemInstance(trajectory_map=fm, stations=tuple(stations),

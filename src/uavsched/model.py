@@ -40,6 +40,8 @@ def exact_int(value) -> int | None:
     """value as an int when it equals one: an integer or an integral
     float (3.0 is 3). None for a boolean, a string, a fraction or
     anything else int() would coerce or truncate."""
+    if type(value) is int:
+        return value
     if isinstance(value, (bool, np.bool_)):
         return None
     try:
@@ -125,18 +127,17 @@ class TrajectoryMap:
             raise InstanceError(
                 "flight times between distinct positions must be positive")
 
-    def flight_time(self, from_pos: str, to_pos: str) -> int:
+    def _at(self, pos_id: str) -> int:
         try:
-            return self.seconds[self.index[from_pos]][self.index[to_pos]]
-        except KeyError as exc:     # the first unknown of the two
-            raise UnknownPositionError(
-                f"unknown position {exc.args[0]!r}") from None
-
-    def position(self, pos_id: str) -> Position:
-        try:
-            return self.positions[self.index[pos_id]]
+            return self.index[pos_id]
         except KeyError:
             raise UnknownPositionError(f"unknown position {pos_id!r}") from None
+
+    def flight_time(self, from_pos: str, to_pos: str) -> int:
+        return self.seconds[self._at(from_pos)][self._at(to_pos)]
+
+    def position(self, pos_id: str) -> Position:
+        return self.positions[self._at(pos_id)]
 
     def work_positions(self) -> list[str]:
         return [p.id for p in self.positions if p.kind == PositionKind.WORK]
@@ -165,7 +166,7 @@ def infer_task_type(start_pos: str, end_pos: str, proc_time: int) -> TaskType:
             else TaskType.COMPOUND_INSPECTION)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Task:
     """One unit of work occupying start_pos and end_pos while it runs.
 
@@ -180,12 +181,15 @@ class Task:
     proc_time: int
     predecessors: tuple[int, ...] = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "id", _integer(self.id, "task id"))
-        object.__setattr__(self, "proc_time",
-                           _integer(self.proc_time, "proc_time"))
-        object.__setattr__(self, "predecessors", tuple(sorted(
-            {_integer(p, "predecessor id") for p in self.predecessors})))
+    def __init__(self, id, type, start_pos, end_pos, proc_time,
+                 predecessors=()):
+        # as Action: no object.__setattr__ per field, checked ones twice
+        d = self.__dict__
+        d["id"], d["type"] = _integer(id, "task id"), type
+        d["start_pos"], d["end_pos"] = start_pos, end_pos
+        d["proc_time"] = _integer(proc_time, "proc_time")
+        d["predecessors"] = tuple(sorted(
+            {_integer(p, "predecessor id") for p in predecessors}))
 
 
 @dataclass(frozen=True)
@@ -328,13 +332,14 @@ def _check_precedence(pairs):
     direct predecessors and successors, ascending. The edges of repeated
     ids are pooled.
     """
-    counts = Counter(tid for tid, _ in pairs)
-    findings = [f"task {tid} appears more than once"
-                for tid in sorted(tid for tid, c in counts.items() if c > 1)]
+    counts = Counter([tid for tid, _ in pairs])
     ids = sorted(counts)
+    findings = [f"task {tid} appears more than once"
+                for tid in ids if counts[tid] > 1]
     index = {tid: d for d, tid in enumerate(ids)}
     kept: list[set[int]] = [set() for _ in ids]
     for tid, predecessors in pairs:
+        mine = kept[index[tid]]
         for p in predecessors:
             if p not in index:
                 findings.append(
@@ -342,14 +347,16 @@ def _check_precedence(pairs):
             elif p == tid:
                 findings.append(f"task {tid} depends on itself")
             else:
-                kept[index[tid]].add(index[p])
+                mine.add(index[p])
     preds = tuple(tuple(sorted(ps)) for ps in kept)
     succs: list[list[int]] = [[] for _ in ids]
     for d, ps in enumerate(preds):  # d ascending
         for p in ps:
             succs[p].append(d)
     succs = tuple(map(tuple, succs))
-    order = _decode(range(len(ids)), preds, succs)
+    order = range(len(ids))     # Kahn's order when every edge runs upward
+    if any(ps and ps[-1] > d for d, ps in enumerate(preds)):
+        order = _decode(order, preds, succs)
     redundant = []
     if len(order) < len(ids):
         placed = set(order)
@@ -358,9 +365,10 @@ def _check_precedence(pairs):
     else:
         closure = _closure(reversed(order), succs)
         for u, vs in enumerate(succs):
-            for v in vs:
-                if any(v in closure[w] for w in vs if w != v):
-                    redundant.append((ids[u], ids[v]))
+            if len(vs) > 1:     # no task reaches itself: w == v is False
+                for v in vs:
+                    if any(v in closure[w] for w in vs):
+                        redundant.append((ids[u], ids[v]))
         findings += [f"edge {u} -> {v} is redundant (implied by a longer path)"
                      for u, v in redundant]
     return findings, redundant, index, preds, succs
@@ -504,16 +512,19 @@ class ProblemInstance:
             m.position(u.initial_pos)
             if u.battery_capacity <= 0 or u.recharge_duration <= 0:
                 raise InstanceError(f"uav {u.id!r} has non-positive budgets")
+        work = set(m.work_positions())
         for t in self.tasks:
-            if m.position(t.start_pos).kind != PositionKind.WORK:
+            if t.start_pos not in work:
+                m.position(t.start_pos)     # an unknown id raises first
                 raise InstanceError(
                     f"task {t.id} starts at non-work position {t.start_pos!r}")
-            if m.position(t.end_pos).kind != PositionKind.WORK:
+            if t.end_pos not in work:
+                m.position(t.end_pos)
                 raise InstanceError(
                     f"task {t.id} ends at non-work position {t.end_pos!r}")
             if t.proc_time <= 0:
                 raise InstanceError(f"task {t.id} has non-positive proc_time")
-            if t.type != TaskType.MATERIAL_HANDLING and t.start_pos != t.end_pos:
+            if t.start_pos != t.end_pos and t.type != TaskType.MATERIAL_HANDLING:
                 raise InstanceError(
                     f"inspection task {t.id} must start and end at one position")
         problems, _, *self._task_graph = _check_precedence(
@@ -538,13 +549,14 @@ class ProblemInstance:
 
 def position_tables(trajectory_map: TrajectoryMap, stations
                     ) -> tuple[tuple[int, ...], tuple[float, ...]]:
-    """Per position of the map: the longest flight into it (its matrix
-    row's max, the matrix being symmetric) and the flight from it to the
-    nearest station, inf when there is none."""
+    """Per position of the map: the longest flight into it (its row's
+    max) and the flight from it to the nearest station (the stations'
+    rows' element-wise min, the matrix being symmetric), inf if none."""
     m = trajectory_map
+    rows = [m.seconds[m._at(s.pos)] for s in stations]
     return (tuple(map(max, m.seconds)),
-            tuple(min([m.flight_time(p.id, s.pos) for s in stations],
-                      default=float("inf")) for p in m.positions))
+            tuple(map(min, zip(*rows))) if rows
+            else (float("inf"),) * len(m.positions))
 
 
 @dataclass

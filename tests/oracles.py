@@ -73,6 +73,15 @@ def worst_case_engagement_time(task: Task, trajectory_map: TrajectoryMap,
     return task_upper_bound_time(worst_in, task, trajectory_map, stations)
 
 
+def reference_position_tables(trajectory_map: TrajectoryMap, stations):
+    """`model.position_tables` as first written: each position's row max
+    and one flight_time lookup per (position, station) pair."""
+    m = trajectory_map
+    return (tuple(map(max, m.seconds)),
+            tuple(min([m.flight_time(p.id, s.pos) for s in stations],
+                      default=float("inf")) for p in m.positions))
+
+
 # The id-keyed precedence graph that validation and generation used
 # before they shared the dense walk `model._decode`, with the error its
 # Kahn pass raised.

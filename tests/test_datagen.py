@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from uavsched import datagen
+from uavsched import datagen, model
 from uavsched.datagen import GenSpec, GenerationError, generate_instance
 from uavsched.io import read_task_csv, write_task_csv
 from uavsched.model import (
@@ -240,6 +240,42 @@ class TestEnvironmentDefaults:
         assert inst.trajectory_map is fm
         assert inst.tasks == gen(5, 0).tasks
 
+    def test_default_stations_and_fleet_shared(self):
+        a, b = gen(5, 0, n_uavs=4), gen(12, 3, n_uavs=4)
+        assert len(a.stations) == len(b.stations) == 2
+        assert all(x is y for x, y in zip(a.stations, b.stations))
+        assert len(a.uavs) == len(b.uavs) == 4
+        assert all(x is y for x, y in zip(a.uavs, b.uavs))
+        # another slot count gives other stations with the same fleet
+        c = gen(5, 0, n_uavs=4, slots_per_station=2)
+        assert [s.slots for s in c.stations] == [2, 2]
+        assert c.uavs == a.uavs
+
+    def test_explicit_stations_and_fleet_used_as_given(self):
+        stations = [RechargeStation("R2", 3), RechargeStation("R1", 2)]
+        uavs = [Uav("U1", "R1", 900), Uav("U2", "R2")]
+        inst = generate_instance(GenSpec(n_tasks=5, seed=0),
+                                 stations=stations, uavs=uavs)
+        assert all(x is y for x, y in zip(inst.stations, stations))
+        assert all(x is y for x, y in zip(inst.uavs, uavs))
+        assert len(inst.stations) == 2 and len(inst.uavs) == 2
+        # a fleet placed over explicit stations starts at them in turn
+        placed = generate_instance(GenSpec(n_tasks=5, seed=0, n_uavs=3),
+                                   stations=stations)
+        assert [u.initial_pos for u in placed.uavs] == ["R2", "R1", "R2"]
+
+    def test_replace_leaves_shared_fleet(self):
+        shared = gen(5, 0).uavs
+        first = shared[0]
+        weak = dataclasses.replace(first, battery_capacity=600)
+        assert weak.battery_capacity == 600 and weak is not first
+        again = gen(5, 0).uavs
+        assert again[0] is first
+        assert [u.battery_capacity for u in again] == [1200] * 3
+        assert gen(5, 0).tasks == generate_instance(
+            GenSpec(n_tasks=5, seed=0), uavs=[
+                Uav(u.id, u.initial_pos) for u in again]).tasks
+
     def test_empty_instance(self):
         inst = gen(0, 0)
         assert inst.tasks == ()
@@ -416,17 +452,26 @@ class TestReachabilityMatchesReference:
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 40), st.integers(0, 10_000), st.integers(0, 4))
     def test_generation_keeps_reference_reduction(self, n, seed, max_preds):
-        drawn = []
-        check = datagen._check_precedence
+        # generation reduces the drawn edges through the ancestor closure
+        # of the drawn predecessor map; validation makes the one full
+        # precedence pass
+        drawn, checks = [], []
+        closure, check = datagen._closure, model._check_precedence
+
+        def recording_closure(order, edges):
+            drawn.append({(p, t) for t, ps in edges.items() for p in ps})
+            return closure(order, edges)
 
         def recording_check(pairs):
-            drawn.append({(p, t) for t, ps in pairs for p in ps})
+            checks.append(pairs)
             return check(pairs)
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(datagen, "_check_precedence", recording_check)
+            mp.setattr(datagen, "_closure", recording_closure)
+            mp.setattr(model, "_check_precedence", recording_check)
             inst = gen(n, seed, max_predecessors=max_preds)
         assert len(drawn) == 1
+        assert len(checks) == 1
         assert edge_set(inst.tasks) == reference_transitive_reduction(
             drawn[0], [t.id for t in inst.tasks])
 
@@ -438,7 +483,7 @@ class TestTypeDraw:
            .filter(lambda w: sum(w) > 0),
            st.integers(0, 2 ** 32))
     def test_equals_generator_choice(self, weights, seed):
-        cdf = datagen._type_cdf(np.asarray(weights, dtype=float))
+        cdf = datagen._type_cdf(tuple(weights))
         p = np.asarray(weights) / sum(weights)
         p = p / p.sum()
         ours, twin = np.random.default_rng(seed), np.random.default_rng(seed)

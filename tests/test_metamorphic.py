@@ -10,6 +10,12 @@ same particles, so it finds the same best sequence in the same number
 of iterations, with every makespan multiplied by c. The validator too:
 each surgical mutation of `tests/test_validate.py`, with every time in
 its instance and schedule multiplied by c, reports the same findings.
+
+Order-preserving relabelling: task ids mapped by a*id + b with a > 0,
+UAV and position ids renamed freely and the task listing shuffled. Ties
+break toward the lower task id and the earlier UAV, position and
+station in declaration order, never on a name, so the constructor, the
+rules and the search give the same results up to names.
 """
 
 import dataclasses
@@ -20,7 +26,13 @@ from hypothesis import strategies as st
 
 from uavsched.datagen import GenSpec, generate_instance
 from uavsched.eat import build_schedule
-from uavsched.model import Action, Schedule, TrajectoryMap
+from uavsched.model import (
+    Action,
+    ProblemInstance,
+    Schedule,
+    Task,
+    TrajectoryMap,
+)
 from uavsched.pso import PsoConfig, run_pso
 from uavsched.sequences import priority_orderings, repair
 from uavsched.validate import validate_schedule
@@ -53,10 +65,10 @@ def timed(schedule, c=1):
 
 
 @st.composite
-def scaling_draws(draw):
-    """A generated instance (1-40 tasks, 1-4 UAVs, 1-3 bays per
-    station), a repaired full sequence and a factor c."""
-    spec = GenSpec(n_tasks=draw(st.integers(1, 40)),
+def scaling_draws(draw, max_tasks=40):
+    """A generated instance (1 to max_tasks tasks, 1-4 UAVs, 1-3 bays
+    per station), a repaired full sequence and a factor c."""
+    spec = GenSpec(n_tasks=draw(st.integers(1, max_tasks)),
                    seed=draw(st.integers(0, 2**20)),
                    max_predecessors=draw(st.integers(0, 3)),
                    n_uavs=draw(st.integers(1, 4)),
@@ -93,6 +105,90 @@ class TestTimeScaling:
         n = config.swarm_size
         assert [round(mean * n) for *_, mean in big.history] == \
             [round(mean * n) * c for *_, mean in small.history]
+
+
+@st.composite
+def relabellings(draw):
+    """A generated instance (1-30 tasks, 1-4 UAVs, 1-3 bays per
+    station), a repaired full sequence, and a relabelling of it: the
+    task map a*id + b (a > 0), fresh UAV and position names, and a
+    shuffled listing order of the tasks."""
+    inst, seq, _ = draw(scaling_draws(max_tasks=30))
+    a, b = draw(st.integers(1, 5)), draw(st.integers(-50, 50))
+    names = st.text("abcdefghijklmnopqrstuvwxyz0123456789", min_size=1,
+                    max_size=4)
+    positions = [p.id for p in inst.trajectory_map.positions]
+    uavs = [u.id for u in inst.uavs]
+    pos = dict(zip(positions, draw(st.lists(
+        names, min_size=len(positions), max_size=len(positions),
+        unique=True))))
+    uav = dict(zip(uavs, draw(st.lists(
+        names, min_size=len(uavs), max_size=len(uavs), unique=True))))
+    listing = draw(st.permutations(inst.tasks))
+    return inst, seq, (lambda t: a * t + b), pos, uav, listing
+
+
+def relabelled(inst, tid, pos, uav, listing):
+    """inst with task ids tid(id), positions and UAVs renamed by the
+    pos and uav maps, and its tasks listed as in listing."""
+    fm = inst.trajectory_map
+    return ProblemInstance(
+        trajectory_map=TrajectoryMap(
+            [dataclasses.replace(p, id=pos[p.id]) for p in fm.positions],
+            fm.seconds),
+        stations=tuple(dataclasses.replace(s, pos=pos[s.pos])
+                       for s in inst.stations),
+        tasks=tuple(Task(tid(t.id), t.type, pos[t.start_pos], pos[t.end_pos],
+                         t.proc_time, [tid(p) for p in t.predecessors])
+                    for t in listing),
+        uavs=tuple(dataclasses.replace(u, id=uav[u.id],
+                                       initial_pos=pos[u.initial_pos])
+                   for u in inst.uavs),
+        name=inst.name)
+
+
+def renamed(schedule, tid, pos, uav):
+    """The schedule's actions per UAV with every id renamed."""
+    def one(a):
+        return dataclasses.replace(
+            a, from_pos=pos[a.from_pos], to_pos=pos[a.to_pos],
+            task_id=None if a.task_id is None else tid(a.task_id),
+            station=None if a.station is None else pos[a.station])
+    return {uav[u]: [one(a) for a in acts]
+            for u, acts in schedule.actions.items()}
+
+
+class TestOrderPreservingRelabelling:
+    @settings(max_examples=100, deadline=None)
+    @given(relabellings())
+    def test_constructor_validator_and_rules(self, draw):
+        inst, seq, tid, pos, uav, listing = draw
+        other = relabelled(inst, tid, pos, uav, listing)
+        schedule = build_schedule(other, [tid(t) for t in seq])
+        mine = build_schedule(inst, seq)
+        assert schedule.actions == renamed(mine, tid, pos, uav)
+        assert list(schedule.actions) == [uav[u] for u in mine.actions]
+        assert validate_schedule(schedule) == []
+        assert priority_orderings(other) == {
+            rule: [tid(t) for t in order]
+            for rule, order in priority_orderings(inst).items()}
+
+    @settings(max_examples=15, deadline=None)
+    @given(relabellings(), st.integers(0, 2**32 - 1))
+    def test_search(self, draw, seed):
+        inst, _, tid, pos, uav, listing = draw
+        config = PsoConfig(rng_seed=seed)
+        mine = run_pso(inst, config)
+        other = run_pso(relabelled(inst, tid, pos, uav, listing), config)
+        assert other.best_sequence == [tid(t) for t in mine.best_sequence]
+        assert other.best_makespan == mine.best_makespan
+        assert other.history == mine.history
+        assert (other.iterations_run, other.converged,
+                other.convergence_iteration, other.last_improvement) == (
+            mine.iterations_run, mine.converged, mine.convergence_iteration,
+            mine.last_improvement)
+        assert other.best_schedule.actions == renamed(mine.best_schedule,
+                                                      tid, pos, uav)
 
 
 def on_tiny(tasks, n_uavs=2, **timelines):

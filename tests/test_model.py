@@ -40,6 +40,7 @@ from oracles import (
     CycleError,
     PrecedenceGraph,
     nearest_recharge_station,
+    reference_position_tables,
     worst_case_engagement_time,
 )
 
@@ -304,6 +305,24 @@ class TestInstanceValidation:
         assert str(exc.value) == (
             "task 2 cannot fit any battery window: worst-case airborne "
             "time 2060 > capacity 1200")
+
+    @pytest.mark.parametrize("start, end, error, message", [
+        ("zz", "a", UnknownPositionError, "unknown position 'zz'"),
+        ("a", "zz", UnknownPositionError, "unknown position 'zz'"),
+        ("R1", "a", InstanceError,
+         "task 1 starts at non-work position 'R1'"),
+        ("a", "R2", InstanceError, "task 1 ends at non-work position 'R2'"),
+        # the start is checked before the end
+        ("R1", "zz", InstanceError,
+         "task 1 starts at non-work position 'R1'"),
+        ("zz", "R1", UnknownPositionError, "unknown position 'zz'"),
+    ])
+    def test_task_endpoints_must_be_work_positions(self, start, end, error,
+                                                   message):
+        with pytest.raises(error) as exc:
+            make_instance([haul(1, start, end, 10)])
+        assert str(exc.value) == message
+        assert type(exc.value) is error
 
     def test_unknown_task_lookup(self, lab):
         with pytest.raises(Exception, match="unknown task"):
@@ -582,6 +601,15 @@ class TestPositionTables:
         inst = ProblemInstance(trajectory_map=fm, stations=stations,
                                tasks=tasks, uavs=(Uav("U1", "R0", 10 ** 6),))
         assert inst.compiled().nearest_leg == position_tables(fm, stations)[1]
+
+    @settings(max_examples=200, deadline=None)
+    @given(symmetric_maps(), st.data())
+    def test_rows_equal_per_pair_oracle(self, drawn, data):
+        # any stations in any order, repeats and none included
+        fm, stations = drawn
+        picked = data.draw(st.lists(st.sampled_from(stations), max_size=4))
+        assert position_tables(fm, picked) == \
+            reference_position_tables(fm, picked)
 
     def test_unknown_station_position(self):
         with pytest.raises(UnknownPositionError, match="'nowhere'"):
