@@ -16,12 +16,13 @@ fresh `Generator` on the same bit generator returns, call for call:
   method and then a shuffle, or, when n > 10000 and k > n // 50, a
   partial shuffle of range(n) whose tail is the result.
 
-`sample` and `skip`, the particles' draws, take a run of bounds up to
-`_SMALL` in one slice of the half-word stream. Such a bound rejects
-only a word of `_REJECTABLE` (138 of them), so when the slice holds
-none, each draw is its word times its bound over 2**32, and only the
-values a caller uses are computed; otherwise the exact loop redraws the
-run from the words already taken.
+`sample` and `skip`, the particles' draws, serve populations up to
+`_SMALL` (a larger one raises ValueError) and take their run of bounds
+in one slice of the half-word stream. Such a bound rejects only a word
+of `_REJECTABLE` (138 of them), so when the slice holds none, each draw
+is its word times its bound over 2**32, and only the values a caller
+uses are computed; otherwise the exact loop redraws the run from the
+words already taken.
 
 The bit generator runs ahead of the draws by up to one block, so a
 `Draws` must be the only user of its bit generator.
@@ -35,7 +36,7 @@ from itertools import chain, islice
 _BLOCK = 64
 _WORD = 1 << 32
 _LOW = _WORD - 1
-# above the bounds of every particle draw: a difference list at
+# the largest population of a particle draw: a difference list at
 # pso.DRAWS_MAX_TASKS tasks or fewer holds fewer pairs
 _SMALL = 32
 # the words w that some bound b <= _SMALL rejects: for w * b =
@@ -145,25 +146,23 @@ class Draws:
         return out
 
     def _floyd(self, n: int, k: int) -> tuple[tuple[int, ...], list[int]]:
-        """The draws of choice(n, k) for 0 < k <= n <= 10000: its bounds
+        """The draws of choice(n, k) for 0 < k <= n <= _SMALL: its bounds
         and the word each draw accepts, so that draw i is words[i] *
         bounds[i] >> 32."""
-        if n <= _SMALL:
-            bounds = _small_bounds(n, k)
-            words = list(islice(self._halves, len(bounds)))
-            if _REJECTABLE.isdisjoint(words):
-                return bounds, words
-            word = chain(words, self._halves).__next__
-        else:
-            bounds, word = _bounds(n, k), self._word
+        if n > _SMALL:
+            raise ValueError(
+                f"a particle draw serves at most {_SMALL} pairs, not {n}: "
+                f"pso.DRAWS_MAX_TASKS must stay at most {_SMALL + 1}")
+        bounds = _small_bounds(n, k)
+        words = list(islice(self._halves, len(bounds)))
+        if _REJECTABLE.isdisjoint(words):
+            return bounds, words
+        word = chain(words, self._halves).__next__
         return bounds, [_redraw(word() * b, b, 32, word) // b for b in bounds]
 
     def sample(self, n: int, k: int) -> list[int] | None:
-        """sorted(choice(n, k)) for 0 < k <= n, or None for all of
-        range(n) when k == n, whose draws are made but not used."""
-        if n > 10000:
-            picks = self.choice(n, k)
-            return sorted(picks) if k < n else None
+        """sorted(choice(n, k)) for 0 < k <= n <= _SMALL, or None for all
+        of range(n) when k == n, whose draws are made but not used."""
         bounds, words = self._floyd(n, k)
         if k == n:
             return None
@@ -176,8 +175,5 @@ class Draws:
 
     def skip(self, n: int, k: int) -> None:
         """Leaves the stream where sample(n, k) leaves it: the draws are
-        made, but for n up to _SMALL no value is computed."""
-        if n > 10000:
-            self.choice(n, k)
-        else:
-            self._floyd(n, k)
+        made, but a value is computed only when a word may be rejected."""
+        self._floyd(n, k)

@@ -1,7 +1,9 @@
 """File formats: instance JSON, Table-style task CSV, schedule CSV.
 
-All writers emit canonical bytes (sorted keys, fixed separators, LF
-endings) so identical inputs produce identical files.
+All writers emit canonical bytes (sorted keys, fixed separators) so
+identical inputs produce identical files. Every artifact is UTF-8 with
+LF endings on every platform: a text is encoded before any temp file
+exists and written as bytes, with no newline translation.
 """
 
 from __future__ import annotations
@@ -12,7 +14,6 @@ import json
 import os
 import re
 from io import StringIO
-from pathlib import Path
 
 from .model import (
     DEFAULT_BATTERY_CAPACITY,
@@ -64,11 +65,18 @@ def instance_to_dict(instance: ProblemInstance) -> dict:
 
 
 def _name(value, what: str) -> str:
-    """value if it is a string; ids and position names must be."""
+    """value if it is a string that UTF-8 can encode; ids and position
+    names must be, since every artifact is written as UTF-8."""
     if not isinstance(value, str):
         raise InstanceError(
             f"malformed instance document: {what} must be a string, "
             f"not {value!r}")
+    try:
+        value.encode("utf-8")
+    except UnicodeEncodeError:  # a lone surrogate, from a \ud800 escape
+        raise InstanceError(
+            f"malformed instance document: {what} {value!r} is not "
+            f"valid Unicode text") from None
     return value
 
 
@@ -109,11 +117,13 @@ def instance_from_dict(doc: dict) -> ProblemInstance:
             recharge_duration=u.get("recharge_duration",
                                     DEFAULT_RECHARGE_DURATION),
         ) for u in doc["uavs"])
+        name = doc.get("name", "instance")
         # Inside the try: validation may still meet a wrongly typed
         # field and raise TypeError or ValueError.
         return ProblemInstance(trajectory_map=fm, stations=stations,
                                tasks=tasks, uavs=uavs,
-                               name=doc.get("name", "instance"))
+                               name=(_name(name, "instance name")
+                                     if isinstance(name, str) else name))
     except (KeyError, TypeError, ValueError) as exc:
         raise InstanceError(f"malformed instance document: {exc}") from exc
 
@@ -123,15 +133,18 @@ def _canonical_json(doc: dict) -> str:
 
 
 def write_text_atomic(path, text: str):
-    """Write via a sibling temp file and rename, so partial files never
-    land under the final name. Missing parent directories are created."""
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
+    """Write text as UTF-8 via a sibling temp file and rename, so partial
+    files never land under the final name. Missing parent directories
+    are created."""
+    data = text.encode("utf-8")     # an unencodable text leaves no file
+    tmp = f"{os.fspath(path)}.tmp"
     try:
-        tmp.write_text(text, encoding="utf-8")
+        fh = open(tmp, "wb")
     except FileNotFoundError:   # only then pay for creating the parents
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp.write_text(text, encoding="utf-8")
+        os.makedirs(os.path.dirname(tmp), exist_ok=True)
+        fh = open(tmp, "wb")
+    with fh:
+        fh.write(data)
     os.replace(tmp, path)
 
 

@@ -42,7 +42,8 @@ from .sequences import (
 # mostly per call: in-process `run_pso` (Python 3.11, numpy 2.4, a
 # 2-core Xeon host, call-by-call interleaved pairs) ran x1.33 faster on
 # the stream at 10 tasks, x1.09 at 20, x1.03-1.05 at 25 and x0.98-1.03
-# at 30.
+# at 30. The stream serves lists of up to `_draws._SMALL` pairs, so this
+# stays at most one more.
 DRAWS_MAX_TASKS = 20
 
 

@@ -252,6 +252,22 @@ class TestBadInputFiles:
         assert code == 2
         assert "uav id must be a string, not None" in err
 
+    @pytest.mark.parametrize("out_dir", [False, True])
+    @pytest.mark.parametrize("where, what", [(("uavs", 0, "id"), "uav id"),
+                                             (("name",), "instance name")])
+    def test_lone_surrogate_is_named(self, capsys, tmp_path, where, what,
+                                     out_dir):
+        # json.loads reads the escape as a lone surrogate, which no
+        # artifact or printed line could encode as UTF-8
+        out = tmp_path / "out"
+        args = _raw_instance(where, r'"U\ud800"')(tmp_path)
+        if out_dir:
+            args += ["--out-dir", str(out)]
+        code, _, err = run(capsys, ["schedule", *args])
+        assert code == 2, err
+        assert f"{what} 'U\\ud800' is not valid Unicode text" in err
+        assert not out.exists()
+
 
 class TestStrictIntegerText:
     """Integers written as text are ASCII digits with an optional sign;

@@ -8,9 +8,9 @@ the Generator stands, buffered half-word included. The edge cases reach
 every branch: Lemire's rejection loop (a range of 2**31 + 1 rejects
 about half its words), numpy's direct-word and 64-bit paths, the tail
 shuffle that `choice` takes when n > 10000 and k > n // 50, and the
-bulk path of `sample` and `skip` for n up to `_SMALL`, both when its
-slice of words holds none that a bound can reject and, at a pinned
-stream position, when it holds one.
+bulk path of `sample` and `skip`, which serve n up to `_SMALL`, both
+when its slice of words holds none that a bound can reject and, at a
+pinned stream position, when it holds one.
 """
 
 import numpy as np
@@ -18,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from uavsched import pso
 from uavsched._draws import _REJECTABLE, _SMALL, Draws
 
 EDGE_RANGES = [1, 2, 3, 2**31 + 1, 2**32 - 1, 2**32, 2**32 + 1, 2**40,
@@ -68,8 +69,10 @@ calls = st.one_of(
     st.tuples(st.just("integers"),
               st.sampled_from(EDGE_RANGES).flatmap(integer_range)
               | st.integers(1, 100).flatmap(integer_range)),
-    st.tuples(st.sampled_from(["choice", "sample", "skip"]),
-              st.integers(1, 60).flatmap(
+    st.tuples(st.just("choice"), st.integers(1, 60).flatmap(
+        lambda n: st.tuples(st.just(n), st.integers(1, n)))),
+    st.tuples(st.sampled_from(["sample", "skip"]),
+              st.integers(1, _SMALL).flatmap(
                   lambda n: st.tuples(st.just(n), st.integers(1, n)))),
     st.tuples(st.just("choice"), st.just((0, 0))),
 )
@@ -109,19 +112,17 @@ class TestMatchesGenerator:
     def test_tail_shuffle(self, n, k):
         for seed in range(3):
             check_script(seed, [("integers", (0, 3)), ("choice", (n, k)),
-                                ("sample", (n, k)), ("choice", (n, 3))])
+                                ("choice", (n, 3))])
 
     def test_just_outside_the_tail_shuffle(self):
         # k == n // 50 keeps Floyd's method at n > 10000, and so does
         # n == 10000 at any k
-        check_script(5, [("choice", (10050, 201)), ("sample", (10050, 201)),
-                         ("choice", (10000, 300)), ("sample", (10000, 300)),
-                         ("sample", (10000, 10000))])
+        check_script(5, [("choice", (10050, 201)), ("choice", (10000, 300))])
 
     def test_population_beyond_a_word(self):
         # Floyd's draws below j + 1 take whole outputs once j >= 2**32
         check_script(9, [("integers", (0, 5)), ("choice", (2**33, 4)),
-                         ("sample", (2**32 + 3, 2))])
+                         ("choice", (2**32 + 3, 2))])
 
     @given(seed=seeds, n=st.integers(1, 30), k=st.integers(1, 30))
     def test_sample_is_sorted_choice(self, seed, n, k):
@@ -136,9 +137,22 @@ class TestBulkRuns:
     of words and fall back to the exact loop only when the slice holds a
     word that such a bound can reject."""
 
-    @given(seed=seeds, n=st.integers(1, 60), k=st.integers(1, 60))
+    def test_every_particle_draw_is_small(self):
+        # a difference list at DRAWS_MAX_TASKS tasks holds at most
+        # DRAWS_MAX_TASKS - 1 pairs
+        assert pso.DRAWS_MAX_TASKS - 1 <= _SMALL
+
+    @pytest.mark.parametrize("op", ["sample", "skip"])
+    def test_past_small_raises(self, op):
+        draws = Draws(np.random.PCG64(0))
+        twin = np.random.Generator(np.random.PCG64(0))
+        with pytest.raises(ValueError, match="pso.DRAWS_MAX_TASKS"):
+            getattr(draws, op)(_SMALL + 1, 2)
+        # nothing was drawn
+        assert draws.random() == twin.random()
+
+    @given(seed=seeds, n=st.integers(1, _SMALL), k=st.integers(1, _SMALL))
     def test_skip_stops_where_sample_stops(self, seed, n, k):
-        assert _SMALL < 60      # n runs on both sides of the bulk path
         k = min(k, n)
         skipped = Draws(np.random.PCG64(seed))
         sampled = Draws(np.random.PCG64(seed))
@@ -162,12 +176,12 @@ class TestBulkRuns:
         assert self.REJECTED * 19 % 2**32 < 2**32 % 19
 
     @pytest.mark.parametrize("op", ["sample", "skip"])
-    @pytest.mark.parametrize("n, k", [(19, 2), (20, 3), (30, 13), (40, 23),
+    @pytest.mark.parametrize("n, k", [(19, 2), (20, 3), (30, 13), (32, 15),
                                       (19, 19)])
     def test_rejection_inside_a_run(self, op, n, k):
         # the run's second draw is below 19, except for (19, 19), whose
         # bounds run 2..19, so the pinned word meets a bound of 3 that
-        # accepts it; (40, 23) is beyond the bulk path
+        # accepts it; (32, 15) is the largest population served
         bits = np.random.PCG64(0)
         bits.advance(self.REJECTED_AT)
         draws = Draws(bits)

@@ -20,6 +20,7 @@ from uavsched.io import (
     write_report_json,
     write_schedule_csv,
     write_task_csv,
+    write_text_atomic,
 )
 from uavsched.model import (
     InstanceError,
@@ -80,6 +81,29 @@ class TestInstanceJson:
         del doc["tasks"]
         with pytest.raises(InstanceError):
             instance_from_dict(doc)
+
+    @pytest.mark.parametrize("where, what", [
+        (("positions", 0, "id"), "position id"),
+        (("stations", 0, "pos"), "station pos"),
+        (("tasks", 0, "start"), "task start"),
+        (("tasks", 0, "end"), "task end"),
+        (("uavs", 0, "id"), "uav id"),
+        (("uavs", 0, "initial_pos"), "uav initial_pos"),
+        (("name",), "instance name"),
+    ])
+    def test_lone_surrogate_is_refused(self, lab, tmp_path, where, what):
+        # json.loads reads the escape "\ud800" as a lone surrogate, which
+        # no artifact could encode as UTF-8
+        doc = instance_to_dict(lab)
+        *path, last = where
+        node = doc
+        for key in path:
+            node = node[key]
+        node[last] = "U\ud800"
+        p = tmp_path / "inst.json"
+        p.write_text(json.dumps(doc))
+        with pytest.raises(InstanceError, match=f"{what} .* not valid"):
+            load_instance(p)
 
 
 class TestTaskCsv:
@@ -251,3 +275,32 @@ class TestReportJson:
         assert doc["config"]["rng_seed"] == 9
         assert doc["history"][0][0] == 0
         assert sorted(doc["best_sequence"]) == list(range(1, 13))
+
+
+class TestWriteTextAtomic:
+    def test_writes_exactly_the_utf8_bytes(self, tmp_path):
+        text = "a,b\r\nc\n\u00e9\u4e2d\U0001f681\n"
+        p = tmp_path / "out.csv"
+        write_text_atomic(p, text)
+        assert p.read_bytes() == text.encode("utf-8")
+
+    def test_creates_missing_parents(self, tmp_path):
+        p = tmp_path / "a" / "b" / "out.txt"
+        write_text_atomic(p, "x\n")
+        assert p.read_bytes() == b"x\n"
+        assert list(p.parent.iterdir()) == [p]
+
+    def test_replaces_the_target(self, tmp_path):
+        p = tmp_path / "out.txt"
+        p.write_bytes(b"old contents, longer than the new\n")
+        write_text_atomic(str(p), "new\n")
+        assert p.read_bytes() == b"new\n"
+        assert list(tmp_path.iterdir()) == [p]
+
+    def test_unencodable_text_leaves_the_target(self, tmp_path):
+        p = tmp_path / "out.txt"
+        p.write_bytes(b"old\n")
+        with pytest.raises(UnicodeEncodeError):
+            write_text_atomic(p, "U\ud800\n")
+        assert p.read_bytes() == b"old\n"
+        assert list(tmp_path.iterdir()) == [p]
