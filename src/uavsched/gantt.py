@@ -16,6 +16,7 @@ ACTION_COLORS = {
     ActionKind.RECHARGE: "#E15759",
 }
 _STYLE = {k: (color, k.value) for k, color in ACTION_COLORS.items()}
+_EXEC = ActionKind.TASK_EXEC    # a module global reads faster than the member
 
 _LANE_H = 34
 _LANE_GAP = 10
@@ -103,21 +104,26 @@ def render_gantt_svg(schedule: Schedule, title: str = "") -> str:
     widths = _Memo(lambda duration: _fmt(max(duration * scale, 0.5)))
     add = parts.append
     for lane, uav_id in enumerate(uavs):
+        # each lane's fixed text once: its bars' y, its labels' y
         y = _MARGIN_T + lane * (_LANE_H + _LANE_GAP)
-        add(f'<text x="{_MARGIN_L - 8}" y="{y + _LANE_H / 2 + 4}" '
-            f'text-anchor="end">{escape(uav_id)}</text>')
+        bar_y = f'" y="{y}" width="'
+        label_y = f'" y="{y + _LANE_H / 2 + 4}" '
+        task_label = (f'{label_y}text-anchor="middle" fill="white" '
+                      f'font-weight="bold">')
+        add(f'<text x="{_MARGIN_L - 8}{label_y}text-anchor="end">'
+            f'{escape(uav_id)}</text>')
         for a in schedule.actions[uav_id]:
-            start, end = a.start, a.end
+            kind, start, end = a.kind, a.start, a.end
             x = _MARGIN_L + start * scale
+            x_text = f"{x:.2f}"     # _fmt(x), inline
+            if x_text[-1] == "0":
+                x_text = x_text.rstrip("0").rstrip(".")
             # escape(f"{kind} {from}->{to} [{start},{end}]"), per id once
-            add(f'<rect x="{_fmt(x)}" y="{y}" width="{widths[end - start]}'
-                f'{_RECT_TAIL[a.kind]}{esc[a.from_pos]}-&gt;{esc[a.to_pos]} '
+            add(f'<rect x="{x_text}{bar_y}{widths[end - start]}'
+                f'{_RECT_TAIL[kind]}{esc[a.from_pos]}-&gt;{esc[a.to_pos]} '
                 f'[{start},{end}]</title></rect>')
-            if (a.kind is ActionKind.TASK_EXEC
-                    and (w := (end - start) * scale) >= 14):
-                add(f'<text x="{_fmt(x + w / 2)}" y="{y + _LANE_H / 2 + 4}" '
-                    f'text-anchor="middle" fill="white" '
-                    f'font-weight="bold">{a.task_id}</text>')
+            if kind is _EXEC and (w := (end - start) * scale) >= 14:
+                add(f'<text x="{_fmt(x + w / 2)}{task_label}{a.task_id}</text>')
 
     legend_x = _MARGIN_L
     legend_y = axis_y + 38

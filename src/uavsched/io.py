@@ -230,11 +230,15 @@ def write_task_csv(tasks, path):
 
 def write_schedule_csv(schedule: Schedule, path):
     cells = _Cells()
-    rows = [f"{cells[u]},{_KIND_TEXT[a.kind]},{a.start},{a.end},"
-            f"{cells[a.from_pos]},{cells[a.to_pos]},"
-            f"{'' if a.task_id is None else a.task_id}"
-            for u in schedule.uav_order() for a in schedule.actions[u]]
-    write_text_atomic(path, "\n".join([",".join(SCHEDULE_CSV_FIELDS), *rows, ""]))
+    rows = [",".join(SCHEDULE_CSV_FIELDS)]
+    for u in schedule.uav_order():
+        uav = cells[u]      # each lane's UAV cell once
+        rows += [f"{uav},{_KIND_TEXT[a.kind]},{a.start},{a.end},"
+                 f"{cells[a.from_pos]},{cells[a.to_pos]},"
+                 f"{'' if a.task_id is None else a.task_id}"
+                 for a in schedule.actions[u]]
+    rows.append("")
+    write_text_atomic(path, "\n".join(rows))
 
 
 def read_schedule_csv(path, instance: ProblemInstance) -> Schedule:

@@ -183,7 +183,10 @@ class Task:
 
     def __init__(self, id, type, start_pos, end_pos, proc_time,
                  predecessors=()):
-        # as Action: no object.__setattr__ per field, checked ones twice
+        # the instance dict, not slots as in Action: a dict store costs
+        # less than a slot setter call, and tasks are built often and
+        # read little on the audit path; no object.__setattr__ per
+        # field, and a checked field is not checked twice
         d = self.__dict__
         d["id"], d["type"] = _integer(id, "task id"), type
         d["start_pos"], d["end_pos"] = start_pos, end_pos
@@ -224,12 +227,7 @@ class ActionKind(str, enum.Enum):
     RECHARGE = "recharge"
 
 
-# Action kinds during which the UAV is airborne and consuming battery.
-AIRBORNE_KINDS = frozenset(
-    {ActionKind.FLIGHT, ActionKind.TASK_EXEC, ActionKind.HOVER})
-
-
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, slots=True, init=False)
 class Action:
     """One contiguous span of a UAV timeline.
 
@@ -247,11 +245,22 @@ class Action:
 
     def __init__(self, kind, start, end, from_pos, to_pos, task_id=None,
                  station=None):
-        # the frozen dataclass __init__ pays an object.__setattr__ per field
-        d = self.__dict__
-        d["kind"], d["start"], d["end"] = kind, start, end
-        d["from_pos"], d["to_pos"] = from_pos, to_pos
-        d["task_id"], d["station"] = task_id, station
+        # slots, since the validator and the writers read every field
+        # of every action; the frozen dataclass __init__ pays an
+        # object.__setattr__ per field, a slot's own setter skips the
+        # frozen check
+        _set_kind(self, kind)
+        _set_start(self, start)
+        _set_end(self, end)
+        _set_from_pos(self, from_pos)
+        _set_to_pos(self, to_pos)
+        _set_task_id(self, task_id)
+        _set_station(self, station)
+
+
+(_set_kind, _set_start, _set_end, _set_from_pos, _set_to_pos, _set_task_id,
+ _set_station) = (Action.__dict__[name].__set__
+                  for name in Action.__dataclass_fields__)
 
 
 def _closure(order, edges) -> dict[int, frozenset[int]]:

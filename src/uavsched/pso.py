@@ -92,7 +92,12 @@ class PsoConfig:
 
 @dataclass
 class RunReport:
-    """Everything a search run produced, timing included."""
+    """Everything a search run produced, timing included.
+
+    convergence_iteration always equals iterations_run: a run that did
+    not converge stops at max_iterations, which is the value it gets.
+    Both are kept in report.json as they are.
+    """
 
     config: PsoConfig
     best_sequence: list[int]

@@ -5,7 +5,8 @@ trusting the constructor: known positions, timeline continuity, flight
 durations against the matrix, task execution windows, precedence,
 position exclusivity, airborne battery budgets and recharge bay
 capacity. It returns an empty list exactly when the schedule is clean;
-a position the map does not know is a violation, not an error. Schedules
+a position the map does not know is a violation, not an error, and so
+is an action kind that is not an `ActionKind` member. Schedules
 covering only a subset of the task set are acceptable as long as every
 scheduled task's predecessors are scheduled too.
 """
@@ -14,11 +15,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .model import Action, ActionKind, AIRBORNE_KINDS, Schedule, Task
+from .model import Action, ActionKind, Schedule, Task
 
-_FLIGHT, _EXEC, _WAIT, _RECHARGE = (
-    ActionKind.FLIGHT, ActionKind.TASK_EXEC, ActionKind.WAIT_ON_GROUND,
-    ActionKind.RECHARGE)
+_FLIGHT, _EXEC, _HOVER, _WAIT, _RECHARGE = (
+    ActionKind.FLIGHT, ActionKind.TASK_EXEC, ActionKind.HOVER,
+    ActionKind.WAIT_ON_GROUND, ActionKind.RECHARGE)
+
+
+def _text(kind) -> str:
+    """A kind as a message names it: a member by its value, anything
+    else by its repr."""
+    return kind.value if isinstance(kind, ActionKind) else repr(kind)
 
 
 @dataclass(frozen=True)
@@ -62,7 +69,7 @@ def validate_schedule(schedule: Schedule) -> list[Violation]:
             src, dst = a.from_pos, a.to_pos
             if end < start:
                 add(Violation("negative_span",
-                              f"{uav_id}: {kind.value} ends at {end} "
+                              f"{uav_id}: {_text(kind)} ends at {end} "
                               f"before start {start}",
                               uav_id=uav_id, tstp=start))
             if src in index and dst in index:
@@ -77,22 +84,24 @@ def validate_schedule(schedule: Schedule) -> list[Violation]:
                 for p in dict.fromkeys((src, dst)):
                     if p not in index:
                         add(Violation("unknown_position",
-                                      f"{uav_id}: {kind.value} at {p!r}, "
+                                      f"{uav_id}: {_text(kind)} at {p!r}, "
                                       "which the trajectory map does not know",
                                       uav_id=uav_id, position=p, tstp=start))
             # Only flights and task executions (material handling) may
             # change position.
-            if kind is not _FLIGHT and kind is not _EXEC and src != dst:
+            if (kind is not _FLIGHT and kind is not _EXEC and src != dst
+                    and isinstance(kind, ActionKind)):
                 add(Violation("action_shape",
                               f"{uav_id}: {kind.value} moves from {src} to {dst}",
                               uav_id=uav_id, tstp=start))
-            if kind in AIRBORNE_KINDS:
+            if kind is _FLIGHT or kind is _EXEC or kind is _HOVER:  # airborne
                 if span_start is None:
                     span_start = start
                 airborne += end - start
                 if kind is _EXEC:
                     execs.append(a)
-            else:   # on the ground: an airborne stretch ends
+            elif kind is _RECHARGE or kind is _WAIT:
+                # on the ground: an airborne stretch ends
                 if airborne > cap:
                     low.append((airborne, span_start, cap))
                 airborne, span_start = 0, None
@@ -107,18 +116,25 @@ def validate_schedule(schedule: Schedule) -> list[Violation]:
                                       f"{uav_id}: recharge lasts {end - start}, "
                                       f"expected {uav.recharge_duration}",
                                       uav_id=uav_id, tstp=start))
-                elif kind is _WAIT and src not in station_pos:
+                elif src not in station_pos:
                     add(Violation("ground_wait_position",
                                   f"{uav_id}: wait on ground away from a "
                                   f"station at {src!r}",
                                   uav_id=uav_id, position=src))
+            else:
+                # not a member: no kind-dependent check applies, and as
+                # neither airborne nor grounded it leaves the stretch open
+                add(Violation("action_kind",
+                              f"{uav_id}: action kind {kind!r} is not an "
+                              "ActionKind",
+                              uav_id=uav_id, tstp=start))
             if prev is not None:
                 if start != prev.end:
                     gap = ("timeline_gap" if start > prev.end
                            else "timeline_overlap")
                     add(Violation(gap,
-                                  f"{uav_id}: {prev.kind.value} ends {prev.end} "
-                                  f"but {kind.value} starts {start}",
+                                  f"{uav_id}: {_text(prev.kind)} ends "
+                                  f"{prev.end} but {_text(kind)} starts {start}",
                                   uav_id=uav_id, tstp=start))
                 if src != prev.to_pos:
                     add(Violation("spatial_continuity",

@@ -1,4 +1,7 @@
+from functools import cache
+
 import pytest
+from hypothesis import strategies as st
 
 from uavsched.model import (
     Action,
@@ -35,6 +38,8 @@ FULL_COMPLETION_MAKESPAN = 4963
 _F, _T, _H, _W, _R = (ActionKind.FLIGHT, ActionKind.TASK_EXEC,
                       ActionKind.HOVER, ActionKind.WAIT_ON_GROUND,
                       ActionKind.RECHARGE)
+# Action kinds during which the UAV is airborne and consuming battery.
+AIRBORNE_KINDS = frozenset({_F, _T, _H})
 
 # Full action-level expansion of the seven-step timeline, frozen by
 # hand. Tuples: (kind, start, end, from, to, task_id, station).
@@ -123,3 +128,50 @@ TABLE_ROWS = {
     "min_cumulative_predecessors": [1, 2, 3, 4, 5, 6, 7, 9, 8, 10, 11, 12],
     "max_cumulative_followers": [2, 6, 1, 4, 3, 5, 7, 8, 10, 9, 11, 12],
 }
+
+
+# Ids that a CSV cell must quote or an SVG text must escape, and
+# non-ASCII ones.
+AWKWARD_TEXT = st.text(alphabet='aZ1 ,"\n\r&<>é電', min_size=1, max_size=4)
+# A makespan the plot width (980) divides or is divided by, so that
+# x = 70 + start * scale or its width often ends in 0 before trimming.
+ROUND_SPANS = (98, 245, 490, 980, 1960, 3920, 9800)
+
+
+@cache
+def _bundled():
+    return sample_instance()
+
+
+@st.composite
+def drawn_schedules(draw) -> Schedule:
+    """Schedules on the bundled instance for the writers: awkward UAV
+    and position ids (some UAVs the instance does not know, some lanes
+    empty), zero-length and tiny actions (the Gantt chart's 0.5 width
+    floor), task bars either side of its 14-unit label cut-off, and
+    often a last hover that pads the makespan to one of ROUND_SPANS."""
+    inst = _bundled()
+    names = draw(st.lists(AWKWARD_TEXT, min_size=1, max_size=4))
+    uav_ids = draw(st.lists(AWKWARD_TEXT | st.sampled_from(
+        [u.id for u in inst.uavs]), min_size=1, max_size=4, unique=True))
+    actions = {}
+    for uav_id in uav_ids:
+        t = draw(st.integers(0, 50))
+        lane = actions[uav_id] = []
+        for _ in range(draw(st.integers(0, 8))):
+            kind = draw(st.sampled_from(list(ActionKind)))
+            length = draw(st.integers(0, 60)
+                          | st.sampled_from([1, 2, 7, 13, 14, 28]))
+            lane.append(Action(kind, t, t + length,
+                               draw(st.sampled_from(names)),
+                               draw(st.sampled_from(names)),
+                               task_id=draw(st.none() | st.integers(0, 10**4))))
+            t += length
+    span = draw(st.none() | st.sampled_from(ROUND_SPANS))
+    lanes = [lane for lane in actions.values() if lane]
+    if span is not None and lanes:
+        last = max(lanes, key=lambda lane: lane[-1].end)
+        end, pos = last[-1].end, last[-1].to_pos
+        if end < span:
+            last.append(Action(ActionKind.HOVER, end, span, pos, pos))
+    return Schedule(instance=inst, actions=actions)

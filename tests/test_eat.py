@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from uavsched.datagen import GenSpec, generate_instance
 from uavsched.eat import _construct, _kernel, build_schedule, check_sequence
 from uavsched.model import (
-    AIRBORNE_KINDS,
     Action,
     ActionKind,
     InstanceError,
@@ -28,6 +27,7 @@ from uavsched.sequences import repair
 from uavsched.validate import validate_schedule
 
 from conftest import (
+    AIRBORNE_KINDS,
     FULL_COMPLETION,
     FULL_COMPLETION_MAKESPAN,
     GOLDEN_ASSIGNMENTS,

@@ -1,21 +1,25 @@
 """Number formatting and escaping in the Gantt chart: `_fmt` against its
-plain definition, `escape` against `xml.sax.saxutils.escape`, and every
+plain definition, `escape` against `xml.sax.saxutils.escape`, every
 bar and task label of a chart against positions computed directly from
-the schedule, zero-length actions and a zero makespan included."""
+the schedule, zero-length actions and a zero makespan included, and
+whole charts byte for byte against a frozen copy of the renderer."""
 
 from xml.dom import minidom
 from xml.sax import saxutils
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from uavsched.eat import build_schedule
-from uavsched.gantt import (_MARGIN_L, _PLOT_W, _fmt, escape,
+from uavsched.gantt import (_LANE_GAP, _LANE_H, _MARGIN_B, _MARGIN_L,
+                            _MARGIN_R, _MARGIN_T, _PLOT_W, _RECT_TAIL, _STYLE,
+                            _Memo, _axis_step, _fmt, _svg_head, escape,
                             render_gantt_svg)
 from uavsched.model import Action, ActionKind, Schedule
 
-from conftest import FULL_COMPLETION, golden_schedule
+from conftest import (AWKWARD_TEXT, FULL_COMPLETION, drawn_schedules,
+                      golden_schedule)
 
 F, T, H, W, R = (ActionKind.FLIGHT, ActionKind.TASK_EXEC, ActionKind.HOVER,
                  ActionKind.WAIT_ON_GROUND, ActionKind.RECHARGE)
@@ -123,8 +127,9 @@ def label_threshold_schedule(lab):
 ])
 def test_bars_and_labels_at_computed_positions(lab, make):
     schedule = make(lab)
-    got = bars_and_labels(render_gantt_svg(schedule, title="t"))
-    assert got == expected_bars_and_labels(schedule)
+    svg = render_gantt_svg(schedule, title="t")
+    assert bars_and_labels(svg) == expected_bars_and_labels(schedule)
+    assert svg == frozen_render_gantt_svg(schedule, title="t")
 
 
 def test_label_needs_a_bar_14_units_wide(lab):
@@ -149,3 +154,70 @@ def test_zero_makespan_draws_one_unit_of_axis(lab):
              if t.getAttribute("text-anchor") == "middle"
              and t.getAttribute("fill") == "#444"]
     assert ticks == ["0", "1", "time (s)"]
+
+
+def frozen_render_gantt_svg(schedule: Schedule, title: str = "") -> str:
+    """render_gantt_svg as it was before each lane's fixed text was
+    built once and bar x values were formatted inline; kept as it
+    was, on the module's unchanged helpers."""
+    uavs = schedule.uav_order()
+    span = max(schedule.makespan(), 1)
+    scale = _PLOT_W / span
+    height = _MARGIN_T + len(uavs) * (_LANE_H + _LANE_GAP) + _MARGIN_B
+    width = _MARGIN_L + _PLOT_W + _MARGIN_R
+
+    parts = _svg_head(width, height, title, _MARGIN_L)
+
+    axis_y = _MARGIN_T + len(uavs) * (_LANE_H + _LANE_GAP)
+    step = _axis_step(span)
+    t = 0.0
+    while t <= span + 1e-9:
+        x = _fmt(_MARGIN_L + t * scale)
+        parts.append(f'<line x1="{x}" y1="{_MARGIN_T}" x2="{x}" '
+                     f'y2="{axis_y}" stroke="#E0E0E0" stroke-width="1"/>')
+        parts.append(f'<text x="{x}" y="{axis_y + 14}" '
+                     f'text-anchor="middle" fill="#444">{int(t)}</text>')
+        t += step
+    parts.append(f'<line x1="{_MARGIN_L}" y1="{axis_y}" '
+                 f'x2="{_MARGIN_L + _PLOT_W}" y2="{axis_y}" '
+                 f'stroke="#444" stroke-width="1"/>')
+    parts.append(f'<text x="{_MARGIN_L + _PLOT_W / 2}" y="{axis_y + 32}" '
+                 f'text-anchor="middle" fill="#444">time (s)</text>')
+
+    esc = _Memo(escape)
+    widths = _Memo(lambda duration: _fmt(max(duration * scale, 0.5)))
+    add = parts.append
+    for lane, uav_id in enumerate(uavs):
+        y = _MARGIN_T + lane * (_LANE_H + _LANE_GAP)
+        add(f'<text x="{_MARGIN_L - 8}" y="{y + _LANE_H / 2 + 4}" '
+            f'text-anchor="end">{escape(uav_id)}</text>')
+        for a in schedule.actions[uav_id]:
+            start, end = a.start, a.end
+            x = _MARGIN_L + start * scale
+            # escape(f"{kind} {from}->{to} [{start},{end}]"), per id once
+            add(f'<rect x="{_fmt(x)}" y="{y}" width="{widths[end - start]}'
+                f'{_RECT_TAIL[a.kind]}{esc[a.from_pos]}-&gt;{esc[a.to_pos]} '
+                f'[{start},{end}]</title></rect>')
+            if (a.kind is ActionKind.TASK_EXEC
+                    and (w := (end - start) * scale) >= 14):
+                add(f'<text x="{_fmt(x + w / 2)}" y="{y + _LANE_H / 2 + 4}" '
+                    f'text-anchor="middle" fill="white" '
+                    f'font-weight="bold">{a.task_id}</text>')
+
+    legend_x = _MARGIN_L
+    legend_y = axis_y + 38
+    for color, kind in _STYLE.values():
+        add(f'<rect x="{legend_x}" y="{legend_y - 9}" width="12" '
+            f'height="12" fill="{color}"/>')
+        add(f'<text x="{legend_x + 16}" y="{legend_y + 1}" '
+            f'fill="#444">{kind}</text>')
+        legend_x += 16 + 7 * len(kind) + 24
+    parts.append("</svg>\n")
+    return "\n".join(parts)
+
+
+@settings(max_examples=300, deadline=None)
+@given(drawn_schedules(), st.just("") | AWKWARD_TEXT)
+def test_same_bytes_as_frozen_renderer(schedule, title):
+    assert render_gantt_svg(schedule, title) \
+        == frozen_render_gantt_svg(schedule, title)

@@ -10,6 +10,9 @@ from hypothesis import strategies as st
 from uavsched.eat import build_schedule
 from uavsched.gantt import render_gantt_svg
 from uavsched.io import (
+    SCHEDULE_CSV_FIELDS,
+    _Cells,
+    _KIND_TEXT,
     instance_from_dict,
     instance_to_dict,
     load_instance,
@@ -36,7 +39,7 @@ from uavsched.model import (
 from uavsched.pso import PsoConfig, run_pso
 from uavsched.validate import validate_schedule
 
-from conftest import FULL_COMPLETION
+from conftest import AWKWARD_TEXT, FULL_COMPLETION, drawn_schedules
 
 
 class TestInstanceJson:
@@ -179,10 +182,6 @@ class TestScheduleCsv:
             read_schedule_csv(p, lab)
 
 
-# Ids that a CSV cell must quote or an SVG text must escape.
-AWKWARD_IDS = st.text(alphabet='aZ1 ,"\n\r&<>', min_size=1, max_size=4)
-
-
 def awkward_instance(names, uav_ids) -> ProblemInstance:
     """Three work positions and two stations named by names[0:5], two
     UAVs, and six tasks (inspections and hauls, no precedence) long
@@ -212,8 +211,8 @@ class TestAwkwardIds:
     special survive the CSV writers and the Gantt chart."""
 
     @settings(max_examples=150, deadline=None)
-    @given(names=st.lists(AWKWARD_IDS, min_size=5, max_size=5, unique=True),
-           uav_ids=st.lists(AWKWARD_IDS, min_size=2, max_size=2, unique=True),
+    @given(names=st.lists(AWKWARD_TEXT, min_size=5, max_size=5, unique=True),
+           uav_ids=st.lists(AWKWARD_TEXT, min_size=2, max_size=2, unique=True),
            sequence=st.permutations(range(1, 7)))
     def test_schedule_round_trip(self, names, uav_ids, sequence):
         inst = awkward_instance(names, uav_ids)
@@ -228,7 +227,7 @@ class TestAwkwardIds:
         assert minidom.parseString(svg).documentElement.tagName == "svg"
 
     @settings(max_examples=100, deadline=None)
-    @given(names=st.lists(AWKWARD_IDS.filter(lambda s: s == s.strip()),
+    @given(names=st.lists(AWKWARD_TEXT.filter(lambda s: s == s.strip()),
                           min_size=5, max_size=5, unique=True))
     def test_task_round_trip(self, names):
         # the task CSV reader strips its position cells, so the ids here
@@ -252,6 +251,34 @@ class TestAwkwardIds:
         text = p.read_text()
         assert '\n"U,1",flight,0,' in text
         assert ',"a,1",' in text and ',"say ""c""",' in text
+
+
+def frozen_schedule_csv(schedule) -> str:
+    """write_schedule_csv's text as it was before each lane's UAV cell
+    was formatted once; kept as it was."""
+    cells = _Cells()
+    rows = [f"{cells[u]},{_KIND_TEXT[a.kind]},{a.start},{a.end},"
+            f"{cells[a.from_pos]},{cells[a.to_pos]},"
+            f"{'' if a.task_id is None else a.task_id}"
+            for u in schedule.uav_order() for a in schedule.actions[u]]
+    return "\n".join([",".join(SCHEDULE_CSV_FIELDS), *rows, ""])
+
+
+class TestScheduleCsvBytes:
+    @settings(max_examples=300, deadline=None)
+    @given(drawn_schedules())
+    def test_same_bytes_as_frozen_writer(self, schedule):
+        with tempfile.TemporaryDirectory() as tmp:
+            p = Path(tmp) / "sched.csv"
+            write_schedule_csv(schedule, p)
+            assert p.read_bytes() \
+                == frozen_schedule_csv(schedule).encode("utf-8")
+
+    def test_bundled_schedule(self, lab, tmp_path):
+        schedule = build_schedule(lab, FULL_COMPLETION)
+        p = tmp_path / "sched.csv"
+        write_schedule_csv(schedule, p)
+        assert p.read_bytes() == frozen_schedule_csv(schedule).encode("utf-8")
 
 
 class TestHistoryCsv:

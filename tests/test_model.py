@@ -1,5 +1,8 @@
+import copy
 import dataclasses
 import json
+import pickle
+import weakref
 from collections import Counter
 
 import numpy as np
@@ -642,3 +645,59 @@ class TestSchedule:
         a = Action(ActionKind.TASK_EXEC, 60, 305, "c", "c", task_id=2)
         s = Schedule(instance=lab, actions={"UAV1": [a]})
         assert s.task_executions() == {2: ("UAV1", a)}
+
+
+class TestAction:
+    """Action's documented contract: a frozen, hashable dataclass whose
+    fields live in slots, with no instance dict and no weak references."""
+
+    FIELDS = ("kind", "start", "end", "from_pos", "to_pos", "task_id",
+              "station")
+    A = Action(ActionKind.RECHARGE, 5, 2705, "R1", "R1", station="R1")
+
+    def test_equal_twin_hashes_alike(self):
+        twin = Action(ActionKind.RECHARGE, 5, 2705, "R1", "R1", None, "R1")
+        assert twin is not self.A
+        assert twin == self.A and hash(twin) == hash(self.A)
+        assert len({twin, self.A}) == 1
+        assert Action(ActionKind.RECHARGE, 5, 2706, "R1", "R1",
+                      station="R1") != self.A
+
+    def test_repr(self):
+        assert repr(self.A) == (
+            "Action(kind=<ActionKind.RECHARGE: 'recharge'>, start=5, "
+            "end=2705, from_pos='R1', to_pos='R1', task_id=None, "
+            "station='R1')")
+
+    def test_dataclass_helpers(self):
+        assert tuple(f.name for f in dataclasses.fields(Action)) \
+            == self.FIELDS
+        values = (ActionKind.RECHARGE, 5, 2705, "R1", "R1", None, "R1")
+        assert dataclasses.astuple(self.A) == values
+        assert dataclasses.asdict(self.A) == dict(zip(self.FIELDS, values))
+        moved = dataclasses.replace(self.A, start=0, station=None)
+        assert moved == Action(ActionKind.RECHARGE, 0, 2705, "R1", "R1")
+        assert self.A.start == 5 and self.A.station == "R1"
+
+    def test_copies(self):
+        for again in (copy.copy(self.A), copy.deepcopy(self.A)):
+            assert again == self.A and type(again) is Action
+
+    @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+    def test_pickle_round_trip(self, protocol):
+        again = pickle.loads(pickle.dumps(self.A, protocol=protocol))
+        assert again == self.A and type(again) is Action
+        assert dataclasses.astuple(again) == dataclasses.astuple(self.A)
+
+    def test_frozen(self):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            self.A.start = 0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            del self.A.station
+        assert self.A.start == 5 and self.A.station == "R1"
+
+    def test_slots_and_no_instance_dict(self):
+        assert Action.__slots__ == self.FIELDS
+        assert not hasattr(self.A, "__dict__")
+        with pytest.raises(TypeError):
+            weakref.ref(self.A)

@@ -11,10 +11,11 @@ from pathlib import Path
 import pytest
 
 import uavsched
+from uavsched.eat import build_schedule
 from uavsched.model import Action, ActionKind, Schedule
 from uavsched.validate import validate_schedule
 
-from conftest import golden_schedule, inspect, make_instance
+from conftest import FULL_COMPLETION, golden_schedule, inspect, make_instance
 
 F, T, H, W, R = (ActionKind.FLIGHT, ActionKind.TASK_EXEC, ActionKind.HOVER,
                  ActionKind.WAIT_ON_GROUND, ActionKind.RECHARGE)
@@ -157,6 +158,34 @@ class TestUnknownPositions:
         found, got = self.unknown(s)
         assert found == [("unknown_position", "zz")]
         assert "task_position" in got
+
+
+class TestUnknownKinds:
+    """A kind that is not an ActionKind member is reported, never
+    raised, and no kind-dependent check runs on it."""
+
+    @pytest.mark.parametrize("kind", ["flight", None, "bogus", ["flight"]])
+    def test_first_flight(self, lab, kind):
+        # a plain "flight" equals ActionKind.FLIGHT but is not the member
+        s = build_schedule(lab, FULL_COMPLETION)
+        got = validate_schedule(mutate(s, "UAV1", 0, kind=kind))
+        assert [(v.kind, str(v), v.uav_id, v.tstp) for v in got] == [
+            ("action_kind",
+             f"[action_kind] UAV1: action kind {kind!r} is not an ActionKind",
+             "UAV1", 0)]
+
+    def test_messages_name_it_by_repr(self, lab):
+        s = mutate(golden_schedule(lab), "UAV3", 2, kind="hover", start=760)
+        assert [str(v) for v in validate_schedule(s)] == [
+            "[action_kind] UAV3: action kind 'hover' is not an ActionKind",
+            "[timeline_gap] UAV3: task_exec ends 759 but 'hover' starts 760",
+        ]
+
+    def test_not_a_task_execution(self, lab):
+        # task 2 is not executed, so its successors miss a predecessor
+        s = mutate(golden_schedule(lab), "UAV1", 1, kind="task_exec")
+        assert [(v.kind, v.task_id) for v in validate_schedule(s)] == [
+            ("action_kind", None), ("precedence", 6), ("precedence", 5)]
 
 
 class TestTimelineRules:

@@ -16,22 +16,35 @@ from hypothesis import strategies as st
 
 from uavsched.datagen import GenSpec, generate_instance
 from uavsched.eat import build_schedule
-from uavsched.model import (AIRBORNE_KINDS, ActionKind, ProblemInstance,
-                            RechargeStation, Schedule)
+from uavsched.model import (ActionKind, ProblemInstance, RechargeStation,
+                            Schedule)
 from uavsched.sequences import repair
 from uavsched.validate import Violation, validate_schedule
+
+from conftest import AIRBORNE_KINDS
 
 _FLIGHT, _EXEC, _WAIT, _RECHARGE = (
     ActionKind.FLIGHT, ActionKind.TASK_EXEC, ActionKind.WAIT_ON_GROUND,
     ActionKind.RECHARGE)
 
 
+def is_member(kind) -> bool:
+    return isinstance(kind, ActionKind)
+
+
+def kind_text(kind) -> str:
+    return kind.value if is_member(kind) else repr(kind)
+
+
 def reference_validate(schedule: Schedule) -> list[Violation]:
     """The four-walk validator, kept as it was before the one-pass
     rewrite: a main loop over `schedule.actions`, then separate
-    walks for tasks, battery stretches and recharge bays. One change
+    walks for tasks, battery stretches and recharge bays. Two changes
     since: a task enters the exclusivity check at its start position,
-    then its end position, where a set left that order to hashing."""
+    then its end position, where a set left that order to hashing; and
+    an action whose kind is not an `ActionKind` member gets one
+    `action_kind` finding and no kind-dependent check (every walk skips
+    it, and messages name it by its repr), where `.value` crashed."""
     inst = schedule.instance
     out: list[Violation] = []
     add = out.append
@@ -49,10 +62,10 @@ def reference_validate(schedule: Schedule) -> list[Violation]:
         for a in acts:
             if a.end < a.start:
                 add(Violation("negative_span",
-                              f"{uav_id}: {a.kind.value} ends at {a.end} "
+                              f"{uav_id}: {kind_text(a.kind)} ends at {a.end} "
                               f"before start {a.start}",
                               uav_id=uav_id, tstp=a.start))
-            kind = a.kind
+            kind = a.kind if is_member(a.kind) else None
             if a.from_pos in index and a.to_pos in index:
                 if kind == _FLIGHT:
                     expect = secs[index[a.from_pos]][index[a.to_pos]]
@@ -66,12 +79,13 @@ def reference_validate(schedule: Schedule) -> list[Violation]:
                 for p in dict.fromkeys((a.from_pos, a.to_pos)):
                     if p not in index:
                         add(Violation("unknown_position",
-                                      f"{uav_id}: {kind.value} at {p!r}, "
+                                      f"{uav_id}: {kind_text(a.kind)} at {p!r}, "
                                       "which the trajectory map does not know",
                                       uav_id=uav_id, position=p, tstp=a.start))
             # Only flights and task executions (material handling) may
             # change position.
-            if kind != _FLIGHT and kind != _EXEC and a.from_pos != a.to_pos:
+            if (kind is not None and kind != _FLIGHT and kind != _EXEC
+                    and a.from_pos != a.to_pos):
                 add(Violation("action_shape",
                               f"{uav_id}: {kind.value} moves from "
                               f"{a.from_pos} to {a.to_pos}",
@@ -92,13 +106,19 @@ def reference_validate(schedule: Schedule) -> list[Violation]:
                               f"{uav_id}: wait on ground away from a station "
                               f"at {a.from_pos!r}",
                               uav_id=uav_id, position=a.from_pos))
+            if kind is None:
+                add(Violation("action_kind",
+                              f"{uav_id}: action kind {a.kind!r} is not an "
+                              "ActionKind",
+                              uav_id=uav_id, tstp=a.start))
             if prev is not None:
                 if a.start != prev.end:
                     gap = ("timeline_gap" if a.start > prev.end
                            else "timeline_overlap")
                     add(Violation(gap,
-                                  f"{uav_id}: {prev.kind.value} ends {prev.end} "
-                                  f"but {a.kind.value} starts {a.start}",
+                                  f"{uav_id}: {kind_text(prev.kind)} ends "
+                                  f"{prev.end} but {kind_text(a.kind)} starts "
+                                  f"{a.start}",
                                   uav_id=uav_id, tstp=a.start))
                 if a.from_pos != prev.to_pos:
                     add(Violation("spatial_continuity",
@@ -124,7 +144,7 @@ def _check_tasks(schedule: Schedule) -> list[Violation]:
     seen: dict[int, tuple[str, object]] = {}
     by_position: dict[str, list[tuple[int, int, int]]] = {}
     for uav_id, a in schedule.all_actions():
-        if a.kind != _EXEC:
+        if not is_member(a.kind) or a.kind != _EXEC:
             continue
         tid = a.task_id
         if tid is None or tid not in inst.tasks_by_id:
@@ -185,6 +205,8 @@ def _check_battery(schedule: Schedule) -> list[Violation]:
         cap = uav.battery_capacity
         airborne, span_start = 0, None
         for a in [*schedule.actions[uav_id], None]:   # None ends the last stretch
+            if a is not None and not is_member(a.kind):
+                continue
             if a is not None and a.kind in AIRBORNE_KINDS:
                 if span_start is None:
                     span_start = a.start
@@ -207,7 +229,7 @@ def _check_bays(schedule: Schedule) -> list[Violation]:
     slots = {s.pos: s.slots for s in inst.stations}
     per_station: dict[str, list[tuple[int, int]]] = {}
     for uav_id, a in schedule.all_actions():
-        if a.kind == _RECHARGE:
+        if is_member(a.kind) and a.kind == _RECHARGE:
             per_station.setdefault(a.from_pos, []).append((a.start, a.end))
     for pos, spans in per_station.items():
         limit = slots.get(pos)
@@ -288,8 +310,12 @@ def edited_schedules(draw):
             else:
                 acts[k] = dataclasses.replace(a, **{side: "zz"})
         elif edit == "kind":
-            acts[k] = dataclasses.replace(
-                a, kind=draw(st.sampled_from(list(ActionKind))))
+            # a member, or a stand-in that is none: its value as a plain
+            # string, another string, None or an unhashable list
+            acts[k] = dataclasses.replace(a, kind=draw(
+                st.sampled_from(list(ActionKind))
+                | st.sampled_from([*(m.value for m in ActionKind), "bogus",
+                                   None, ["flight"]])))
         elif edit == "duplicate_task":
             acts[k] = dataclasses.replace(
                 a, kind=_EXEC, task_id=draw(st.sampled_from(task_ids)))
