@@ -38,7 +38,7 @@ def main(seed: int = 0):
     for it, best, mean in report.history:
         print(f"{it:>5} {best:>8} {mean:>11.1f}")
     print()
-    state = (f"converged at iteration {report.convergence_iteration}"
+    state = (f"converged at iteration {report.iterations_run}"
              if report.converged else "did not converge")
     print(f"{state}; best makespan {report.best_makespan} "
           f"in {report.wall_clock_ms:.0f} ms")

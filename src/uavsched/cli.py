@@ -171,7 +171,7 @@ def cmd_search(args) -> int:
     print(f"best sequence: {' '.join(str(t) for t in report.best_sequence)}")
     print(f"best makespan: {report.best_makespan}")
     status = ("converged at iteration "
-              f"{report.convergence_iteration}" if report.converged
+              f"{report.iterations_run}" if report.converged
               else f"ran all {report.iterations_run} iterations")
     print(f"{status} ({report.wall_clock_ms:.0f} ms)")
     _print_schedule(report.best_schedule)
@@ -194,9 +194,18 @@ def cmd_search(args) -> int:
     return EXIT_OK
 
 
-def _numbers(text: str, kind, flag: str) -> tuple:
+def _integer(text: str) -> int:
+    """An integer flag's value, read as `parse_integer` reads it."""
     try:
-        return tuple(kind(t) for t in text.split(","))
+        return parse_integer(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+def _numbers(text: str, kind, flag: str) -> tuple:
+    parse = parse_integer if kind is int else kind
+    try:
+        return tuple(parse(t) for t in text.split(","))
     except ValueError:
         raise UsageError(f"{flag} must be comma-separated {kind.__name__} "
                          f"values: {text!r}") from None
@@ -205,28 +214,18 @@ def _numbers(text: str, kind, flag: str) -> tuple:
 def _experiment_grid(args) -> ExperimentGrid:
     """The grid from the command line, rejected as a usage error before
     any run starts when a value cannot be run."""
-    grid = ExperimentGrid(task_counts=_numbers(args.tasks, int, "--tasks"),
-                          c1_values=_numbers(args.c1, float, "--c1"),
-                          c2_values=_numbers(args.c2, float, "--c2"),
-                          swarm_sizes=_numbers(args.particles, int,
-                                               "--particles"),
-                          repetitions=args.reps,
-                          max_iterations=args.max_iter,
-                          base_seed=args.seed)
-    if grid.repetitions < 1:
-        raise UsageError("--reps must be at least 1")
     if args.jobs < 1:
         raise UsageError("--jobs must be at least 1")
-    if min(grid.task_counts) < 0:
-        raise UsageError("--tasks must be non-negative")
     try:
-        for _, c1, c2, swarm in grid.cells():
-            PsoConfig(c1=c1, c2=c2, swarm_size=swarm,
-                      max_iterations=grid.max_iterations,
-                      rng_seed=grid.base_seed)
+        return ExperimentGrid(
+            task_counts=_numbers(args.tasks, int, "--tasks"),
+            c1_values=_numbers(args.c1, float, "--c1"),
+            c2_values=_numbers(args.c2, float, "--c2"),
+            swarm_sizes=_numbers(args.particles, int, "--particles"),
+            repetitions=args.reps, max_iterations=args.max_iter,
+            base_seed=args.seed)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    return grid
 
 
 def cmd_experiment(args) -> int:
@@ -295,14 +294,14 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("search", help="swarm search for a short makespan")
     add_instance(p)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_integer, default=0)
     p.add_argument("--c1", type=float, default=1.0,
                    help="pull toward each particle's own best")
     p.add_argument("--c2", type=float, default=2.0,
                    help="pull toward the swarm best")
-    p.add_argument("--particles", type=int, default=40)
-    p.add_argument("--max-iter", type=int, default=40)
-    p.add_argument("--window", type=int, default=10,
+    p.add_argument("--particles", type=_integer, default=40)
+    p.add_argument("--max-iter", type=_integer, default=40)
+    p.add_argument("--window", type=_integer, default=10,
                    help="stop after this many improvement-free iterations")
     add_outputs(p)
     p.set_defaults(func=cmd_search)
@@ -313,21 +312,21 @@ def build_parser() -> _Parser:
     p.add_argument("--c1", default="1.0", help="c1 values, e.g. 0.5,1,2")
     p.add_argument("--c2", default="2.0", help="c2 values")
     p.add_argument("--particles", default="40", help="swarm sizes")
-    p.add_argument("--reps", type=int, default=20)
-    p.add_argument("--max-iter", type=int, default=40)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--jobs", type=int, default=1,
+    p.add_argument("--reps", type=_integer, default=20)
+    p.add_argument("--max-iter", type=_integer, default=40)
+    p.add_argument("--seed", type=_integer, default=0)
+    p.add_argument("--jobs", type=_integer, default=1,
                    help="parallel worker processes")
     p.add_argument("--out-dir", metavar="DIR")
     p.set_defaults(func=cmd_experiment)
 
     p = sub.add_parser("generate", help="write a random instance JSON")
-    p.add_argument("--tasks", type=int, default=10)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--uavs", type=int, default=3)
-    p.add_argument("--slots", type=int, default=1,
+    p.add_argument("--tasks", type=_integer, default=10)
+    p.add_argument("--seed", type=_integer, default=0)
+    p.add_argument("--uavs", type=_integer, default=3)
+    p.add_argument("--slots", type=_integer, default=1,
                    help="recharge bays per station")
-    p.add_argument("--max-preds", type=int, default=2,
+    p.add_argument("--max-preds", type=_integer, default=2,
                    help="max sampled predecessors per task")
     p.add_argument("--out-dir", default=".", metavar="DIR")
     p.set_defaults(func=cmd_generate)

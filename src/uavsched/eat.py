@@ -302,14 +302,14 @@ def _timeline(instance: ProblemInstance, placed) -> Schedule:
             if charge > t0:
                 acts.append(Action(_FLIGHT, t0, charge, names[here], st))
             if begin > charge:
-                acts.append(Action(_WAIT, charge, begin, st, st, station=st))
+                acts.append(Action(_WAIT, charge, begin, st, st))
             here, t0 = sp, begin + view.uav_recharge[k]
-            acts.append(Action(_RECHARGE, begin, t0, st, st, station=st))
+            acts.append(Action(_RECHARGE, begin, t0, st, st))
         if view.is_station[here]:
             st = names[here]
             depart = start - secs[here][s]
             if depart > t0:
-                acts.append(Action(_WAIT, t0, depart, st, st, station=st))
+                acts.append(Action(_WAIT, t0, depart, st, st))
             if depart < start:
                 acts.append(Action(_FLIGHT, depart, start, st, names[s]))
         else:

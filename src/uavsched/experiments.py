@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from itertools import product
 
 from .datagen import GenSpec, generate_instance
-from .model import ProblemInstance
+from .model import ProblemInstance, exact_int
 from .pso import PsoConfig, run_pso
 
 # The paper's results for the search defaults (c1=1, c2=2, 40 particles,
@@ -37,6 +37,24 @@ class ExperimentGrid:
     repetitions: int = 20
     max_iterations: int = 40
     base_seed: int = 0
+
+    def __post_init__(self):
+        """Refuse, with ValueError, a grid that cannot run in full, so
+        it fails before any run or worker pool starts."""
+        reps = exact_int(self.repetitions)
+        if reps is None or reps < 1:
+            raise ValueError("repetitions must be an integer of at least 1, "
+                             f"not {self.repetitions!r}")
+        counts = tuple(map(exact_int, self.task_counts))
+        if any(n is None or n < 0 for n in counts):
+            raise ValueError("task counts must be non-negative integers: "
+                             f"{self.task_counts!r}")
+        object.__setattr__(self, "repetitions", reps)
+        object.__setattr__(self, "task_counts", counts)
+        for _, c1, c2, swarm in self.cells():
+            PsoConfig(c1=c1, c2=c2, swarm_size=swarm,
+                      max_iterations=self.max_iterations,
+                      rng_seed=self.base_seed)
 
     def cells(self):
         return list(product(self.task_counts, self.c1_values,
@@ -102,14 +120,10 @@ def run_experiment(grid: ExperimentGrid, jobs: int = 1,
                    progress=None) -> ExperimentReport:
     """Run every grid cell's repetitions, on up to `jobs` worker
     processes (never more than there are runs)."""
-    work = []
-    run_index = 0
-    for (n, c1, c2, swarm) in grid.cells():
-        for rep in range(grid.repetitions):
-            work.append((run_index, n, c1, c2, swarm, rep,
-                         grid.base_seed + run_index, grid.base_seed,
-                         grid.max_iterations))
-            run_index += 1
+    work = [(i, n, c1, c2, swarm, rep, grid.base_seed + i, grid.base_seed,
+             grid.max_iterations)
+            for i, ((n, c1, c2, swarm), rep) in enumerate(
+                product(grid.cells(), range(grid.repetitions)))]
 
     # a pool may start all its workers at once, so it gets no more than
     # there are runs; map and pool.map both yield in run_index order

@@ -243,7 +243,6 @@ def write_schedule_csv(schedule: Schedule, path):
 
 def read_schedule_csv(path, instance: ProblemInstance) -> Schedule:
     actions: dict[str, list[Action]] = {u.id: [] for u in instance.uavs}
-    station_pos = instance.station_positions()
     reader = csv.DictReader(StringIO(read_text(path), newline=""))
     missing = set(SCHEDULE_CSV_FIELDS) - set(reader.fieldnames or ())
     if missing:
@@ -254,18 +253,9 @@ def read_schedule_csv(path, instance: ProblemInstance) -> Schedule:
             kind = ActionKind(row["action_kind"])
             task_id = (parse_integer(row["task_id"]) if row["task_id"]
                        else None)
-            action = Action(
-                kind=kind,
-                start=parse_integer(row["start"]),
-                end=parse_integer(row["end"]),
-                from_pos=row["from"],
-                to_pos=row["to"],
-                task_id=task_id,
-                station=(row["from"]
-                         if kind in (ActionKind.RECHARGE,
-                                     ActionKind.WAIT_ON_GROUND)
-                         and row["from"] in station_pos else None),
-            )
+            action = Action(kind, parse_integer(row["start"]),
+                            parse_integer(row["end"]), row["from"], row["to"],
+                            task_id)
         except (KeyError, TypeError, ValueError) as exc:
             raise InstanceError(
                 f"{path}: bad schedule row {row}: {exc}") from exc
@@ -291,7 +281,6 @@ def report_to_dict(report) -> dict:
         "best_sequence": list(report.best_sequence),
         "iterations_run": report.iterations_run,
         "converged": report.converged,
-        "convergence_iteration": report.convergence_iteration,
         "last_improvement": report.last_improvement,
         "history": [[it, best, round(mean, 6)]
                     for it, best, mean in report.history],

@@ -231,8 +231,9 @@ class ActionKind(str, enum.Enum):
 class Action:
     """One contiguous span of a UAV timeline.
 
-    Non-flight actions keep from_pos == to_pos. task_id is set only for
-    task_exec actions, station only for recharge and wait_on_ground.
+    Non-flight actions keep from_pos == to_pos, so a recharge or a
+    ground wait is at the station from_pos. task_id is set only for
+    task_exec actions.
     """
 
     kind: ActionKind
@@ -241,10 +242,8 @@ class Action:
     from_pos: str
     to_pos: str
     task_id: int | None = None
-    station: str | None = None
 
-    def __init__(self, kind, start, end, from_pos, to_pos, task_id=None,
-                 station=None):
+    def __init__(self, kind, start, end, from_pos, to_pos, task_id=None):
         # slots, since the validator and the writers read every field
         # of every action; the frozen dataclass __init__ pays an
         # object.__setattr__ per field, a slot's own setter skips the
@@ -255,11 +254,10 @@ class Action:
         _set_from_pos(self, from_pos)
         _set_to_pos(self, to_pos)
         _set_task_id(self, task_id)
-        _set_station(self, station)
 
 
-(_set_kind, _set_start, _set_end, _set_from_pos, _set_to_pos, _set_task_id,
- _set_station) = (Action.__dict__[name].__set__
+(_set_kind, _set_start, _set_end, _set_from_pos, _set_to_pos,
+ _set_task_id) = (Action.__dict__[name].__set__
                   for name in Action.__dataclass_fields__)
 
 

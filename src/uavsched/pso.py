@@ -94,9 +94,8 @@ class PsoConfig:
 class RunReport:
     """Everything a search run produced, timing included.
 
-    convergence_iteration always equals iterations_run: a run that did
-    not converge stops at max_iterations, which is the value it gets.
-    Both are kept in report.json as they are.
+    iterations_run is the iteration the search stopped at: where it
+    converged when converged is true, else max_iterations.
     """
 
     config: PsoConfig
@@ -106,7 +105,6 @@ class RunReport:
     history: list[tuple[int, int, float]]  # (iteration, best, mean)
     iterations_run: int
     converged: bool
-    convergence_iteration: int
     last_improvement: int
     wall_clock_ms: float
 
@@ -386,7 +384,6 @@ def run_pso(instance: ProblemInstance, config: PsoConfig | None = None) -> RunRe
         history=history,
         iterations_run=it,
         converged=converged,
-        convergence_iteration=it if converged else config.max_iterations,
         last_improvement=last_improvement,
         wall_clock_ms=wall_ms,
     )

@@ -42,30 +42,30 @@ _F, _T, _H, _W, _R = (ActionKind.FLIGHT, ActionKind.TASK_EXEC,
 AIRBORNE_KINDS = frozenset({_F, _T, _H})
 
 # Full action-level expansion of the seven-step timeline, frozen by
-# hand. Tuples: (kind, start, end, from, to, task_id, station).
+# hand. Tuples: (kind, start, end, from, to, task_id).
 GOLDEN_TIMELINE = {
     "UAV1": [
-        (_F, 0, 60, "R1", "c", None, None),
-        (_T, 60, 305, "c", "c", 2, None),
-        (_F, 305, 533, "c", "e", None, None),
-        (_T, 533, 1083, "e", "b", 4, None),
-        (_F, 1083, 1143, "b", "R1", None, None),
-        (_R, 1143, 3843, "R1", "R1", None, "R1"),
-        (_F, 3843, 3883, "R1", "a", None, None),
-        (_T, 3883, 4361, "a", "e", 7, None),
+        (_F, 0, 60, "R1", "c", None),
+        (_T, 60, 305, "c", "c", 2),
+        (_F, 305, 533, "c", "e", None),
+        (_T, 533, 1083, "e", "b", 4),
+        (_F, 1083, 1143, "b", "R1", None),
+        (_R, 1143, 3843, "R1", "R1", None),
+        (_F, 3843, 3883, "R1", "a", None),
+        (_T, 3883, 4361, "a", "e", 7),
     ],
     "UAV2": [
-        (_F, 0, 260, "R1", "e", None, None),
-        (_T, 260, 503, "e", "f", 1, None),
-        (_F, 503, 625, "f", "d", None, None),
-        (_H, 625, 759, "d", "d", None, None),
-        (_T, 759, 1000, "d", "d", 6, None),
+        (_F, 0, 260, "R1", "e", None),
+        (_T, 260, 503, "e", "f", 1),
+        (_F, 503, 625, "f", "d", None),
+        (_H, 625, 759, "d", "d", None),
+        (_T, 759, 1000, "d", "d", 6),
     ],
     "UAV3": [
-        (_F, 0, 40, "R2", "d", None, None),
-        (_T, 40, 759, "d", "a", 3, None),
-        (_F, 759, 890, "a", "c", None, None),
-        (_T, 890, 1125, "c", "c", 5, None),
+        (_F, 0, 40, "R2", "d", None),
+        (_T, 40, 759, "d", "a", 3),
+        (_F, 759, 890, "a", "c", None),
+        (_T, 890, 1125, "c", "c", 5),
     ],
 }
 
@@ -74,9 +74,9 @@ def golden_schedule(instance: ProblemInstance) -> Schedule:
     """The frozen prefix timeline materialized as Action objects."""
     actions = {u.id: [] for u in instance.uavs}
     for uav_id, rows in GOLDEN_TIMELINE.items():
-        for kind, start, end, src, dst, task_id, station in rows:
+        for kind, start, end, src, dst, task_id in rows:
             actions[uav_id].append(Action(kind, start, end, src, dst,
-                                          task_id=task_id, station=station))
+                                          task_id=task_id))
     return Schedule(instance=instance, actions=actions)
 
 

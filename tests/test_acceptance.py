@@ -187,7 +187,7 @@ def test_criterion_6_convergence_behavior():
         monotone = 0
         for seed in range(runs_per_size):
             rep = run_pso(inst, PsoConfig(rng_seed=seed))
-            converged += rep.converged and rep.convergence_iteration <= 40
+            converged += rep.converged and rep.iterations_run <= 40
             bests = [b for _, b, _ in rep.history]
             monotone += all(x >= y for x, y in zip(bests, bests[1:]))
         size_ok = (converged / runs_per_size >= 0.95

@@ -653,9 +653,9 @@ class TestExperiment:
     @pytest.mark.parametrize("argv, message", [
         (["--tasks", "x"], "--tasks must be comma-separated int"),
         (["--tasks", "10,"], "--tasks must be comma-separated int"),
-        (["--tasks", "-1"], "--tasks must be non-negative"),
+        (["--tasks", "-1"], "task counts must be non-negative integers"),
         (["--c1", "a"], "--c1 must be comma-separated float"),
-        (["--reps", "0"], "--reps must be at least 1"),
+        (["--reps", "0"], "repetitions must be an integer of at least 1"),
         (["--particles", "3"], "swarm_size must be at least 8"),
         (["--particles", "40,3"], "swarm_size must be at least 8"),
         (["--max-iter", "0"], "max_iterations must be positive"),
@@ -675,6 +675,40 @@ class TestExperiment:
         # rejected before any run starts
         assert out == "" and "runs" not in err
         assert not (tmp_path / "runs.csv").exists()
+
+
+class TestIntegerFlags:
+    """Every integer flag reads its value by `parse_integer`'s rule, as
+    `--sequence` does: a digit-group underscore or a non-ASCII digit is
+    a usage error naming the flag, not the number int() would read."""
+
+    BASE = {"search": ["search", "--max-iter", "2"],
+            "experiment": ["experiment", "--reps", "1", "--max-iter", "2"],
+            "generate": ["generate"]}
+    FLAGS = [("search", f) for f in
+             ("--seed", "--particles", "--max-iter", "--window")] + [
+             ("experiment", f) for f in
+             ("--tasks", "--particles", "--reps", "--max-iter", "--seed",
+              "--jobs")] + [
+             ("generate", f) for f in
+             ("--tasks", "--seed", "--uavs", "--slots", "--max-preds")]
+
+    @pytest.mark.parametrize("value", ["1_0", "\u0661\u0660"])
+    @pytest.mark.parametrize("command, flag", FLAGS)
+    def test_refused_with_the_flag_named(self, capsys, tmp_path, command,
+                                         flag, value):
+        code, out, err = run(capsys, [*self.BASE[command], flag, value,
+                                      "--out-dir", str(tmp_path)])
+        assert code == 1
+        assert out == "" and list(tmp_path.iterdir()) == []
+        assert flag in err.splitlines()[-1] and repr(value) in err
+
+    def test_list_entries_too(self, capsys, tmp_path):
+        code, _, err = run(capsys, ["experiment", "--tasks", "5,1_0",
+                                    "--out-dir", str(tmp_path)])
+        assert code == 1
+        assert err == ("error: --tasks must be comma-separated int values: "
+                       "'5,1_0'\n")
 
 
 class TestUnusableOutDir:

@@ -45,8 +45,8 @@ F, T, H, W, R = (ActionKind.FLIGHT, ActionKind.TASK_EXEC, ActionKind.HOVER,
 
 
 def as_tuples(actions):
-    return [(a.kind, a.start, a.end, a.from_pos, a.to_pos, a.task_id,
-             a.station) for a in actions]
+    return [(a.kind, a.start, a.end, a.from_pos, a.to_pos, a.task_id)
+            for a in actions]
 
 
 def placed(instance, *positions):
@@ -83,7 +83,7 @@ class TestGoldenTrace:
         # that hover, so its airborne total stays within budget.
         s = build_schedule(lab, GOLDEN_PREFIX)
         hov = [a for a in s.actions["UAV2"] if a.kind is H]
-        assert as_tuples(hov) == [(H, 625, 759, "d", "d", None, None)]
+        assert as_tuples(hov) == [(H, 625, 759, "d", "d", None)]
 
     def test_recharge_is_full_duration(self, lab):
         s = build_schedule(lab, GOLDEN_PREFIX)
@@ -104,9 +104,9 @@ class TestTaskAvailableTime:
         # 120, so it waits on the ground at R2 and starts at 120.
         inst = make_instance([inspect(1, "a", 100), haul(2, "b", "a", 60)])
         assert timeline(inst, [1, 2], "UAV2") == [
-            (W, 0, 100, "R2", "R2", None, "R2"),
-            (F, 100, 120, "R2", "b", None, None),
-            (T, 120, 180, "b", "a", 2, None),
+            (W, 0, 100, "R2", "R2", None),
+            (F, 100, 120, "R2", "b", None),
+            (T, 120, 180, "b", "a", 2),
         ]
 
     def test_predecessor_end_gates(self):
@@ -114,9 +114,9 @@ class TestTaskAvailableTime:
                               inspect(2, "a", 10, preds=[1])])
         # t1 runs 20..250 on UAV2; t2 at the free position a waits for it
         assert timeline(inst, [1, 2], "UAV1") == [
-            (W, 0, 230, "R1", "R1", None, "R1"),
-            (F, 230, 250, "R1", "a", None, None),
-            (T, 250, 260, "a", "a", 2, None),
+            (W, 0, 230, "R1", "R1", None),
+            (F, 230, 250, "R1", "a", None),
+            (T, 250, 260, "a", "a", 2),
         ]
 
     def test_missing_predecessor_raises(self):
@@ -130,8 +130,8 @@ class TestUavCandidate:
     def test_direct_engagement_from_station(self):
         inst = make_instance([inspect(1, "a", 100)], n_uavs=1)
         assert timeline(inst, [1], "UAV1") == [
-            (F, 0, 20, "R1", "a", None, None),
-            (T, 20, 120, "a", "a", 1, None),
+            (F, 0, 20, "R1", "a", None),
+            (T, 20, 120, "a", "a", 1),
         ]
 
     def test_battery_shortfall_forces_recharge(self):
@@ -142,10 +142,10 @@ class TestUavCandidate:
         # then 40s: both prepared at 3860, so the first-listed station
         # wins.
         assert timeline(inst, [1, 2], "UAV1")[2:] == [
-            (F, 1100, 1140, "b", "R1", None, None),
-            (R, 1140, 3840, "R1", "R1", None, "R1"),
-            (F, 3840, 3860, "R1", "a", None, None),
-            (T, 3860, 3960, "a", "a", 2, None),
+            (F, 1100, 1140, "b", "R1", None),
+            (R, 1140, 3840, "R1", "R1", None),
+            (F, 3840, 3860, "R1", "a", None),
+            (T, 3860, 3960, "a", "a", 2),
         ]
 
     def test_hover_wait_counts_against_battery(self):
@@ -156,19 +156,19 @@ class TestUavCandidate:
         fits = placed(make_instance([inspect(1, "a", 130),
                                      inspect(2, "a", 1000)]), "b", "R1")
         assert timeline(fits, [1, 2], "UAV1") == [
-            (F, 0, 30, "b", "a", None, None),
-            (H, 30, 150, "a", "a", None, None),
-            (T, 150, 1150, "a", "a", 2, None),
+            (F, 0, 30, "b", "a", None),
+            (H, 30, 150, "a", "a", None),
+            (T, 150, 1150, "a", "a", 2),
         ]
         # Available at 181 the hover makes it 1201: a recharge detour
         # replaces it, although the flight alone would have fitted.
         tight = placed(make_instance([inspect(1, "a", 161),
                                       inspect(2, "a", 1000)]), "b", "R1")
         assert timeline(tight, [1, 2], "UAV1") == [
-            (F, 0, 40, "b", "R1", None, None),
-            (R, 40, 2740, "R1", "R1", None, "R1"),
-            (F, 2740, 2760, "R1", "a", None, None),
-            (T, 2760, 3760, "a", "a", 2, None),
+            (F, 0, 40, "b", "R1", None),
+            (R, 40, 2740, "R1", "R1", None),
+            (F, 2740, 2760, "R1", "a", None),
+            (T, 2760, 3760, "a", "a", 2),
         ]
 
     def test_ground_wait_at_station_is_free(self):
@@ -178,9 +178,9 @@ class TestUavCandidate:
         inst = make_instance([inspect(1, "b", 480),
                               inspect(2, "a", 1000, preds=[1])])
         assert timeline(inst, [1, 2], "UAV1") == [
-            (W, 0, 480, "R1", "R1", None, "R1"),
-            (F, 480, 500, "R1", "a", None, None),
-            (T, 500, 1500, "a", "a", 2, None),
+            (W, 0, 480, "R1", "R1", None),
+            (F, 480, 500, "R1", "a", None),
+            (T, 500, 1500, "a", "a", 2),
         ]
 
 
@@ -197,25 +197,25 @@ class TestSelectRechargeStation:
         # 1140 used at b: R2 is nearer (20s) but its only bay is held
         # until 3860, so the detour through the free R1 starts t4 first.
         assert timeline(bay_contention(1100), [1, 2, 3, 4], "UAV1")[3:] == [
-            (F, 2240, 2280, "b", "R1", None, None),
-            (R, 2280, 4980, "R1", "R1", None, "R1"),
-            (F, 4980, 5000, "R1", "a", None, None),
-            (T, 5000, 5100, "a", "a", 4, None),
+            (F, 2240, 2280, "b", "R1", None),
+            (R, 2280, 4980, "R1", "R1", None),
+            (F, 4980, 5000, "R1", "a", None),
+            (T, 5000, 5100, "a", "a", 4),
         ]
 
     def test_unreachable_station_skipped(self):
         # 1180 used at b: R1 at 40s is beyond 1200 - 1180 = 20, so the
         # UAV goes to R2 although R1 would have got it to t4 sooner.
         acts = timeline(bay_contention(1140), [1, 2, 3, 4], "UAV1")
-        assert {a[6] for a in acts if a[0] is R} == {"R2"}
+        assert {a[3] for a in acts if a[0] is R} == {"R2"}
 
     def test_busy_bay_delays_recharge_start(self):
         assert timeline(bay_contention(1140), [1, 2, 3, 4], "UAV1")[3:] == [
-            (F, 2280, 2300, "b", "R2", None, None),
-            (W, 2300, 3860, "R2", "R2", None, "R2"),
-            (R, 3860, 6560, "R2", "R2", None, "R2"),
-            (F, 6560, 6600, "R2", "a", None, None),
-            (T, 6600, 6700, "a", "a", 4, None),
+            (F, 2280, 2300, "b", "R2", None),
+            (W, 2300, 3860, "R2", "R2", None),
+            (R, 3860, 6560, "R2", "R2", None),
+            (F, 6560, 6600, "R2", "a", None),
+            (T, 6600, 6700, "a", "a", 4),
         ]
 
 
@@ -242,13 +242,13 @@ class TestSlotOccupancy:
         tasks.append(inspect(4, "b", 1140))
         inst = placed(make_instance(tasks, n_uavs=3, slots=2), "b", "b", "b")
         assert timeline(inst, [1, 2, 3, 4], "UAV1")[2:5] == [
-            (F, 1170, 1190, "a", "R1", None, None),
-            (W, 1190, 2740, "R1", "R1", None, "R1"),
-            (R, 2740, 5440, "R1", "R1", None, "R1"),
+            (F, 1170, 1190, "a", "R1", None),
+            (W, 1190, 2740, "R1", "R1", None),
+            (R, 2740, 5440, "R1", "R1", None),
         ]
         assert timeline(inst, [1, 2, 3, 4], "UAV3")[1:3] == [
-            (R, 40, 2740, "R1", "R1", None, "R1"),
-            (W, 2740, 3880, "R1", "R1", None, "R1"),
+            (R, 40, 2740, "R1", "R1", None),
+            (W, 2740, 3880, "R1", "R1", None),
         ]
 
 
@@ -298,13 +298,13 @@ class TestBuildSchedule:
         inst = make_instance(tasks, n_uavs=2)
         s = build_schedule(inst, [1, 2])
         assert as_tuples(s.actions["UAV1"]) == [
-            (F, 0, 20, "R1", "a", None, None),
-            (T, 20, 120, "a", "a", 1, None),
+            (F, 0, 20, "R1", "a", None),
+            (T, 20, 120, "a", "a", 1),
         ]
         assert as_tuples(s.actions["UAV2"]) == [
-            (W, 0, 100, "R2", "R2", None, "R2"),
-            (F, 100, 120, "R2", "b", None, None),
-            (T, 120, 160, "b", "b", 2, None),
+            (W, 0, 100, "R2", "R2", None),
+            (F, 100, 120, "R2", "b", None),
+            (T, 120, 160, "b", "b", 2),
         ]
 
     def test_battery_resets_after_recharge(self, lab):
@@ -505,10 +505,10 @@ def reference_construct(instance, sequence, record):
                 if charge > t0:
                     acts.append(Action(F, t0, charge, names[here], st))
                 if begin > charge:
-                    acts.append(Action(W, charge, begin, st, st, station=st))
-                acts.append(Action(R, begin, done, st, st, station=st))
+                    acts.append(Action(W, charge, begin, st, st))
+                acts.append(Action(R, begin, done, st, st))
                 if depart > done:
-                    acts.append(Action(W, done, depart, st, st, station=st))
+                    acts.append(Action(W, done, depart, st, st))
                 if out:
                     acts.append(Action(F, depart, start, st, names[s]))
             b = bays[j]
@@ -521,7 +521,7 @@ def reference_construct(instance, sequence, record):
             if record:
                 if depart > t0:
                     acts.append(Action(W, t0, depart, names[here],
-                                       names[here], station=names[here]))
+                                       names[here]))
                 if ft:
                     acts.append(Action(F, depart, start, names[here],
                                        names[s]))

@@ -2,6 +2,8 @@ import concurrent.futures
 import dataclasses
 import statistics
 
+import pytest
+
 from uavsched.experiments import ExperimentGrid, run_experiment
 
 
@@ -71,3 +73,33 @@ def test_repeated_grid_value_keeps_cells_apart():
         assert s.mean_runtime_ms == statistics.fmean(
             r.wall_clock_ms for r in own)
         assert s.converged_runs == sum(r.converged for r in own)
+
+
+@pytest.mark.parametrize("changes, message", [
+    ({"repetitions": 0}, "repetitions must be an integer of at least 1"),
+    ({"repetitions": -2}, "repetitions must be an integer of at least 1"),
+    ({"repetitions": 1.5}, "repetitions must be an integer of at least 1"),
+    ({"repetitions": True}, "repetitions must be an integer of at least 1"),
+    ({"repetitions": "2"}, "repetitions must be an integer of at least 1"),
+    ({"task_counts": (10, -1)}, "task counts must be non-negative integers"),
+    ({"task_counts": (2.5,)}, "task counts must be non-negative integers"),
+    ({"task_counts": (False,)}, "task counts must be non-negative integers"),
+    ({"task_counts": ("10",)}, "task counts must be non-negative integers"),
+    ({"swarm_sizes": (40, 3)}, "swarm_size must be at least 8"),
+    ({"c1_values": (float("nan"),)}, "acceleration factors must be finite"),
+    ({"c2_values": (-1.0,)}, "acceleration factors must be non-negative"),
+    ({"max_iterations": 0}, "max_iterations must be positive"),
+    ({"base_seed": -1}, "rng_seed must be a non-negative integer"),
+])
+def test_grid_that_cannot_run_is_refused(changes, message):
+    """Refused where the grid is built, before any run or pool starts."""
+    with pytest.raises(ValueError, match=message):
+        ExperimentGrid(**changes)
+
+
+def test_integral_values_are_stored_as_ints():
+    grid = ExperimentGrid(task_counts=[6.0, 5], repetitions=2.0,
+                          swarm_sizes=(8,), max_iterations=2)
+    assert grid.task_counts == (6, 5) and grid.repetitions == 2
+    assert all(type(n) is int for n in (*grid.task_counts, grid.repetitions))
+    assert len(run_experiment(grid).runs) == 4

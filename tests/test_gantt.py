@@ -105,7 +105,7 @@ def zero_makespan_schedule(lab):
     return Schedule(instance=lab, actions={
         "UAV1": [Action(H, 0, 0, "R1", "R1"), Action(T, 0, 0, "c", "c", 2)],
         "UAV2": [],
-        "UAV3": [Action(W, 0, 0, "R2", "R2", station="R2")],
+        "UAV3": [Action(W, 0, 0, "R2", "R2")],
     })
 
 

@@ -152,8 +152,7 @@ def renamed(schedule, tid, pos, uav):
     def one(a):
         return dataclasses.replace(
             a, from_pos=pos[a.from_pos], to_pos=pos[a.to_pos],
-            task_id=None if a.task_id is None else tid(a.task_id),
-            station=None if a.station is None else pos[a.station])
+            task_id=None if a.task_id is None else tid(a.task_id))
     return {uav[u]: [one(a) for a in acts]
             for u, acts in schedule.actions.items()}
 
@@ -184,9 +183,8 @@ class TestOrderPreservingRelabelling:
         assert other.best_makespan == mine.best_makespan
         assert other.history == mine.history
         assert (other.iterations_run, other.converged,
-                other.convergence_iteration, other.last_improvement) == (
-            mine.iterations_run, mine.converged, mine.convergence_iteration,
-            mine.last_improvement)
+                other.last_improvement) == (
+            mine.iterations_run, mine.converged, mine.last_improvement)
         assert other.best_schedule.actions == renamed(mine.best_schedule,
                                                       tid, pos, uav)
 
@@ -226,7 +224,7 @@ MUTATIONS = {
         golden_schedule(lab), "UAV3", Action(H, 1125, 1200, "zz", "zz")),
     "recharge_at_unknown_position": lambda lab: append(
         golden_schedule(lab), "UAV3",
-        Action(R, 1125, 3825, "zz", "zz", station="zz")),
+        Action(R, 1125, 3825, "zz", "zz")),
     "task_at_unknown_position": lambda lab: mutate(
         golden_schedule(lab), "UAV3", 3, to_pos="zz"),
     "gap_between_actions": lambda lab: mutate(
@@ -275,9 +273,9 @@ MUTATIONS = {
               Action(T, 1500, 1600, "a", "a", task_id=1)]),
     "bay_capacity": lambda lab: on_tiny(
         [inspect(1, "a", 100)],
-        UAV1=[Action(R, 0, 2700, "R1", "R1", station="R1")],
+        UAV1=[Action(R, 0, 2700, "R1", "R1")],
         UAV2=[Action(F, 0, 50, "R2", "R1"),
-              Action(R, 50, 2750, "R1", "R1", station="R1")]),
+              Action(R, 50, 2750, "R1", "R1")]),
 }
 
 

@@ -651,33 +651,30 @@ class TestAction:
     """Action's documented contract: a frozen, hashable dataclass whose
     fields live in slots, with no instance dict and no weak references."""
 
-    FIELDS = ("kind", "start", "end", "from_pos", "to_pos", "task_id",
-              "station")
-    A = Action(ActionKind.RECHARGE, 5, 2705, "R1", "R1", station="R1")
+    FIELDS = ("kind", "start", "end", "from_pos", "to_pos", "task_id")
+    A = Action(ActionKind.RECHARGE, 5, 2705, "R1", "R1")
 
     def test_equal_twin_hashes_alike(self):
-        twin = Action(ActionKind.RECHARGE, 5, 2705, "R1", "R1", None, "R1")
+        twin = Action(ActionKind.RECHARGE, 5, 2705, "R1", "R1", None)
         assert twin is not self.A
         assert twin == self.A and hash(twin) == hash(self.A)
         assert len({twin, self.A}) == 1
-        assert Action(ActionKind.RECHARGE, 5, 2706, "R1", "R1",
-                      station="R1") != self.A
+        assert Action(ActionKind.RECHARGE, 5, 2706, "R1", "R1") != self.A
 
     def test_repr(self):
         assert repr(self.A) == (
             "Action(kind=<ActionKind.RECHARGE: 'recharge'>, start=5, "
-            "end=2705, from_pos='R1', to_pos='R1', task_id=None, "
-            "station='R1')")
+            "end=2705, from_pos='R1', to_pos='R1', task_id=None)")
 
     def test_dataclass_helpers(self):
         assert tuple(f.name for f in dataclasses.fields(Action)) \
             == self.FIELDS
-        values = (ActionKind.RECHARGE, 5, 2705, "R1", "R1", None, "R1")
+        values = (ActionKind.RECHARGE, 5, 2705, "R1", "R1", None)
         assert dataclasses.astuple(self.A) == values
         assert dataclasses.asdict(self.A) == dict(zip(self.FIELDS, values))
-        moved = dataclasses.replace(self.A, start=0, station=None)
+        moved = dataclasses.replace(self.A, start=0)
         assert moved == Action(ActionKind.RECHARGE, 0, 2705, "R1", "R1")
-        assert self.A.start == 5 and self.A.station == "R1"
+        assert self.A.start == 5
 
     def test_copies(self):
         for again in (copy.copy(self.A), copy.deepcopy(self.A)):
@@ -693,8 +690,8 @@ class TestAction:
         with pytest.raises(dataclasses.FrozenInstanceError):
             self.A.start = 0
         with pytest.raises(dataclasses.FrozenInstanceError):
-            del self.A.station
-        assert self.A.start == 5 and self.A.station == "R1"
+            del self.A.to_pos
+        assert self.A.start == 5 and self.A.to_pos == "R1"
 
     def test_slots_and_no_instance_dict(self):
         assert Action.__slots__ == self.FIELDS

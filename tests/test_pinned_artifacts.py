@@ -13,6 +13,10 @@ alters any of these bytes fails here. Re-record (only for an intended
 change of output) with:
 
     PYTHONPATH=src python tests/test_pinned_artifacts.py > tests/data/pinned_artifacts.json
+
+`SEARCH_ARTIFACTS` pins, the same way, the five files that
+`uavsched search --seed 7 --out-dir DIR` writes on the bundled
+instance; `sha256sum DIR/*` re-records them.
 """
 
 import dataclasses
@@ -24,6 +28,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from uavsched.cli import main
 from uavsched.datagen import GenSpec, generate_instance
 from uavsched.eat import build_schedule
 from uavsched.gantt import render_gantt_svg
@@ -37,6 +42,18 @@ from conftest import FULL_COMPLETION, golden_schedule
 
 PINNED = Path(__file__).parent / "data" / "pinned_artifacts.json"
 TITLE = 'pinned <schedule> & "faults"'
+SEARCH_ARTIFACTS = {
+    "best_schedule.csv":
+        "0a1871f32bbf8437cf172fd1cd2cfe1a2366ae2bc1e2a251813c8e78b6f448f8",
+    "best_schedule.svg":
+        "1af7be31763f1faf2f7511fe4b74be472f89987372324e9ca5c6a8d613334ab6",
+    "history.csv":
+        "38d720aa07714d576a7dad27c588f9a94e69c9b25df10304bb2d4527c73831cf",
+    "history.svg":
+        "4970fa842cbdb3a000ff2c8cde71e04276f1088db248c57f2c85d78aab67df87",
+    "report.json":
+        "0f958a9c6c2a2504a5fd099d11983aeced424f55acf690ccfb39d85ade9dd964",
+}
 
 
 def audit_schedules():
@@ -96,10 +113,11 @@ def cases():
     return out
 
 
-def digests(schedule) -> dict:
-    def sha(data: bytes) -> str:
-        return hashlib.sha256(data).hexdigest()
+def sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
 
+
+def digests(schedule) -> dict:
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "schedule.csv"
         write_schedule_csv(schedule, path)
@@ -140,6 +158,13 @@ def test_faults_show(schedules):
             assert expect in kinds, name
         else:
             assert not kinds, name
+
+
+def test_search_artifacts_match_pinned(tmp_path, capsys):
+    assert main(["search", "--seed", "7", "--out-dir", str(tmp_path)]) == 0
+    capsys.readouterr()
+    assert {p.name: sha(p.read_bytes()) for p in tmp_path.iterdir()} \
+        == SEARCH_ARTIFACTS
 
 
 if __name__ == "__main__":

@@ -148,7 +148,7 @@ class TestUnknownPositions:
 
     def test_recharge_at_unknown_position(self, lab):
         s = append(golden_schedule(lab), "UAV3",
-                   Action(R, 1125, 3825, "zz", "zz", station="zz"))
+                   Action(R, 1125, 3825, "zz", "zz"))
         found, got = self.unknown(s)
         assert found == [("unknown_position", "zz")]
         assert "recharge_position" in got
@@ -318,7 +318,7 @@ class TestResourceRules:
         s = Schedule(instance=inst, actions={
             "UAV1": [Action(F, 0, 20, "R1", "a"),
                      Action(F, 20, 40, "a", "R1"),
-                     Action(W, 40, 1520, "R1", "R1", station="R1"),
+                     Action(W, 40, 1520, "R1", "R1"),
                      Action(F, 1520, 1540, "R1", "a"),
                      Action(T, 1540, 1640, "a", "a", task_id=1)],
         })
@@ -327,9 +327,9 @@ class TestResourceRules:
     def test_bay_capacity(self):
         inst = make_instance([inspect(1, "a", 100)], n_uavs=2, slots=1)
         s = Schedule(instance=inst, actions={
-            "UAV1": [Action(R, 0, 2700, "R1", "R1", station="R1")],
+            "UAV1": [Action(R, 0, 2700, "R1", "R1")],
             "UAV2": [Action(F, 0, 50, "R2", "R1"),
-                     Action(R, 50, 2750, "R1", "R1", station="R1")],
+                     Action(R, 50, 2750, "R1", "R1")],
         })
         assert kinds(validate_schedule(s)) == {"bay_capacity"}
 
@@ -337,8 +337,8 @@ class TestResourceRules:
         # The bundled stations have two bays each: two overlapping
         # recharges at R1 are legal.
         s = Schedule(instance=lab, actions={
-            "UAV1": [Action(R, 0, 2700, "R1", "R1", station="R1")],
-            "UAV2": [Action(R, 0, 2700, "R1", "R1", station="R1")],
+            "UAV1": [Action(R, 0, 2700, "R1", "R1")],
+            "UAV2": [Action(R, 0, 2700, "R1", "R1")],
             "UAV3": [],
         })
         assert validate_schedule(s) == []
