@@ -23,9 +23,9 @@ from .eat import build_schedule
 from .experiments import (ExperimentGrid, run_experiment, runs_csv_text,
                           summary_csv_text, summary_table_text)
 from .gantt import render_gantt_svg, render_history_svg
-from .io import (load_instance, parse_integer, read_task_csv, read_text,
-                 save_instance, write_history_csv, write_report_json,
-                 write_schedule_csv, write_text_atomic)
+from .io import (load_instance, parse_integer, parse_real, read_task_csv,
+                 read_text, save_instance, write_history_csv,
+                 write_report_json, write_schedule_csv, write_text_atomic)
 from .model import InstanceError, ProblemInstance, SchedulingError
 from .pso import PsoConfig, run_pso
 from .sampledata import sample_fleet, sample_instance, sample_map, sample_stations
@@ -194,16 +194,21 @@ def cmd_search(args) -> int:
     return EXIT_OK
 
 
-def _integer(text: str) -> int:
-    """An integer flag's value, read as `parse_integer` reads it."""
-    try:
-        return parse_integer(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
+def _flag(parse):
+    """An argparse type reporting parse's ValueError as its message."""
+    def read(text: str):
+        try:
+            return parse(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+    return read
+
+
+_integer, _real = _flag(parse_integer), _flag(parse_real)
 
 
 def _numbers(text: str, kind, flag: str) -> tuple:
-    parse = parse_integer if kind is int else kind
+    parse = parse_integer if kind is int else parse_real
     try:
         return tuple(parse(t) for t in text.split(","))
     except ValueError:
@@ -295,9 +300,9 @@ def build_parser() -> _Parser:
     p = sub.add_parser("search", help="swarm search for a short makespan")
     add_instance(p)
     p.add_argument("--seed", type=_integer, default=0)
-    p.add_argument("--c1", type=float, default=1.0,
+    p.add_argument("--c1", type=_real, default=1.0,
                    help="pull toward each particle's own best")
-    p.add_argument("--c2", type=float, default=2.0,
+    p.add_argument("--c2", type=_real, default=2.0,
                    help="pull toward the swarm best")
     p.add_argument("--particles", type=_integer, default=40)
     p.add_argument("--max-iter", type=_integer, default=40)

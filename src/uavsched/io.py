@@ -92,6 +92,13 @@ def parse_integer(text: str) -> int:
     return int(text)
 
 
+def parse_real(text: str) -> float:
+    """float(text), refusing digit-group underscores and non-ASCII."""
+    if not text.isascii() or "_" in text:
+        raise ValueError(f"not a number: {text!r}")
+    return float(text)
+
+
 def instance_from_dict(doc: dict) -> ProblemInstance:
     try:
         positions = [Position(_name(p["id"], "position id"),

@@ -429,8 +429,8 @@ class CompiledInstance:
 class ProblemInstance:
     """An immutable scheduling problem: map, stations, tasks and fleet.
 
-    Treated as read-only after validate(); safe to share across parallel
-    runs.
+    Validated and compiled in one pass on construction; no reader
+    writes to it, so it is safe to share across parallel runs.
     """
 
     trajectory_map: TrajectoryMap
@@ -446,8 +446,7 @@ class ProblemInstance:
         self.tasks_by_id = {t.id: t for t in self.tasks}
         self.uavs_by_id = {u.id: u for u in self.uavs}
         self._station_pos = frozenset(s.pos for s in self.stations)
-        self._compiled: CompiledInstance | None = None
-        self.validate()     # sets self._task_graph and self._nearest_leg
+        self.validate()     # sets self._compiled
 
     def task(self, task_id: int) -> Task:
         try:
@@ -459,43 +458,15 @@ class ProblemInstance:
         return self._station_pos
 
     def compiled(self) -> CompiledInstance:
-        """The constructor's dense view, built on first use and cached."""
-        if self._compiled is None:
-            m = self.trajectory_map
-            idx = m.index
-            station_pos = tuple(idx[s.pos] for s in self.stations)
-            nearest_leg = self._nearest_leg     # validation's table
-            task_index, preds, succs = self._task_graph     # validation's
-            ordered = [self.tasks_by_id[t] for t in task_index]
-            self._compiled = CompiledInstance(
-                position_ids=tuple(p.id for p in m.positions),
-                seconds=m.seconds,
-                is_station=tuple(p.id in self._station_pos
-                                 for p in m.positions),
-                station_pos=station_pos,
-                station_slots=tuple(s.slots for s in self.stations),
-                nearest_leg=nearest_leg,
-                tasks=tuple((idx[t.start_pos], idx[t.end_pos], t.proc_time,
-                             nearest_leg[idx[t.end_pos]]) for t in ordered),
-                task_index=task_index,
-                task_preds=preds,
-                task_succs=succs,
-                uav_ids=tuple(u.id for u in self.uavs),
-                uav_start=tuple(idx[u.initial_pos] for u in self.uavs),
-                uav_capacity=tuple(u.battery_capacity for u in self.uavs),
-                uav_recharge=tuple(u.recharge_duration for u in self.uavs),
-                stranded=max((k for k, u in enumerate(self.uavs)
-                              if nearest_leg[idx[u.initial_pos]]
-                              > u.battery_capacity), default=-1),
-            )
+        """The constructor's dense view, built by validation."""
         return self._compiled
 
     def min_battery_capacity(self) -> int:
         return min(u.battery_capacity for u in self.uavs)
 
     def validate(self):
-        """Raise InstanceError at the first broken invariant; the
-        precedence findings of `validate_precedence` come all at once."""
+        """Raise InstanceError at the first broken invariant (the
+        `validate_precedence` findings at once), then build the view."""
         m = self.trajectory_map
         if len(self.tasks_by_id) != len(self.tasks):
             raise InstanceError("duplicate task ids")
@@ -534,24 +505,46 @@ class ProblemInstance:
             if t.start_pos != t.end_pos and t.type != TaskType.MATERIAL_HANDLING:
                 raise InstanceError(
                     f"inspection task {t.id} must start and end at one position")
-        problems, _, *self._task_graph = _check_precedence(
+        problems, _, task_index, preds, succs = _check_precedence(
             [(t.id, t.predecessors) for t in self.tasks])
         if problems:
             raise InstanceError("; ".join(problems))
-        worst_in, self._nearest_leg = position_tables(m, self.stations)
+        worst_in, nearest_leg = position_tables(m, self.stations)
+        dense = [None] * len(self.tasks)
         if self.tasks:
             if not self.uavs:
                 raise InstanceError("instance has tasks but no UAVs")
             if not self.stations:
                 raise InstanceError("instance has tasks but no recharge stations")
             cap = self.min_battery_capacity()
-            for t in self.tasks:
-                bound = (worst_in[m.index[t.start_pos]] + t.proc_time
-                         + self._nearest_leg[m.index[t.end_pos]])
+            for t in self.tasks:    # declaration order: the first to fail
+                start, end = m.index[t.start_pos], m.index[t.end_pos]
+                escape = nearest_leg[end]
+                bound = worst_in[start] + t.proc_time + escape
                 if bound > cap:
                     raise InstanceError(
                         f"task {t.id} cannot fit any battery window: "
                         f"worst-case airborne time {bound} > capacity {cap}")
+                dense[task_index[t.id]] = (start, end, t.proc_time, escape)
+        self._compiled = CompiledInstance(
+            position_ids=tuple(p.id for p in m.positions),
+            seconds=m.seconds,
+            is_station=tuple(p.id in self._station_pos for p in m.positions),
+            station_pos=tuple(m.index[s.pos] for s in self.stations),
+            station_slots=tuple(s.slots for s in self.stations),
+            nearest_leg=nearest_leg,
+            tasks=tuple(dense),
+            task_index=task_index,
+            task_preds=preds,
+            task_succs=succs,
+            uav_ids=tuple(u.id for u in self.uavs),
+            uav_start=tuple(m.index[u.initial_pos] for u in self.uavs),
+            uav_capacity=tuple(u.battery_capacity for u in self.uavs),
+            uav_recharge=tuple(u.recharge_duration for u in self.uavs),
+            stranded=max((k for k, u in enumerate(self.uavs)
+                          if nearest_leg[m.index[u.initial_pos]]
+                          > u.battery_capacity), default=-1),
+        )
 
 
 def position_tables(trajectory_map: TrajectoryMap, stations

@@ -85,22 +85,16 @@ def _difference(target, work, pos):
 
 def _greedy_order(items, instance: ProblemInstance) -> list[int]:
     """`_decode` of a list of task ids, checked first: repeated ids
-    raise before unknown ones."""
+    raise before unknown ones. Validation ruled out cycles."""
     if len(set(items)) != len(items):
         raise SequenceError("sequence contains duplicate task ids")
     view = instance.compiled()
-    index = view.task_index
     try:
-        dense = [index[tid] for tid in items]
+        dense = [view.task_index[tid] for tid in items]
     except KeyError as missing:
         instance.task(missing.args[0])  # raises: unknown id
         raise
-    out = _decode(dense, view.task_preds, view.task_succs, items)
-    if len(out) != len(items):
-        raise SequenceError(
-            f"tasks {sorted(set(items).difference(out))} cannot be ordered: "
-            "missing or cyclic predecessors")
-    return out
+    return _decode(dense, view.task_preds, view.task_succs, items)
 
 
 def repair(sequence, instance: ProblemInstance) -> list[int]:

@@ -7,7 +7,13 @@ that a single test file needs stays in that file."""
 import heapq
 
 from uavsched.eat import check_sequence
-from uavsched.model import InstanceError, SequenceError, Task, TrajectoryMap
+from uavsched.model import (
+    CompiledInstance,
+    InstanceError,
+    SequenceError,
+    Task,
+    TrajectoryMap,
+)
 
 
 def is_feasible_sequence(sequence, instance) -> bool:
@@ -152,3 +158,41 @@ class PrecedenceGraph:
                     redundant.append((u, v))
         return redundant
 
+
+def reference_compiled(instance) -> CompiledInstance:
+    """`ProblemInstance.compiled()` as it was built lazily on first use:
+    a second pass after validation, over the tasks in ascending id
+    order, looking each one's endpoints up again. The task graph comes
+    from `PrecedenceGraph` and the legs from the per-pair table here."""
+    m = instance.trajectory_map
+    idx = m.index
+    stations = instance.stations
+    hosted = {s.pos for s in stations}
+    nearest_leg = reference_position_tables(m, stations)[1]
+    graph = PrecedenceGraph({t.id: t.predecessors for t in instance.tasks})
+    task_index = {t: d for d, t in enumerate(graph.task_ids)}
+    ordered = [instance.task(t) for t in graph.task_ids]
+    return CompiledInstance(
+        position_ids=tuple(p.id for p in m.positions),
+        seconds=m.seconds,
+        is_station=tuple(p.id in hosted for p in m.positions),
+        station_pos=tuple(idx[s.pos] for s in stations),
+        station_slots=tuple(s.slots for s in stations),
+        nearest_leg=nearest_leg,
+        tasks=tuple((idx[t.start_pos], idx[t.end_pos], t.proc_time,
+                     nearest_leg[idx[t.end_pos]]) for t in ordered),
+        task_index=task_index,
+        task_preds=tuple(tuple(task_index[p]
+                               for p in graph.direct_predecessors[t])
+                         for t in graph.task_ids),
+        task_succs=tuple(tuple(task_index[s]
+                               for s in graph.direct_successors[t])
+                         for t in graph.task_ids),
+        uav_ids=tuple(u.id for u in instance.uavs),
+        uav_start=tuple(idx[u.initial_pos] for u in instance.uavs),
+        uav_capacity=tuple(u.battery_capacity for u in instance.uavs),
+        uav_recharge=tuple(u.recharge_duration for u in instance.uavs),
+        stranded=max((k for k, u in enumerate(instance.uavs)
+                      if nearest_leg[idx[u.initial_pos]] > u.battery_capacity),
+                     default=-1),
+    )

@@ -1,3 +1,4 @@
+import copy
 import json
 import signal
 from contextlib import redirect_stderr, redirect_stdout
@@ -303,6 +304,9 @@ WRONG_TYPES = [None, True, "x", "", [], {}, 0, -1, 1.7]
 RAW_NUMBERS = ["1e999", "-1e999", "1e308", "NaN", "-Infinity", "1e-999",
                str(10**9), str(10**30), "9" * 400]
 BAD_IDS = ["1.7", "true", "12.5", '"1"', "-0.5"]
+# a fresh copy per draw: a later mutation writing into a drawn [] or {}
+# must not change the list that every later example draws from
+wrong_types = st.sampled_from(WRONG_TYPES).map(copy.deepcopy)
 
 
 def _nodes(doc):
@@ -312,6 +316,13 @@ def _nodes(doc):
         yield doc, key
         if isinstance(value, (dict, list)):
             yield from _nodes(value)
+
+
+def _list_at(doc, key):
+    """doc[key] when it is still a list, else []: an earlier mutation
+    may have replaced or deleted it."""
+    value = doc.get(key)
+    return value if isinstance(value, list) else []
 
 
 @st.composite
@@ -331,7 +342,7 @@ def fuzzed_instances(draw):
         kind = draw(st.sampled_from(
             ["type", "delete", "number", "id", "nest", "slots"]))
         if kind == "id":
-            task = draw(st.sampled_from(doc.get("tasks") or [{}]))
+            task = draw(st.sampled_from(_list_at(doc, "tasks") or [{}]))
             if isinstance(task, dict):
                 preds = task.get("predecessors")
                 bad = token(draw(st.sampled_from(BAD_IDS)))
@@ -341,13 +352,13 @@ def fuzzed_instances(draw):
                     task["id"] = bad
             continue
         if kind == "slots":
-            for station in doc.get("stations") or []:
+            for station in _list_at(doc, "stations"):
                 if isinstance(station, dict):
                     station["slots"] = token(str(10**9))
             continue
         parent, key = draw(st.sampled_from(list(_nodes(doc))))
         if kind == "type":
-            parent[key] = draw(st.sampled_from(WRONG_TYPES))
+            parent[key] = draw(wrong_types)
         elif kind == "delete":
             del parent[key]
         elif kind == "number":
@@ -392,6 +403,11 @@ class TestFuzzedInstance:
         path.write_text(text)
         code, err = _bounded_main(["schedule", "--instance", str(path)])
         assert code in (0, 1, 2), err
+
+    @given(wrong_types)
+    def test_drawn_containers_are_fresh(self, value):
+        assert not any(value is w for w in WRONG_TYPES
+                       if isinstance(w, (list, dict)))
 
 
 BAD_CELLS = ["", " ", "x", "\x00", '"', '"a', 'a"b', "1.5", "-1", "0",
@@ -679,8 +695,9 @@ class TestExperiment:
 
 class TestIntegerFlags:
     """Every integer flag reads its value by `parse_integer`'s rule, as
-    `--sequence` does: a digit-group underscore or a non-ASCII digit is
-    a usage error naming the flag, not the number int() would read."""
+    `--sequence` does, and every acceleration factor by `parse_real`'s:
+    a digit-group underscore or a non-ASCII digit is a usage error
+    naming the flag, not the number int() or float() would read."""
 
     BASE = {"search": ["search", "--max-iter", "2"],
             "experiment": ["experiment", "--reps", "1", "--max-iter", "2"],
@@ -691,7 +708,9 @@ class TestIntegerFlags:
              ("--tasks", "--particles", "--reps", "--max-iter", "--seed",
               "--jobs")] + [
              ("generate", f) for f in
-             ("--tasks", "--seed", "--uavs", "--slots", "--max-preds")]
+             ("--tasks", "--seed", "--uavs", "--slots", "--max-preds")] + [
+             (command, f) for command in ("search", "experiment")
+             for f in ("--c1", "--c2")]
 
     @pytest.mark.parametrize("value", ["1_0", "\u0661\u0660"])
     @pytest.mark.parametrize("command, flag", FLAGS)

@@ -36,6 +36,8 @@ from uavsched.model import (
     validate_precedence,
 )
 from uavsched.io import instance_to_dict, read_task_csv
+from uavsched.pso import PsoConfig, fitness, run_pso
+from uavsched.sampledata import sample_instance
 from uavsched.sequences import priority_orderings, repair
 
 from conftest import SMALL_MAP, haul, inspect, make_instance
@@ -43,6 +45,7 @@ from oracles import (
     CycleError,
     PrecedenceGraph,
     nearest_recharge_station,
+    reference_compiled,
     reference_position_tables,
     worst_case_engagement_time,
 )
@@ -374,6 +377,61 @@ class TestInstanceValidation:
             assert compiled.tasks[compiled.task_index[t.id]][3] == min(
                 lab.trajectory_map.flight_time(t.end_pos, s.pos)
                 for s in lab.stations)
+
+    def test_first_listed_task_over_the_window_is_named(self):
+        # both break the battery window; the error names the one listed
+        # first, not the lower id
+        with pytest.raises(InstanceError) as exc:
+            make_instance([inspect(1, "a", 5), inspect(3, "a", 2000),
+                           inspect(2, "a", 3000)])
+        assert str(exc.value) == (
+            "task 3 cannot fit any battery window: worst-case airborne "
+            "time 2060 > capacity 1200")
+
+
+class TestNothingWrittenAfterConstruction:
+    def test_readers_leave_the_instance_as_built(self):
+        inst = sample_instance()
+        before = dict(vars(inst))
+        seq = repair(sorted(inst.tasks_by_id, reverse=True), inst)
+        inst.compiled()
+        fitness(seq, inst)
+        build_schedule(inst, seq)
+        priority_orderings(inst)
+        run_pso(inst, PsoConfig(swarm_size=8, max_iterations=2))
+        after = vars(inst)
+        assert after.keys() == before.keys()
+        assert all(after[k] is v for k, v in before.items())
+
+
+@st.composite
+def shuffled_instances(draw):
+    """A generated instance rebuilt with its tasks and stations listed
+    in a drawn order and a fleet of drawn starts, batteries and recharge
+    times; without tasks a UAV may start out of every station's reach."""
+    base = generate_instance(GenSpec(
+        n_tasks=draw(st.integers(0, 30)), seed=draw(st.integers(0, 10 ** 6)),
+        max_predecessors=draw(st.integers(0, 3)),
+        n_uavs=draw(st.integers(1, 5)),
+        slots_per_station=draw(st.integers(1, 3))))
+    positions = [p.id for p in base.trajectory_map.positions]
+    low = 1200 if base.tasks else 1    # the generated tasks fit 1200 s
+    uavs = tuple(Uav(u.id, draw(st.sampled_from(positions)),
+                     draw(st.integers(low, 5000)), draw(st.integers(1, 5000)))
+                 for u in base.uavs)
+    return ProblemInstance(trajectory_map=base.trajectory_map,
+                           stations=draw(st.permutations(base.stations)),
+                           tasks=draw(st.permutations(base.tasks)),
+                           uavs=uavs)
+
+
+class TestCompiledMatchesLazyBuild:
+    @settings(max_examples=200, deadline=None)
+    @given(shuffled_instances())
+    def test_view_equals_reference(self, inst):
+        got, want = inst.compiled(), reference_compiled(inst)
+        assert got == want
+        assert list(got.task_index) == list(want.task_index)
 
 
 class TestExactInt:

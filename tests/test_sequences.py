@@ -1,5 +1,4 @@
 import heapq
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -11,7 +10,6 @@ from uavsched.model import ProblemInstance, SequenceError, Task, _decode
 from uavsched.sequences import (
     PRIORITY_RULES,
     _difference,
-    _greedy_order,
     _relabel,
     apply_swaps,
     extend_sequence,
@@ -305,25 +303,6 @@ class TestGreedyOrderMatchesReference:
         dense = [view.task_index[t] for t in seq]
         want = [view.task_index[t] for t in reference_repair(seq, inst)]
         assert _decode(dense, view.task_preds, view.task_succs) == want
-
-    def test_cycle_message(self):
-        # No valid instance has a cycle, so a stub carries the compiled
-        # view's dense task fields for these predecessor lists.
-        preds = {1: (), 2: (3,), 3: (2,), 4: (1, 3), 5: (5,)}
-        index = {t: k for k, t in enumerate(sorted(preds))}
-        dense = tuple(tuple(index[p] for p in preds[t]) for t in index)
-        view = SimpleNamespace(
-            task_index=index, task_preds=dense,
-            task_succs=tuple(tuple(k for k, ps in enumerate(dense) if d in ps)
-                             for d in range(len(dense))))
-        stub = SimpleNamespace(compiled=lambda: view)
-        items = [4, 3, 1, 5, 2]
-        with pytest.raises(SequenceError) as got:
-            _greedy_order(items, stub)
-        with pytest.raises(SequenceError) as want:
-            reference_greedy_order(items, preds, done=set())
-        assert str(got.value) == str(want.value)
-        assert "tasks [2, 3, 4, 5] cannot be ordered" in str(got.value)
 
 
 class TestPriorityRules:
