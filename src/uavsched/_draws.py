@@ -131,7 +131,7 @@ class Draws:
         if not k:
             return []
         start = max(n - k, 1)
-        bounds = _bounds(n, k)
+        bounds = _small_bounds(n, k) if n <= _SMALL else _bounds(n, k)
         drawn = (self._draw(bounds) if n <= _WORD
                  else list(map(self._below, bounds)))
         out = [0] * (start - (n - k))

@@ -24,13 +24,15 @@ import numpy as np
 
 from ._draws import Draws
 from .model import (
+    _COMPOUND,
+    _MATERIAL,
+    _SINGLE,
     InstanceError,
     PositionKind,
     ProblemInstance,
     RechargeStation,
     SchedulingError,
     Task,
-    TaskType,
     TrajectoryMap,
     Uav,
     _closure,
@@ -111,8 +113,7 @@ class GenSpec:
             raise GenerationError("need at least one uav")
 
 
-_TYPES = (TaskType.SINGLE_INSPECTION, TaskType.COMPOUND_INSPECTION,
-          TaskType.MATERIAL_HANDLING)
+_TYPES = (_SINGLE, _COMPOUND, _MATERIAL)
 
 
 @functools.cache
@@ -131,13 +132,13 @@ def _draw_task(tid: int, spec: GenSpec, fm: TrajectoryMap, worst_in,
     type is `infer_task_type`'s."""
     for _ in range(MAX_RESAMPLE_ATTEMPTS):
         kind = _TYPES[bisect_right(cdf, rng.random())]
-        if kind is TaskType.MATERIAL_HANDLING:
+        if kind is _MATERIAL:
             i, j = rng.choice(len(work), 2)
             start, end = work[i], work[j]
             proc = spec.material_handling_base + fm.flight_time(start, end)
         else:
             start = end = work[rng.integers(0, len(work))]
-            lo, hi = (spec.single_band if kind is TaskType.SINGLE_INSPECTION
+            lo, hi = (spec.single_band if kind is _SINGLE
                       else spec.compound_band)
             proc = rng.integers(lo, hi + 1)
         if (worst_in[fm.index[start]] + proc

@@ -42,19 +42,11 @@ def _task_ids(sequence) -> list[int]:
 
 
 def check_sequence(instance: ProblemInstance, sequence) -> list[int]:
-    """Reject non-integer, duplicate and unknown ids and precedence
-    breaks up front."""
+    """The sequence's ids as ints, after `_dense_sequence`'s check:
+    non-integer, duplicate and unknown ids and precedence breaks raise
+    SequenceError."""
     seq = _task_ids(sequence)
-    seen: set[int] = set()
-    for tid in seq:
-        task = instance.task(tid)
-        if tid in seen:
-            raise SequenceError(f"task {tid} appears twice in the sequence")
-        for p in task.predecessors:
-            if p not in seen:
-                raise SequenceError(
-                    f"task {tid} is sequenced before its predecessor {p}")
-        seen.add(tid)
+    _dense_sequence(instance, seq)
     return seq
 
 
@@ -71,10 +63,36 @@ def build_schedule(instance: ProblemInstance, sequence) -> Schedule:
 
 
 def _dense_sequence(instance: ProblemInstance, sequence) -> list[int]:
-    """The sequence, checked by check_sequence, as the compiled view's
-    dense indices."""
-    index = instance.compiled().task_index
-    return [index[t] for t in check_sequence(instance, sequence)]
+    """The sequence as the compiled view's dense indices, checked in one
+    walk. A non-integer id anywhere is named first (`_task_ids`, after
+    a scan that passes plain ints); then the first id that is unknown,
+    repeated or listed before a predecessor, naming the lowest missing
+    predecessor (dense indices ascend with the ids)."""
+    view = instance.compiled()
+    index, preds = view.task_index, view.task_preds
+    seq = list(sequence)
+    for t in seq:
+        if type(t) is not int:
+            seq = _task_ids(seq)
+            break
+    placed = bytearray(len(preds))
+    dense = []
+    try:
+        for tid in seq:
+            d = index[tid]
+            if placed[d]:
+                raise SequenceError(
+                    f"task {tid} appears twice in the sequence")
+            for p in preds[d]:
+                if not placed[p]:
+                    raise SequenceError(
+                        f"task {tid} is sequenced before its predecessor "
+                        f"{list(index)[p]}")
+            placed[d] = 1
+            dense.append(d)
+    except KeyError:
+        raise SequenceError(f"unknown task id {tid}") from None
+    return dense
 
 
 def _construct(instance: ProblemInstance, dense, placed=None) -> int:
@@ -290,22 +308,24 @@ def _timeline(instance: ProblemInstance, placed) -> Schedule:
     the flight and hover from elsewhere, then the execution."""
     view = instance.compiled()
     secs, names, tasks = view.seconds, view.position_ids, view.tasks
+    station_pos, recharge = view.station_pos, view.uav_recharge
+    is_station = view.is_station
     ids = list(view.task_index)
     timelines = [[] for _ in view.uav_ids]
     for d, k, here, t0, j, begin, start in placed:
         s, e, proc, _ = tasks[d]
         acts = timelines[k]
         if j >= 0:
-            sp = view.station_pos[j]
+            sp = station_pos[j]
             st = names[sp]
             charge = t0 + secs[here][sp]
             if charge > t0:
                 acts.append(Action(_FLIGHT, t0, charge, names[here], st))
             if begin > charge:
                 acts.append(Action(_WAIT, charge, begin, st, st))
-            here, t0 = sp, begin + view.uav_recharge[k]
+            here, t0 = sp, begin + recharge[k]
             acts.append(Action(_RECHARGE, begin, t0, st, st))
-        if view.is_station[here]:
+        if is_station[here]:
             st = names[here]
             depart = start - secs[here][s]
             if depart > t0:
@@ -321,6 +341,6 @@ def _timeline(instance: ProblemInstance, placed) -> Schedule:
                 acts.append(Action(_HOVER, arrival, start, names[s],
                                    names[s]))
         acts.append(Action(_EXEC, start, start + proc, names[s], names[e],
-                           task_id=ids[d]))
+                           ids[d]))
     return Schedule(instance=instance,
                     actions=dict(zip(view.uav_ids, timelines)))

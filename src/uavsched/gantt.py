@@ -101,7 +101,6 @@ def render_gantt_svg(schedule: Schedule, title: str = "") -> str:
                  f'text-anchor="middle" fill="#444">time (s)</text>')
 
     esc = _Memo(escape)
-    widths = _Memo(lambda duration: _fmt(max(duration * scale, 0.5)))
     add = parts.append
     for lane, uav_id in enumerate(uavs):
         # each lane's fixed text once: its bars' y, its labels' y
@@ -115,15 +114,23 @@ def render_gantt_svg(schedule: Schedule, title: str = "") -> str:
         for a in schedule.actions[uav_id]:
             kind, start, end = a.kind, a.start, a.end
             x = _MARGIN_L + start * scale
-            x_text = f"{x:.2f}"     # _fmt(x), inline
+            w = (end - start) * scale
+            # _fmt(x) and _fmt(max(w, 0.5)), inline
+            x_text = f"{x:.2f}"
             if x_text[-1] == "0":
                 x_text = x_text.rstrip("0").rstrip(".")
+            w_text = f"{w if w >= 0.5 else 0.5:.2f}"
+            if w_text[-1] == "0":
+                w_text = w_text.rstrip("0").rstrip(".")
             # escape(f"{kind} {from}->{to} [{start},{end}]"), per id once
-            add(f'<rect x="{x_text}{bar_y}{widths[end - start]}'
+            add(f'<rect x="{x_text}{bar_y}{w_text}'
                 f'{_RECT_TAIL[kind]}{esc[a.from_pos]}-&gt;{esc[a.to_pos]} '
                 f'[{start},{end}]</title></rect>')
-            if kind is _EXEC and (w := (end - start) * scale) >= 14:
-                add(f'<text x="{_fmt(x + w / 2)}{task_label}{a.task_id}</text>')
+            if kind is _EXEC and w >= 14:
+                x_text = f"{x + w / 2:.2f}"
+                if x_text[-1] == "0":
+                    x_text = x_text.rstrip("0").rstrip(".")
+                add(f'<text x="{x_text}{task_label}{a.task_id}</text>')
 
     legend_x = _MARGIN_L
     legend_y = axis_y + 38

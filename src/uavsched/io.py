@@ -139,19 +139,29 @@ def _canonical_json(doc: dict) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
+# O_BINARY (Windows only): no newline translation on os.write
+_WRITE_FLAGS = (os.O_WRONLY | os.O_CREAT | os.O_TRUNC
+                | getattr(os, "O_BINARY", 0))
+
+
 def write_text_atomic(path, text: str):
     """Write text as UTF-8 via a sibling temp file and rename, so partial
     files never land under the final name. Missing parent directories
-    are created."""
+    are created. The bytes go through a raw file descriptor, with no
+    buffered file object, and a short write is resumed."""
     data = text.encode("utf-8")     # an unencodable text leaves no file
     tmp = f"{os.fspath(path)}.tmp"
     try:
-        fh = open(tmp, "wb")
+        fd = os.open(tmp, _WRITE_FLAGS, 0o666)
     except FileNotFoundError:   # only then pay for creating the parents
         os.makedirs(os.path.dirname(tmp), exist_ok=True)
-        fh = open(tmp, "wb")
-    with fh:
-        fh.write(data)
+        fd = os.open(tmp, _WRITE_FLAGS, 0o666)
+    try:
+        done = os.write(fd, data)
+        while done < len(data):
+            done += os.write(fd, memoryview(data)[done:])
+    finally:
+        os.close(fd)
     os.replace(tmp, path)
 
 

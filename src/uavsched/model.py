@@ -77,6 +77,10 @@ class PositionKind(str, enum.Enum):
     RECHARGE = "recharge"
 
 
+# members as module globals, for per-item loops: a global reads faster
+_RECHARGE_KIND = PositionKind.RECHARGE
+
+
 @dataclass(frozen=True)
 class Position:
     id: str
@@ -154,6 +158,11 @@ class TaskType(str, enum.Enum):
     MATERIAL_HANDLING = "material_handling"
 
 
+_SINGLE, _COMPOUND, _MATERIAL = (TaskType.SINGLE_INSPECTION,
+                                 TaskType.COMPOUND_INSPECTION,
+                                 TaskType.MATERIAL_HANDLING)
+
+
 def infer_task_type(start_pos: str, end_pos: str, proc_time: int) -> TaskType:
     """The type of a task given only its endpoints and duration.
 
@@ -161,9 +170,8 @@ def infer_task_type(start_pos: str, end_pos: str, proc_time: int) -> TaskType:
     inspections up to 80 s and compound inspections above that.
     """
     if start_pos != end_pos:
-        return TaskType.MATERIAL_HANDLING
-    return (TaskType.SINGLE_INSPECTION if proc_time <= 80
-            else TaskType.COMPOUND_INSPECTION)
+        return _MATERIAL
+    return _SINGLE if proc_time <= 80 else _COMPOUND
 
 
 @dataclass(frozen=True, init=False)
@@ -225,6 +233,9 @@ class ActionKind(str, enum.Enum):
     HOVER = "hover"
     WAIT_ON_GROUND = "wait_on_ground"
     RECHARGE = "recharge"
+
+
+_EXEC = ActionKind.TASK_EXEC
 
 
 @dataclass(frozen=True, slots=True, init=False)
@@ -425,12 +436,15 @@ class CompiledInstance:
     stranded: int
 
 
-@dataclass
+@dataclass(frozen=True)
 class ProblemInstance:
     """An immutable scheduling problem: map, stations, tasks and fleet.
 
-    Validated and compiled in one pass on construction; no reader
-    writes to it, so it is safe to share across parallel runs.
+    Frozen: assigning a field raises FrozenInstanceError, and
+    `dataclasses.replace` builds a new, validated instance. Validated
+    and compiled in one pass on construction, when the derived fields
+    are set once; nothing writes to it afterwards, so it is safe to
+    share across parallel runs. Not hashable: its map is not.
     """
 
     trajectory_map: TrajectoryMap
@@ -440,13 +454,14 @@ class ProblemInstance:
     name: str = "instance"
 
     def __post_init__(self):
-        self.stations = tuple(self.stations)
-        self.tasks = tuple(self.tasks)
-        self.uavs = tuple(self.uavs)
-        self.tasks_by_id = {t.id: t for t in self.tasks}
-        self.uavs_by_id = {u.id: u for u in self.uavs}
-        self._station_pos = frozenset(s.pos for s in self.stations)
-        self.validate()     # sets self._compiled
+        d = self.__dict__   # frozen: the derived fields are set once here
+        d["stations"] = tuple(self.stations)
+        d["tasks"] = tuple(self.tasks)
+        d["uavs"] = tuple(self.uavs)
+        d["tasks_by_id"] = {t.id: t for t in self.tasks}
+        d["uavs_by_id"] = {u.id: u for u in self.uavs}
+        d["_station_pos"] = frozenset(s.pos for s in self.stations)
+        self.validate()     # sets the view
 
     def task(self, task_id: int) -> Task:
         try:
@@ -466,7 +481,10 @@ class ProblemInstance:
 
     def validate(self):
         """Raise InstanceError at the first broken invariant (the
-        `validate_precedence` findings at once), then build the view."""
+        `validate_precedence` findings at once), then build the view
+        from the values the checks computed. Only construction keeps
+        it: a later call checks again, and `compiled()` stays the
+        view construction built."""
         m = self.trajectory_map
         if len(self.tasks_by_id) != len(self.tasks):
             raise InstanceError("duplicate task ids")
@@ -475,9 +493,9 @@ class ProblemInstance:
         if len({s.pos for s in self.stations}) != len(self.stations):
             raise InstanceError("duplicate station positions")
         recharge_positions = {p.id for p in m.positions
-                              if p.kind == PositionKind.RECHARGE}
+                              if p.kind == _RECHARGE_KIND}
         for s in self.stations:
-            if m.position(s.pos).kind != PositionKind.RECHARGE:
+            if m.position(s.pos).kind != _RECHARGE_KIND:
                 raise InstanceError(
                     f"station at {s.pos!r} must sit on a recharge-kind position")
             if s.slots < 1:
@@ -502,7 +520,7 @@ class ProblemInstance:
                     f"task {t.id} ends at non-work position {t.end_pos!r}")
             if t.proc_time <= 0:
                 raise InstanceError(f"task {t.id} has non-positive proc_time")
-            if t.start_pos != t.end_pos and t.type != TaskType.MATERIAL_HANDLING:
+            if t.start_pos != t.end_pos and t.type != _MATERIAL:
                 raise InstanceError(
                     f"inspection task {t.id} must start and end at one position")
         problems, _, task_index, preds, succs = _check_precedence(
@@ -526,7 +544,7 @@ class ProblemInstance:
                         f"task {t.id} cannot fit any battery window: "
                         f"worst-case airborne time {bound} > capacity {cap}")
                 dense[task_index[t.id]] = (start, end, t.proc_time, escape)
-        self._compiled = CompiledInstance(
+        self.__dict__.setdefault("_compiled", CompiledInstance(
             position_ids=tuple(p.id for p in m.positions),
             seconds=m.seconds,
             is_station=tuple(p.id in self._station_pos for p in m.positions),
@@ -544,7 +562,7 @@ class ProblemInstance:
             stranded=max((k for k, u in enumerate(self.uavs)
                           if nearest_leg[m.index[u.initial_pos]]
                           > u.battery_capacity), default=-1),
-        )
+        ))
 
 
 def position_tables(trajectory_map: TrajectoryMap, stations
@@ -580,7 +598,7 @@ class Schedule:
     def task_executions(self) -> dict[int, tuple[str, Action]]:
         out: dict[int, tuple[str, Action]] = {}
         for uav_id, a in self.all_actions():
-            if a.kind == ActionKind.TASK_EXEC and a.task_id is not None:
+            if a.kind == _EXEC and a.task_id is not None:
                 out.setdefault(a.task_id, (uav_id, a))
         return out
 

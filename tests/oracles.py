@@ -13,6 +13,7 @@ from uavsched.model import (
     SequenceError,
     Task,
     TrajectoryMap,
+    exact_int,
 )
 
 
@@ -24,6 +25,29 @@ def is_feasible_sequence(sequence, instance) -> bool:
     except SequenceError:
         return False
     return True
+
+
+def reference_check_sequence(instance, sequence) -> list[int]:
+    """`check_sequence` as it was before it walked the compiled view:
+    every item read by `exact_int` first, then per id a lookup, a
+    seen-set test and each predecessor in turn."""
+    items = list(sequence)
+    seq = [exact_int(t) for t in items]
+    if None in seq:
+        raise SequenceError(
+            f"task id {items[seq.index(None)]!r} is not an integer")
+    seen: set[int] = set()
+    for tid in seq:
+        if tid not in instance.tasks_by_id:
+            raise SequenceError(f"unknown task id {tid}")
+        if tid in seen:
+            raise SequenceError(f"task {tid} appears twice in the sequence")
+        for p in instance.tasks_by_id[tid].predecessors:
+            if p not in seen:
+                raise SequenceError(
+                    f"task {tid} is sequenced before its predecessor {p}")
+        seen.add(tid)
+    return seq
 
 
 def reference_difference(target, current):

@@ -3,12 +3,19 @@ import re
 import traceback
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from uavsched.datagen import GenSpec, generate_instance
-from uavsched.eat import _construct, _kernel, build_schedule, check_sequence
+from uavsched.eat import (
+    _construct,
+    _dense_sequence,
+    _kernel,
+    build_schedule,
+    check_sequence,
+)
 from uavsched.model import (
     Action,
     ActionKind,
@@ -38,6 +45,7 @@ from conftest import (
     inspect,
     make_instance,
 )
+from oracles import reference_check_sequence
 from oracles import worst_case_engagement_time
 
 F, T, H, W, R = (ActionKind.FLIGHT, ActionKind.TASK_EXEC, ActionKind.HOVER,
@@ -424,6 +432,50 @@ class TestMakespanPathMatchesSchedule:
                     run()
                 assert (type(got.value), str(got.value)) == \
                     (type(want.value), str(want.value))
+
+
+@st.composite
+def messy_sequences(draw):
+    """An instance of mixed_fleet_draws and a sequence that may break
+    each rule of check_sequence, several at once: a drawn prefix of a
+    permutation puts tasks before their predecessors, and up to four
+    items are inserted, each a listed id (a repeat, perhaps as 3.0 or
+    np.int64), an unknown id or a non-integer."""
+    inst, seq = draw(mixed_fleet_draws())
+    ids = sorted(inst.tasks_by_id)
+    if ids and draw(st.booleans()):
+        seq = draw(st.permutations(ids))[:draw(st.integers(1, len(ids)))]
+    seq = list(seq)
+    unknown = max(ids, default=0) + 1
+    odd = st.sampled_from([True, False, "3", 1.5, 3.0, np.int64(3), unknown,
+                           np.int64(unknown), -1, 0])
+    known = st.sampled_from(ids or [1])
+    items = odd | known | known.map(float) | known.map(np.int64)
+    for _ in range(draw(st.integers(0, 4))):
+        seq.insert(draw(st.integers(0, len(seq))), draw(items))
+    return inst, seq
+
+
+def outcome(check, *args):
+    """check(*args), or the type and text of the SequenceError raised."""
+    try:
+        return check(*args)
+    except SequenceError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=400, deadline=None)
+@given(messy_sequences())
+def test_one_walk_check_matches_reference(draw):
+    # the same ids, or the same first error, as the check did before it
+    # walked the compiled view; build_schedule and fitness take the dense
+    # walk without check_sequence's own conversion
+    inst, seq = draw
+    want = outcome(reference_check_sequence, inst, seq)
+    assert outcome(check_sequence, inst, seq) == want
+    index = inst.compiled().task_index
+    assert outcome(_dense_sequence, inst, seq) == (
+        want if isinstance(want, tuple) else [index[t] for t in want])
 
 
 def id_task_table(instance):

@@ -1,4 +1,6 @@
 import json
+import os
+import sys
 import tempfile
 from pathlib import Path
 from xml.dom import minidom
@@ -331,3 +333,42 @@ class TestWriteTextAtomic:
             write_text_atomic(p, "U\ud800\n")
         assert p.read_bytes() == b"old\n"
         assert list(tmp_path.iterdir()) == [p]
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"),
+                        reason="counts the entries of /proc/self/fd")
+    def test_no_descriptor_leaks(self, tmp_path, monkeypatch):
+        # a raw descriptor raises no ResourceWarning when it leaks, so
+        # count the process's open descriptors around each write
+        def open_fds():
+            return len(os.listdir("/proc/self/fd"))
+
+        def refused(*args):
+            raise OSError(28, "No space left on device")
+
+        p = tmp_path / "out.txt"
+        before = open_fds()
+        write_text_atomic(p, "ok\n")
+        assert open_fds() == before
+        assert p.read_bytes() == b"ok\n"
+        for name in ("write", "replace"):
+            with monkeypatch.context() as patch:
+                patch.setattr(os, name, refused)
+                with pytest.raises(OSError, match="No space"):
+                    write_text_atomic(p, "lost\n")
+            assert open_fds() == before
+            assert p.read_bytes() == b"ok\n"
+
+    def test_short_writes_are_resumed(self, tmp_path, monkeypatch):
+        real_write, sizes = os.write, []
+
+        def short_write(fd, data):
+            sizes.append(real_write(fd, bytes(data[:7])))
+            return sizes[-1]
+
+        text = "uav,action_kind\n" + "\u00e9\u4e2d\U0001f681," * 40 + "\n"
+        p = tmp_path / "out.csv"
+        monkeypatch.setattr(os, "write", short_write)
+        write_text_atomic(p, text)
+        monkeypatch.undo()
+        assert p.read_bytes() == text.encode("utf-8")
+        assert len(sizes) > 1 and set(sizes[:-1]) == {7}

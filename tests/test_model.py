@@ -404,6 +404,48 @@ class TestNothingWrittenAfterConstruction:
         assert all(after[k] is v for k, v in before.items())
 
 
+class TestFrozenInstance:
+    def test_fields_cannot_be_reassigned(self):
+        inst = sample_instance()
+        for name, value in (("tasks", inst.tasks[:3]), ("name", "other"),
+                            ("tasks_by_id", {}), ("_compiled", None)):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(inst, name, value)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            del inst.tasks
+        assert len(inst.compiled().tasks) == len(inst.tasks) == 12
+
+    def test_replace_builds_a_validated_instance(self):
+        inst = sample_instance()
+        fewer = dataclasses.replace(inst, tasks=inst.tasks[:3])
+        assert [t.id for t in fewer.tasks] == [1, 2, 3]
+        assert sorted(fewer.tasks_by_id) == [1, 2, 3]
+        assert fewer.compiled() == reference_compiled(fewer)
+        assert len(inst.compiled().tasks) == 12
+        with pytest.raises(InstanceError, match="but no UAVs"):
+            dataclasses.replace(inst, uavs=())
+
+    def test_validate_keeps_the_view(self):
+        inst = sample_instance()
+        view = inst.compiled()
+        assert inst.validate() is None
+        assert inst.compiled() is view
+
+    def test_pickle_round_trip(self):
+        inst = generate_instance(GenSpec(n_tasks=30, seed=4))
+        back = pickle.loads(pickle.dumps(inst))
+        assert back == inst
+        assert back.compiled() == inst.compiled()
+        assert back.tasks_by_id == inst.tasks_by_id
+        seq = repair([t.id for t in inst.tasks], inst)
+        assert fitness(seq, back) == fitness(seq, inst)
+
+    def test_not_hashable(self):
+        # frozen, but its trajectory map is not hashable
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(sample_instance())
+
+
 @st.composite
 def shuffled_instances(draw):
     """A generated instance rebuilt with its tasks and stations listed
