@@ -1,4 +1,5 @@
-"""numpy's PCG64 `Generator` draws, computed from the raw 64-bit output.
+"""numpy's PCG64 `Generator` draws, computed from the raw 64-bit output;
+`spawn`, `stream` and `generator` seed every stream and alone load numpy.
 
 A `Generator` call spends about a microsecond in Python-level set-up
 before it draws anything, and a sized `choice` about ten, which at the
@@ -12,6 +13,7 @@ fresh `Generator` on the same bit generator returns, call for call:
   otherwise. A word is the low half of a new output, whose high half is
   kept for the next word, as numpy's `has_uint32` buffer keeps it; a
   bound of 1 draws nothing;
+- `pairs(n, count)` is a sized `integers(0, n, size=(count, 2))`;
 - `choice(n, k)` is numpy's sampling without replacement: Floyd's
   method and then a shuffle, or, when n > 10000 and k > n // 50, a
   partial shuffle of range(n) whose tail is the result.
@@ -119,6 +121,11 @@ class Draws:
     def integers(self, low: int, high: int) -> int:
         return low + self._below(high - low)
 
+    def pairs(self, n: int, count: int):
+        """Rows of `integers(0, n, size=(count, 2))`, for 2 <= n <= 2**32."""
+        drawn = iter(self._draw((n,) * (2 * count)))
+        return zip(drawn, drawn)
+
     def choice(self, n: int, k: int) -> list[int]:
         """`choice(n, size=k, replace=False).tolist()`."""
         if n > 10000 and k > n // 50:   # the tail of a partial shuffle
@@ -177,3 +184,21 @@ class Draws:
         """Leaves the stream where sample(n, k) leaves it: the draws are
         made, but a value is computed only when a word may be rejected."""
         self._floyd(n, k)
+
+
+def spawn(seed: int, count: int) -> list:
+    """count independent child seeds of `SeedSequence(seed)`."""
+    from numpy.random import SeedSequence
+    return SeedSequence(seed).spawn(count)
+
+
+def stream(seed) -> Draws:
+    """A `Draws` on a new PCG64 seeded by an int or a `spawn` child."""
+    from numpy.random import PCG64
+    return Draws(PCG64(seed))
+
+
+def generator(seed):
+    """numpy's `Generator` on a new PCG64 seeded by seed."""
+    from numpy.random import default_rng
+    return default_rng(seed)

@@ -352,7 +352,8 @@ def main(argv=None) -> int:
     except KeyboardInterrupt:
         return EXIT_RUNTIME
     except Exception as exc:  # pragma: no cover - last resort
-        print(f"internal error: {exc}", file=sys.stderr)
+        print(f"internal error: {str(exc) or type(exc).__name__}",
+              file=sys.stderr)
         return EXIT_RUNTIME
 
 

@@ -19,10 +19,9 @@ import math
 import numbers
 from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 
-import numpy as np
-
-from ._draws import Draws
+from ._draws import stream
 from .model import (
     _COMPOUND,
     _MATERIAL,
@@ -119,10 +118,12 @@ _TYPES = (_SINGLE, _COMPOUND, _MATERIAL)
 @functools.cache
 def _type_cdf(weights: tuple[float, float, float]) -> tuple[float, ...]:
     """The table `Generator.choice(3, p=w / w.sum())` searches, w the
-    weights as an array: bisect_right of a `random()` in it draws that."""
-    w = np.array(weights)
-    cdf = (w / w.sum()).cumsum()
-    return tuple((cdf / cdf[-1]).tolist())
+    weights as an array: bisect_right of a `random()` in it draws that.
+    Added left to right as numpy adds, not by `sum()`, which compensates
+    from Python 3.12."""
+    total = weights[0] + weights[1] + weights[2]
+    cdf = list(accumulate(w / total for w in weights))
+    return tuple(x / cdf[-1] for x in cdf)
 
 
 def _draw_task(tid: int, spec: GenSpec, fm: TrajectoryMap, worst_in,
@@ -194,7 +195,7 @@ def generate_instance(spec: GenSpec,
         raise InstanceError("no recharge stations configured")
     worst_in, nearest_leg = position_tables(fm, stations)
 
-    rng = Draws(np.random.PCG64(spec.seed))
+    rng = stream(spec.seed)
     drawn = [_draw_task(tid, spec, fm, worst_in, nearest_leg, capacity, work,
                         cdf, rng) for tid in range(1, spec.n_tasks + 1)]
 

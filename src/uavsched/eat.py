@@ -149,7 +149,8 @@ def _construct(instance: ProblemInstance, dense, placed=None) -> int:
 # The walk of one fleet shape. A name ending in {k} or {j} is a local of
 # UAV k or station j; a bracketed list names that local for every UAV or
 # station; {offers}, {bay} and {winner} are the blocks below, one per
-# UAV or station.
+# UAV or station. The bay and the winner are `match` cases: an `elif`
+# chain nests each branch, past the compiler's bound near 3000 of them.
 _WALK = """\
 def walk(view, dense, placed):
     secs, is_station, nearest = view.seconds, view.is_station, view.nearest_leg
@@ -177,13 +178,15 @@ def walk(view, dense, placed):
             break
         start, station = best_start, best_station
         here, t0 = best_here, best_t0
-        if station < 0:
-            begin = -1
-            drain = proc + (col[here] if is_station[here] else start - t0)
+        match station:
+            case -1:                    # no recharge
+                begin = -1
+                drain = proc + (col[here] if is_station[here] else start - t0)
 {bay}
         if placed is not None:
             placed.append((d, best, here, t0, station, begin, start))
         end = start + proc
+        match best:
 {winner}
         if end > release[s]:
             release[s] = end
@@ -233,7 +236,7 @@ if leg <= left{k}:
 
 # The winner's recharge at station {j}, which holds a bay until departure.
 _BAY = """\
-elif station == {j}:
+case {j}:
     back = out{j}[s]
     if placed is not None:
         begin = t0 + out{j}[here]
@@ -252,7 +255,7 @@ elif station == {j}:
 
 # The winner's new state when it is UAV {k}.
 _WINNER = """\
-{branch} best == {k}:
+case {k}:
     left{k} = (left{k} if station < 0 else cap{k}) - drain
     if left{k} < 0:
         raise SchedulingError(
@@ -276,6 +279,18 @@ def _fill(template, depth, fields):
 @functools.lru_cache(maxsize=64)
 def _kernel(n_uavs: int, n_stations: int):
     """The walk compiled for n_uavs UAVs and n_stations stations."""
+    if not n_uavs:      # no fleet, so no tasks: nothing to place
+        return lambda view, dense, placed: 0
+    namespace = {"_unreachable": _unreachable,
+                 "SchedulingError": SchedulingError,
+                 "heappush": heapq.heappush, "heapreplace": heapq.heapreplace}
+    shape = f"<eat._construct for {n_uavs} UAVs and {n_stations} stations>"
+    exec(compile(_source(n_uavs, n_stations), shape, "exec"), namespace)
+    return namespace["walk"]
+
+
+def _source(n_uavs: int, n_stations: int) -> str:
+    """The walk's source for a fleet of at least one UAV."""
     fleet, stations = range(n_uavs), range(n_stations)
 
     def names(prefix, count):
@@ -284,22 +299,15 @@ def _kernel(n_uavs: int, n_stations: int):
     offers = [{"k": k, "first": k == 0, "detours": _fill(
         _DETOUR, 2, [{"k": k, "j": j} for j in stations])} for k in fleet]
     readies = names("ready", fleet)
-    source = _WALK.format(
+    return _WALK.format(
         pos=names("pos", fleet), ready=readies, left=names("left", fleet),
         cap=names("cap", fleet), dur=names("dur", fleet),
         out=names("out", stations), unused=names("unused", stations),
         bays=names("bays", stations), free=names("free", stations),
         offers=_fill(_OFFER, 3, offers),
-        bay=_fill(_BAY, 2, [{"j": j} for j in stations]),
-        winner=_fill(_WINNER, 2, [{"k": k, "branch": "elif" if k else "if"}
-                                  for k in fleet]),
-        makespan=f"max({readies})" if n_uavs > 1 else readies or "0")
-    namespace = {"_unreachable": _unreachable,
-                 "SchedulingError": SchedulingError,
-                 "heappush": heapq.heappush, "heapreplace": heapq.heapreplace}
-    shape = f"<eat._construct for {n_uavs} UAVs and {n_stations} stations>"
-    exec(compile(source, shape, "exec"), namespace)
-    return namespace["walk"]
+        bay=_fill(_BAY, 3, [{"j": j} for j in stations]),
+        winner=_fill(_WINNER, 3, [{"k": k} for k in fleet]),
+        makespan=f"max({readies})" if n_uavs > 1 else readies)
 
 
 def _timeline(instance: ProblemInstance, placed) -> Schedule:

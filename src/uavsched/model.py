@@ -11,10 +11,9 @@ from __future__ import annotations
 
 import enum
 import heapq
+import sys
 from collections import Counter
 from dataclasses import dataclass
-
-import numpy as np
 
 DEFAULT_BATTERY_CAPACITY = 1200
 DEFAULT_RECHARGE_DURATION = 2700
@@ -42,7 +41,8 @@ def exact_int(value) -> int | None:
     anything else int() would coerce or truncate."""
     if type(value) is int:
         return value
-    if isinstance(value, (bool, np.bool_)):
+    np = sys.modules.get("numpy")   # a numpy bool exists once numpy is loaded
+    if isinstance(value, bool) or np and isinstance(value, np.bool_):
         return None
     try:
         out = int(value)
@@ -109,25 +109,24 @@ class TrajectoryMap:
         self._check_matrix()
 
     def _check_matrix(self):
-        n = len(self.positions)
-        if len({len(row) for row in self.seconds}) > 1:
+        rows, n = self.seconds, len(self.positions)
+        if len({len(row) for row in rows}) > 1:
             raise InstanceError(
                 f"flight time matrix is ragged, expected ({n}, {n})")
-        try:
-            m = np.array(self.seconds, dtype=np.int64)
-        except OverflowError:
-            big = max((v for row in self.seconds for v in row), key=abs)
+        flat = [v for row in rows for v in row]
+        if flat and not (-2**63 <= min(flat) and max(flat) < 2**63):
             raise InstanceError(
-                f"flight time {big} does not fit in int64") from None
-        if m.shape != (n, n):
+                f"flight time {max(flat, key=abs)} does not fit in int64")
+        shape = (len(rows), len(rows[0])) if rows else (0,)
+        if shape != (n, n):
             raise InstanceError(
-                f"flight time matrix is {m.shape}, expected ({n}, {n})")
-        if not (m == m.T).all():
+                f"flight time matrix is {shape}, expected ({n}, {n})")
+        if tuple(zip(*rows)) != rows:
             raise InstanceError("flight time matrix is not symmetric")
-        if (np.diag(m) != 0).any():
+        if any(row[i] for i, row in enumerate(rows)):
             raise InstanceError("flight time matrix diagonal must be zero")
-        off = m[~np.eye(n, dtype=bool)]
-        if n > 1 and (off <= 0).any():
+        # symmetric, so the entries below the diagonal are all of them
+        if any(v <= 0 for i, row in enumerate(rows) for v in row[:i]):
             raise InstanceError(
                 "flight times between distinct positions must be positive")
 

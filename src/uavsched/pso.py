@@ -17,9 +17,7 @@ import numbers
 import time
 from dataclasses import dataclass
 
-import numpy as np
-
-from ._draws import Draws
+from ._draws import generator, spawn, stream
 from .eat import _construct, _dense_sequence, build_schedule
 from .model import ProblemInstance, Schedule, _decode, exact_int
 from .sequences import (
@@ -225,20 +223,16 @@ class _GeneratorSampler:
 def _random_initial_velocity(n: int, cap: int,
                              rng) -> tuple[list[int], bytearray]:
     """Between 1 and cap distinct random swap pairs (none when n < 2),
-    as their composed index permutation and n*n pair mask.
-
-    Pairs are drawn in rounds of exactly the number still wanted, so the
-    generator yields what one two-index draw per pair would: numpy's
-    bounded 32-bit draws keep the bit generator's buffered half-word
-    across calls.
-    """
+    as their composed index permutation and n*n pair mask, from a
+    `Draws`. Pairs are drawn in rounds of exactly the number still
+    wanted, which draws what one pair at a time would."""
     perm = list(range(n))
     mask = bytearray(n * n)
     if n < 2 or cap < 1:
         return perm, mask
-    count = min(int(rng.integers(1, cap + 1)), n * (n - 1) // 2)
+    count = min(rng.integers(1, cap + 1), n * (n - 1) // 2)
     while count:
-        for i, j in rng.integers(0, n, size=(count, 2)).tolist():
+        for i, j in rng.pairs(n, count):
             if i == j or mask[i * n + j]:
                 continue
             mask[i * n + j] = mask[j * n + i] = 1
@@ -257,16 +251,15 @@ def _mutate_preserving_precedence(sequence, preds, succs, rng) -> list[int]:
     at lo..hi-1 or a direct successor of a at lo+1..hi, so each attempt
     looks up only the positions of those tasks.
 
-    The n // 2 attempts (at least one) draw their index pairs in one
-    call, which yields the numbers and leaves the generator state that
-    one two-index draw per attempt would.
+    The n // 2 attempts (at least one) draw their index pairs from a
+    `Draws` in one call.
     """
     seq = list(sequence)
     n = len(seq)
     if n < 2:
         return seq
     pos = {tid: k for k, tid in enumerate(seq)}
-    for i, j in rng.integers(0, n, size=(max(1, n // 2), 2)).tolist():
+    for i, j in rng.pairs(n, max(1, n // 2)):
         if i == j:
             continue
         lo, hi = (i, j) if i < j else (j, i)
@@ -298,27 +291,26 @@ def run_pso(instance: ProblemInstance, config: PsoConfig | None = None) -> RunRe
     """Full search: seeded swarm, swap-pair flight, stagnation stop.
 
     Deterministic for a given (instance, config): the seed fans out into
-    one stream for swarm construction and one per particle, so results
-    do not depend on evaluation order. Particles and bests are tuples of
-    the compiled view's dense task indices, whose ascending order is
-    that of the ids, so every tie breaks as it would on ids; only the
-    report is in task ids. `seen` maps each sequence met, as moved or
+    one `Draws` for swarm construction and one stream per particle, so
+    results do not depend on evaluation order. Particles and bests are
+    tuples of the compiled view's dense task indices, whose ascending
+    order is that of the ids, so every tie breaks as it would on ids;
+    only the report is in task ids. `seen` maps each sequence met, as moved or
     decoded, to its (decoded tuple, makespan): `_decode` is
     deterministic and keeps a feasible sequence, so each distinct move
     is decoded once and each distinct decoded sequence scored once.
     """
     t0 = time.perf_counter()
     config = config or PsoConfig()
-    streams = np.random.SeedSequence(config.rng_seed).spawn(config.swarm_size + 1)
-    rng_init = np.random.default_rng(streams[0])
+    seeds = spawn(config.rng_seed, config.swarm_size + 1)
+    rng_init = stream(seeds[0])
     view = instance.compiled()
     preds, succs = view.task_preds, view.task_succs
     n = len(view.tasks)
     if n <= DRAWS_MAX_TASKS:
-        particle_rngs = [Draws(np.random.PCG64(s)) for s in streams[1:]]
+        particle_rngs = [stream(s) for s in seeds[1:]]
     else:
-        particle_rngs = [_GeneratorSampler(np.random.default_rng(s))
-                         for s in streams[1:]]
+        particle_rngs = [_GeneratorSampler(generator(s)) for s in seeds[1:]]
     seen: dict[tuple[int, ...], tuple[tuple[int, ...], int]] = {}
 
     def score(seq: tuple[int, ...]) -> tuple[tuple[int, ...], int]:

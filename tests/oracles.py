@@ -1,10 +1,13 @@
 """Reference implementations that more than one test file compares
 against, one frozen copy of each. Each is the package's rule as it was
-first written (or as its per-id form last read), kept here so a faster
-or denser package path is checked against the plain one. An oracle
-that a single test file needs stays in that file."""
+first written (or as its per-id form last read, or as it ran on numpy),
+kept here so a faster, denser or numpy-free package path is checked
+against the plain one. An oracle that a single test file needs stays in
+that file, except the numpy copies, which are kept together here."""
 
 import heapq
+
+import numpy as np
 
 from uavsched.eat import check_sequence
 from uavsched.model import (
@@ -15,6 +18,7 @@ from uavsched.model import (
     TrajectoryMap,
     exact_int,
 )
+from uavsched.sequences import priority_orderings
 
 
 def is_feasible_sequence(sequence, instance) -> bool:
@@ -220,3 +224,70 @@ def reference_compiled(instance) -> CompiledInstance:
                       if nearest_leg[idx[u.initial_pos]] > u.battery_capacity),
                      default=-1),
     )
+
+
+def frozen_check_matrix(n: int, seconds) -> None:
+    """`TrajectoryMap._check_matrix` as it ran on an int64 array: n
+    positions, seconds a tuple of int rows. Raises its InstanceError."""
+    if len({len(row) for row in seconds}) > 1:
+        raise InstanceError(
+            f"flight time matrix is ragged, expected ({n}, {n})")
+    try:
+        m = np.array(seconds, dtype=np.int64)
+    except OverflowError:
+        big = max((v for row in seconds for v in row), key=abs)
+        raise InstanceError(
+            f"flight time {big} does not fit in int64") from None
+    if m.shape != (n, n):
+        raise InstanceError(
+            f"flight time matrix is {m.shape}, expected ({n}, {n})")
+    if not (m == m.T).all():
+        raise InstanceError("flight time matrix is not symmetric")
+    if (np.diag(m) != 0).any():
+        raise InstanceError("flight time matrix diagonal must be zero")
+    off = m[~np.eye(n, dtype=bool)]
+    if n > 1 and (off <= 0).any():
+        raise InstanceError(
+            "flight times between distinct positions must be positive")
+
+
+def frozen_type_cdf(weights) -> tuple[float, ...]:
+    """`datagen._type_cdf` as numpy computed it."""
+    w = np.array(weights)
+    cdf = (w / w.sum()).cumsum()
+    return tuple((cdf / cdf[-1]).tolist())
+
+
+def frozen_mutate_preserving_precedence(sequence, preds, succs, rng):
+    """`pso._mutate_preserving_precedence` as it drew from a numpy
+    Generator: all of its index pairs in one sized `integers` call."""
+    seq = list(sequence)
+    n = len(seq)
+    if n < 2:
+        return seq
+    pos = {tid: k for k, tid in enumerate(seq)}
+    for i, j in rng.integers(0, n, size=(max(1, n // 2), 2)).tolist():
+        if i == j:
+            continue
+        lo, hi = (i, j) if i < j else (j, i)
+        a, b = seq[lo], seq[hi]
+        if (any(pos[p] >= lo for p in preds[b])
+                or any(pos[s] <= hi for s in succs[a])):
+            continue
+        seq[lo], seq[hi] = b, a
+        pos[a], pos[b] = hi, lo
+    return seq
+
+
+def frozen_initial_swarm(instance, swarm_size, rng) -> list[list[int]]:
+    """`pso._initial_swarm` as it drew from a numpy Generator, in the
+    compiled view's dense task indices."""
+    view = instance.compiled()
+    index = view.task_index
+    rules = [[index[t] for t in seq]
+             for seq in priority_orderings(instance).values()]
+    particles = rules[:swarm_size]
+    for idx in range(swarm_size - len(particles)):
+        particles.append(frozen_mutate_preserving_precedence(
+            rules[idx % len(rules)], view.task_preds, view.task_succs, rng))
+    return particles

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from uavsched import cli
 from uavsched.cli import main
 from uavsched.io import TASK_CSV_FIELDS, instance_to_dict, load_instance
 from uavsched.sampledata import sample_instance
@@ -19,6 +20,19 @@ def run(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+class TestInternalError:
+    def test_an_error_without_text_is_named(self, capsys, monkeypatch):
+        # a MemoryError carries no message; exit 3 must still say what
+        # went wrong
+        def out_of_memory(args):
+            raise MemoryError()
+
+        monkeypatch.setattr(cli, "cmd_schedule", out_of_memory)
+        code, _, err = run(capsys, ["schedule"])
+        assert code == 3
+        assert err == "internal error: MemoryError\n"
 
 
 class TestUsageErrors:

@@ -1,4 +1,6 @@
 import dataclasses
+import math
+import sys
 from bisect import bisect_right
 
 import numpy as np
@@ -23,7 +25,11 @@ from uavsched.model import (
 from uavsched.sampledata import sample_map
 
 from conftest import SMALL_MAP
-from oracles import PrecedenceGraph, worst_case_engagement_time
+from oracles import (
+    PrecedenceGraph,
+    frozen_type_cdf,
+    worst_case_engagement_time,
+)
 
 
 def gen(n, seed, **kw):
@@ -490,6 +496,22 @@ class TestTypeDraw:
         for _ in range(20):
             assert bisect_right(cdf, ours.random()) == twin.choice(3, p=p)
         assert ours.bit_generator.state == twin.bit_generator.state
+
+    # zeros of both signs, subnormal and tiny weights, huge finite ones
+    WEIGHT = (st.sampled_from([0.0, -0.0, 5e-324, sys.float_info.min, 1e-300,
+                               1.0, 3.0, 1e16, 1e308, sys.float_info.max])
+              | st.floats(0.0, 1e-300) | st.floats(0.0, 10.0)
+              | st.floats(0.0, allow_infinity=False))
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.tuples(WEIGHT, WEIGHT, WEIGHT)
+           .filter(lambda w: 0 < w[0] + w[1] + w[2] < math.inf))
+    def test_table_is_numpys_arithmetic(self, weights):
+        # bit for bit, signed zeros included; the cached function would
+        # hand (-0.0, ...) the table of an equal (0.0, ...) key
+        got = datagen._type_cdf.__wrapped__(weights)
+        assert ([x.hex() for x in got]
+                == [x.hex() for x in frozen_type_cdf(weights)])
 
 
 def reference_generate_instance(spec, trajectory_map=None, stations=None,

@@ -34,6 +34,8 @@ def twin_call(rng, op, args):
         low, high = args
         return int(rng.integers(low, high))
     n, k = args
+    if op == "pairs":
+        return rng.integers(0, n, size=(k, 2)).tolist()
     if op == "choice":
         return rng.choice(n, size=k, replace=False).tolist()
     picks = (rng.choice(n, size=k, replace=False).tolist() if k > 1
@@ -44,6 +46,8 @@ def twin_call(rng, op, args):
 
 
 def stream_call(draws, op, args):
+    if op == "pairs":
+        return [list(pair) for pair in draws.pairs(*args)]
     return getattr(draws, op)(*args)
 
 
@@ -75,6 +79,9 @@ calls = st.one_of(
               st.integers(1, _SMALL).flatmap(
                   lambda n: st.tuples(st.just(n), st.integers(1, n)))),
     st.tuples(st.just("choice"), st.just((0, 0))),
+    st.tuples(st.just("pairs"), st.tuples(
+        st.integers(2, 100) | st.sampled_from([2**31 + 1, 2**32 - 1, 2**32]),
+        st.integers(0, 12))),
 )
 seeds = st.one_of(
     st.integers(0, 2**64 - 1),

@@ -1,7 +1,13 @@
+import ast
 import dataclasses
+import json
+import os
 import re
+import subprocess
+import sys
 import traceback
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,13 +15,16 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from uavsched.datagen import GenSpec, generate_instance
+from uavsched import eat
 from uavsched.eat import (
     _construct,
     _dense_sequence,
     _kernel,
+    _source,
     build_schedule,
     check_sequence,
 )
+from uavsched.io import instance_to_dict
 from uavsched.model import (
     Action,
     ActionKind,
@@ -30,6 +39,7 @@ from uavsched.model import (
     Uav,
 )
 from uavsched.pso import fitness
+from uavsched.sampledata import sample_instance
 from uavsched.sequences import repair
 from uavsched.validate import validate_schedule
 
@@ -803,6 +813,67 @@ class TestOneKernelPerShape:
         files = [frame.filename
                  for frame in traceback.extract_tb(raised.value.__traceback__)]
         assert "<eat._construct for 2 UAVs and 2 stations>" in files
+
+
+def if_depth(node, depth=0) -> int:
+    """The deepest nesting of `if` statements at or under node; an
+    `elif` is an `if` inside the one before it."""
+    depth += isinstance(node, ast.If)
+    return max([depth] + [if_depth(child, depth)
+                          for child in ast.iter_child_nodes(node)])
+
+
+def limited_python(args, limit_mb: int):
+    """Run a child Python on args, the package on its path, with its
+    address space (RLIMIT_AS) held to limit_mb MiB: the limit is set in
+    the child alone, after it forks."""
+    import resource
+
+    def limit():
+        _, hard = resource.getrlimit(resource.RLIMIT_AS)
+        soft = limit_mb << 20
+        if hard != resource.RLIM_INFINITY:
+            soft = min(soft, hard)
+        resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
+
+    src = str(Path(eat.__file__).parents[1])
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          text=True, timeout=300, preexec_fn=limit,
+                          env=dict(os.environ, PYTHONPATH=src))
+
+
+class TestLargeShapesCompile:
+    """The bay and the winner are dispatched by `match`, whose cases the
+    compiler takes one after another, so no valid fleet or station count
+    nests past its recursion bound (an `elif` chain did at about 3000
+    UAVs or stations). Compile time and memory still grow with UAVs
+    times stations; each child runs alone, under the limit it names."""
+
+    def test_if_nesting_does_not_grow_with_the_shape(self):
+        depths = {shape: if_depth(ast.parse(_source(*shape)))
+                  for shape in [(1, 1), (8, 4), (64, 16)]}
+        assert len(set(depths.values())) == 1, depths
+
+    def test_3100_stations_compile(self):
+        # 1 GiB of address space; the walk compiled in about 0.8 s on a
+        # 2-core x86 host, in a child that peaked near 240 MB resident
+        out = limited_python(["-c", "from uavsched.eat import _kernel\n"
+                              "_kernel(1, 3100)"], 1024)
+        assert out.returncode == 0, out.stderr
+
+    def test_bundled_instance_with_3000_uavs_schedules(self, tmp_path):
+        # 1.5 GiB of address space; the run took about 1.8 s on a 2-core
+        # x86 host and peaked near 460 MB resident
+        inst = sample_instance()
+        fleet = tuple(dataclasses.replace(inst.uavs[k % len(inst.uavs)],
+                                          id=f"U{k}") for k in range(3000))
+        path = tmp_path / "fleet3000.json"
+        path.write_text(json.dumps(instance_to_dict(
+            dataclasses.replace(inst, uavs=fleet))))
+        out = limited_python(["-m", "uavsched", "schedule", "--instance",
+                              str(path)], 1536)
+        assert (out.returncode, out.stderr) == (0, "")
+        assert out.stdout.splitlines()[-1].startswith("makespan: ")
 
 
 def longest_sortie(schedule):

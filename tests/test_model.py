@@ -1,9 +1,13 @@
 import copy
 import dataclasses
 import json
+import os
 import pickle
+import subprocess
+import sys
 import weakref
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -44,11 +48,51 @@ from conftest import SMALL_MAP, haul, inspect, make_instance
 from oracles import (
     CycleError,
     PrecedenceGraph,
+    frozen_check_matrix,
     nearest_recharge_station,
     reference_compiled,
     reference_position_tables,
     worst_case_engagement_time,
 )
+
+
+# flight times at and just past int64's ends, and past 64 bits
+INT64_EDGES = [2**63 - 1, 2**63, -2**63, -2**63 - 1, 2**64, -2**70]
+
+
+@st.composite
+def flight_matrices(draw):
+    """(n, matrix) pairs near a valid n-position map: a symmetric
+    positive matrix with a zero diagonal, sometimes of another shape or
+    empty, then up to three edits: an entry set (on one side or both)
+    to an int64 edge or another time, a pair set to zero or a negative,
+    a row cut short or made longer."""
+    n = draw(st.integers(0, 5))
+    rows = draw(st.sampled_from([n] * 8 + [0, 1, n + 1, max(n - 1, 0)]))
+    cols = draw(st.sampled_from([rows] * 8 + [n, rows + 1]))
+    m = [[0 if i == j else draw(st.integers(1, 500)) for j in range(cols)]
+         for i in range(rows)]
+    for i in range(min(rows, cols)):
+        for j in range(i):
+            m[j][i] = m[i][j]
+    for _ in range(draw(st.integers(0, 3))):
+        if not m:
+            break
+        i = draw(st.integers(0, len(m) - 1))
+        edit = draw(st.sampled_from(["set", "mirror", "floor"] * 2
+                                    + ["cut", "grow"]))
+        if edit == "cut" and m[i]:
+            m[i].pop()
+        elif edit == "grow":
+            m[i].append(draw(st.integers(1, 500)))
+        elif m[i]:
+            j = draw(st.integers(0, len(m[i]) - 1))
+            v = draw(st.integers(-5, 0) if edit == "floor" else
+                     st.sampled_from(INT64_EDGES) | st.integers(-5, 500))
+            m[i][j] = v
+            if edit != "set" and j < len(m) and i < len(m[j]):
+                m[j][i] = v
+    return n, tuple(map(tuple, m))
 
 
 class TestTrajectoryMap:
@@ -87,7 +131,7 @@ class TestTrajectoryMap:
     @pytest.mark.parametrize("seconds", [((0, 1), (1,)), ((0,), (1, 0)),
                                          ((0, 1), (1, 0, 2))])
     def test_rejects_ragged_rows(self, seconds):
-        # numpy cannot build an array of rows of different lengths
+        # rows of different lengths make no matrix
         with pytest.raises(InstanceError, match=r"^flight time matrix is "
                            r"ragged, expected \(2, 2\)$"):
             TrajectoryMap((Position("a"), Position("b")), seconds)
@@ -107,14 +151,36 @@ class TestTrajectoryMap:
 
     @pytest.mark.parametrize("far", [2**70, -2**70, 2**63])
     def test_flight_time_beyond_int64(self, far):
-        # the matrix checks run on int64, and an input error must be an
-        # InstanceError
+        # flight times are held to int64's range, and an input error must
+        # be an InstanceError
         with pytest.raises(InstanceError,
                            match=f"^flight time {far} does not fit in int64$"):
             TrajectoryMap((Position("a"), Position("b")), ((0, far), (far, 0)))
 
     def test_work_positions(self):
         assert SMALL_MAP.work_positions() == ["a", "b"]
+
+    @settings(max_examples=400, deadline=None)
+    @given(flight_matrices())
+    def test_matrix_check_matches_int64_copy(self, drawn):
+        # the plain check names the first fault in the words and order
+        # the int64 array's checks named it, numpy's shape text included
+        n, seconds = drawn
+        positions = [Position(f"p{i}") for i in range(n)]
+        try:
+            frozen_check_matrix(n, seconds)
+        except InstanceError as exc:
+            want = str(exc)
+        else:
+            want = None
+        try:
+            TrajectoryMap(positions, seconds)
+        except InstanceError as exc:
+            got = str(exc)
+        else:
+            got = None
+        assert got == want
+
 
 
 class TestTask:
@@ -492,6 +558,18 @@ class TestExactInt:
         None, [1]])
     def test_other_values_are_none(self, value):
         assert exact_int(value) is None
+
+    def test_numpy_loaded_after_the_model_is_still_read(self):
+        # the model loads no numpy, so its bool must be looked up when
+        # exact_int runs, not when the module is imported
+        src = str(Path(model.__file__).parents[1])
+        program = ("import sys\nfrom uavsched.model import exact_int\n"
+                   "assert 'numpy' not in sys.modules\nimport numpy\n"
+                   "print(exact_int(numpy.True_), exact_int(numpy.int64(3)))")
+        out = subprocess.run([sys.executable, "-c", program],
+                             capture_output=True, text=True, check=True,
+                             timeout=120, env=dict(os.environ, PYTHONPATH=src))
+        assert out.stdout.split() == ["None", "3"]
 
 
 # Forms a numeric field of an instance can take: the integral ones are

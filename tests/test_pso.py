@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from uavsched import eat, pso
-from uavsched._draws import _SMALL, Draws
+from uavsched._draws import _SMALL, Draws, stream
 from uavsched.datagen import GenSpec, generate_instance
 from uavsched.eat import build_schedule
 from uavsched.model import SequenceError
@@ -27,6 +27,8 @@ from uavsched.sequences import apply_swaps, repair
 from conftest import inspect, make_instance
 from oracles import (
     PrecedenceGraph,
+    frozen_initial_swarm,
+    frozen_mutate_preserving_precedence,
     is_feasible_sequence,
     reference_difference,
 )
@@ -524,16 +526,26 @@ def reference_initial_velocity(n, cap, rng):
     return perm, mask
 
 
+def assert_stream_at(draws, rng):
+    """The `Draws` stands where the numpy Generator on its seed stands,
+    buffered half-word included: their next draws agree."""
+    for _ in range(4):
+        assert draws.integers(0, 1000) == int(rng.integers(0, 1000))
+        assert draws.random() == rng.random()
+
+
 class TestInitialVelocity:
-    """Top-up rounds of bulk draws give the per-pair loop's pairs and
-    leave its generator state, including a cap above the n(n-1)/2
+    """Top-up rounds of draws from a `Draws` give the pairs of the
+    per-pair loop on a numpy Generator, and leave the stream where that
+    loop leaves its Generator, including a cap above the n(n-1)/2
     distinct pairs and a bit generator holding a buffered half-word."""
 
     @settings(max_examples=200, deadline=None)
     @given(n=st.integers(0, 40), cap=st.integers(0, 40),
            seed=st.integers(0, 2**32 - 1), odd=st.booleans())
     def test_matches_per_pair_draws(self, n, cap, seed, odd):
-        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        rng = Draws(np.random.PCG64(seed))
+        ref_rng = np.random.default_rng(seed)
         if odd:
             rng.integers(0, 5)
             ref_rng.integers(0, 5)
@@ -541,7 +553,7 @@ class TestInitialVelocity:
         want_perm, want_mask = reference_initial_velocity(n, cap, ref_rng)
         assert perm == want_perm
         assert mask == want_mask
-        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        assert_stream_at(rng, ref_rng)
 
 
 def reference_mutate(sequence, instance, rng):
@@ -571,41 +583,57 @@ class TestMutationWindowCheck:
         order = np.random.default_rng(seed).permutation(len(ids))
         base = repair([ids[k] for k in order], inst)
         graph = PrecedenceGraph({t.id: t.predecessors for t in inst.tasks})
-        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        got = _mutate_preserving_precedence(
-            base, graph.direct_predecessors, graph.direct_successors, rng)
+        preds, succs = graph.direct_predecessors, graph.direct_successors
+        rng, ref_rng = Draws(np.random.PCG64(seed)), np.random.default_rng(seed)
+        got = _mutate_preserving_precedence(base, preds, succs, rng)
         want = reference_mutate(base, inst, ref_rng)
         assert got == want
         assert is_feasible_sequence(got, inst)
         # one bulk draw consumes what the per-attempt draws consume
-        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        assert_stream_at(rng, ref_rng)
+        # and the frozen copy on a Generator, which the reference search
+        # builds its swarm with, draws the same
+        assert frozen_mutate_preserving_precedence(
+            base, preds, succs, np.random.default_rng(seed)) == want
 
 
-def initial_swarm_ids(instance, swarm_size, rng):
-    """`_initial_swarm`'s particles as lists of task ids."""
+def initial_swarm_ids(instance, swarm_size, rng, build=_initial_swarm):
+    """`_initial_swarm`'s particles (or build's) as lists of task ids."""
     ids = list(instance.compiled().task_index)
-    return [[ids[d] for d in p]
-            for p in _initial_swarm(instance, swarm_size, rng)]
+    return [[ids[d] for d in p] for p in build(instance, swarm_size, rng)]
 
 
 class TestInitialSwarm:
     def test_rule_particles_lead(self, lab):
         from uavsched.sequences import priority_orderings
-        rng = np.random.default_rng(0)
+        rng = Draws(np.random.PCG64(0))
         swarm = initial_swarm_ids(lab, 40, rng)
         assert len(swarm) == 40
         rules = [list(s) for s in priority_orderings(lab).values()]
         assert swarm[:8] == rules
 
     def test_all_members_feasible(self, lab):
-        rng = np.random.default_rng(3)
+        rng = Draws(np.random.PCG64(3))
         for p in initial_swarm_ids(lab, 24, rng):
             assert is_feasible_sequence(p, lab)
 
     def test_deterministic_given_seed(self, lab):
-        a = initial_swarm_ids(lab, 16, np.random.default_rng(5))
-        b = initial_swarm_ids(lab, 16, np.random.default_rng(5))
+        a = initial_swarm_ids(lab, 16, Draws(np.random.PCG64(5)))
+        b = initial_swarm_ids(lab, 16, Draws(np.random.PCG64(5)))
         assert a == b
+
+    @pytest.mark.parametrize("n, size, seed", [(None, 16, 5), (None, 40, 0),
+                                               (10, 40, 1), (30, 13, 2),
+                                               (100, 40, 3)])
+    def test_matches_the_generator_copy(self, lab, n, size, seed):
+        # the set-up draws from a `Draws` at every size, on either side
+        # of pso.DRAWS_MAX_TASKS, what the frozen copy draws from numpy
+        inst = lab if n is None else generate_instance(GenSpec(n_tasks=n,
+                                                               seed=seed))
+        rng, ref_rng = Draws(np.random.PCG64(seed)), np.random.default_rng(seed)
+        assert (_initial_swarm(inst, size, rng)
+                == frozen_initial_swarm(inst, size, ref_rng))
+        assert_stream_at(rng, ref_rng)
 
 
 class TestRunPso:
@@ -677,7 +705,8 @@ def reference_run_pso(instance, config):
     rng_init = np.random.default_rng(streams[0])
     rngs = [np.random.default_rng(s) for s in streams[1:]]
     n = len(instance.tasks)
-    particles = initial_swarm_ids(instance, config.swarm_size, rng_init)
+    particles = initial_swarm_ids(instance, config.swarm_size, rng_init,
+                                  frozen_initial_swarm)
     initial = [list(p) for p in particles]
     velocities = [reference_initial_pairs(n, velocity_cap(n), rng_init)
                   for _ in particles]
@@ -743,10 +772,11 @@ class TestRunPsoDifferential:
                                    pso.DRAWS_MAX_TASKS + 1])
     def test_either_side_of_the_draw_stream_size(self, monkeypatch, n):
         # up to DRAWS_MAX_TASKS tasks the particles draw from `Draws`,
-        # above it from Generators; the reference always from Generators
+        # above it from Generators, and the swarm's set-up from a `Draws`
+        # on both sides; the reference always from Generators
         made = []
-        monkeypatch.setattr(pso, "Draws",
-                            lambda bits: made.append(bits) or Draws(bits))
+        monkeypatch.setattr(pso, "stream",
+                            lambda seed: made.append(seed) or stream(seed))
         inst = generate_instance(GenSpec(n_tasks=n, seed=n))
         cfg = PsoConfig(max_iterations=12, convergence_window=12,
                         rng_seed=n)
@@ -757,8 +787,8 @@ class TestRunPsoDifferential:
                    iterations_run=rep.iterations_run,
                    converged=rep.converged)
         assert got == want
-        assert len(made) == (cfg.swarm_size
-                             if n <= pso.DRAWS_MAX_TASKS else 0)
+        assert len(made) == 1 + (cfg.swarm_size
+                                 if n <= pso.DRAWS_MAX_TASKS else 0)
 
     @pytest.mark.parametrize("n, inst_seed, rng_seed",
                              [(6, 3, 0), (12, 7, 11)])
