@@ -20,8 +20,6 @@ from pathlib import Path
 
 from .datagen import GenerationError, GenSpec, generate_instance
 from .eat import build_schedule
-from .experiments import (ExperimentGrid, run_experiment, runs_csv_text,
-                          summary_csv_text, summary_table_text)
 from .gantt import render_gantt_svg, render_history_svg
 from .io import (load_instance, parse_integer, parse_real, read_task_csv,
                  read_text, save_instance, write_history_csv,
@@ -216,9 +214,10 @@ def _numbers(text: str, kind, flag: str) -> tuple:
                          f"values: {text!r}") from None
 
 
-def _experiment_grid(args) -> ExperimentGrid:
+def _experiment_grid(args):
     """The grid from the command line, rejected as a usage error before
     any run starts when a value cannot be run."""
+    from .experiments import ExperimentGrid
     if args.jobs < 1:
         raise UsageError("--jobs must be at least 1")
     try:
@@ -234,6 +233,9 @@ def _experiment_grid(args) -> ExperimentGrid:
 
 
 def cmd_experiment(args) -> int:
+    # only this command loads the harness, and with it statistics
+    from .experiments import (run_experiment, runs_csv_text,
+                              summary_csv_text, summary_table_text)
     grid = _experiment_grid(args)
     out = _out_dir(args.out_dir)
     total = len(grid.cells()) * grid.repetitions

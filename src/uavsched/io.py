@@ -124,13 +124,11 @@ def instance_from_dict(doc: dict) -> ProblemInstance:
             recharge_duration=u.get("recharge_duration",
                                     DEFAULT_RECHARGE_DURATION),
         ) for u in doc["uavs"])
-        name = doc.get("name", "instance")
         # Inside the try: validation may still meet a wrongly typed
         # field and raise TypeError or ValueError.
-        return ProblemInstance(trajectory_map=fm, stations=stations,
-                               tasks=tasks, uavs=uavs,
-                               name=(_name(name, "instance name")
-                                     if isinstance(name, str) else name))
+        return ProblemInstance(
+            trajectory_map=fm, stations=stations, tasks=tasks, uavs=uavs,
+            name=_name(doc.get("name", "instance"), "instance name"))
     except (KeyError, TypeError, ValueError) as exc:
         raise InstanceError(f"malformed instance document: {exc}") from exc
 
@@ -233,16 +231,6 @@ class _Cells(dict):
             cell = '"' + cell.replace('"', '""') + '"'
         self[text] = cell
         return cell
-
-
-def write_task_csv(tasks, path):
-    cells = _Cells()
-    lines = [",".join(TASK_CSV_FIELDS)]
-    for t in tasks:
-        preds = ";".join(str(p) for p in t.predecessors) if t.predecessors else "-"
-        lines.append(f"{t.id},{cells[t.start_pos]},{cells[t.end_pos]},"
-                     f"{t.proc_time},{preds}")
-    write_text_atomic(path, "\n".join(lines) + "\n")
 
 
 def write_schedule_csv(schedule: Schedule, path):

@@ -3,6 +3,7 @@ from functools import cache
 import pytest
 from hypothesis import strategies as st
 
+from uavsched.io import TASK_CSV_FIELDS, _Cells, write_text_atomic
 from uavsched.model import (
     Action,
     ActionKind,
@@ -115,6 +116,18 @@ def inspect(tid, pos, proc, preds=(), kind=TaskType.SINGLE_INSPECTION):
 def haul(tid, start, end, proc, preds=()):
     return Task(tid, TaskType.MATERIAL_HANDLING, start, end, proc,
                 tuple(preds))
+
+
+def write_task_csv(tasks, path):
+    """Write tasks in the task CSV format that `io.read_task_csv` reads:
+    ids quoted as the schedule CSV quotes them, '-' for no predecessors."""
+    cells = _Cells()
+    lines = [",".join(TASK_CSV_FIELDS)]
+    for t in tasks:
+        preds = ";".join(map(str, t.predecessors)) or "-"
+        lines.append(f"{t.id},{cells[t.start_pos]},{cells[t.end_pos]},"
+                     f"{t.proc_time},{preds}")
+    write_text_atomic(path, "\n".join(lines) + "\n")
 
 
 # Reference initial-population table for the bundled 12-task instance.

@@ -252,7 +252,8 @@ def frozen_check_matrix(n: int, seconds) -> None:
 
 
 def frozen_type_cdf(weights) -> tuple[float, ...]:
-    """`datagen._type_cdf` as numpy computed it."""
+    """The table `Generator.choice(3, p=w / w.sum())` searches, as numpy
+    computes it; `datagen._FAMILY_CDF` is the one of equal weights."""
     w = np.array(weights)
     cdf = (w / w.sum()).cumsum()
     return tuple((cdf / cdf[-1]).tolist())

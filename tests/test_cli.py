@@ -13,7 +13,7 @@ from uavsched.cli import main
 from uavsched.io import TASK_CSV_FIELDS, instance_to_dict, load_instance
 from uavsched.sampledata import sample_instance
 
-from conftest import GOLDEN_PREFIX
+from conftest import GOLDEN_PREFIX, write_task_csv
 
 
 def run(capsys, argv):
@@ -266,6 +266,13 @@ class TestBadInputFiles:
         code, _, err = run(capsys, ["schedule", *args])
         assert code == 2
         assert "uav id must be a string, not None" in err
+
+    def test_non_string_name_is_named(self, capsys, tmp_path):
+        code, out, err = run(capsys, ["schedule", *_raw_instance(
+            ("name",), "5")(tmp_path)])
+        assert code == 2
+        assert "instance name must be a string, not 5" in err
+        assert "instance:" not in out
 
     @pytest.mark.parametrize("out_dir", [False, True])
     @pytest.mark.parametrize("where, what", [(("uavs", 0, "id"), "uav id"),
@@ -563,7 +570,6 @@ class TestSchedule:
         assert code == 0, err
 
     def test_csv_instance_uses_bundled_environment(self, capsys, tmp_path):
-        from uavsched.io import write_task_csv
         from uavsched.sampledata import sample_instance
         p = tmp_path / "tasks.csv"
         write_task_csv(sample_instance().tasks, p)

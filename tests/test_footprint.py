@@ -1,6 +1,7 @@
 """What importing the package, or scheduling with it, loads: no module
-of the network, mail or process-pool stacks, and no numpy, which only a
-draw loads. Each runs in a fresh interpreter, so what this test process
+of the network, mail or process-pool stacks, no numpy, which only a
+draw loads, and no `statistics`, which only `uavsched experiment`
+loads. Each runs in a fresh interpreter, so what this test process
 has already loaded does not hide a regression."""
 
 import json
@@ -14,10 +15,11 @@ import pytest
 import uavsched
 
 # `xml.sax` pulls in urllib.request, and with it http.client, ssl, email
-# and socket; concurrent.futures.process pulls in multiprocessing
+# and socket; concurrent.futures.process pulls in multiprocessing;
+# statistics pulls in fractions and decimal
 NEVER_LOADED = ("xml.sax", "urllib.request", "http.client", "ssl", "email",
                 "socket", "multiprocessing", "concurrent.futures.process",
-                "numpy")
+                "numpy", "statistics")
 
 
 def loaded_after(statement: str) -> set[str]:

@@ -24,7 +24,6 @@ from uavsched.io import (
     write_history_csv,
     write_report_json,
     write_schedule_csv,
-    write_task_csv,
     write_text_atomic,
 )
 from uavsched.model import (
@@ -41,7 +40,8 @@ from uavsched.model import (
 from uavsched.pso import PsoConfig, run_pso
 from uavsched.validate import validate_schedule
 
-from conftest import AWKWARD_TEXT, FULL_COMPLETION, drawn_schedules
+from conftest import (AWKWARD_TEXT, FULL_COMPLETION, drawn_schedules,
+                      write_task_csv)
 
 
 class TestInstanceJson:
@@ -109,6 +109,15 @@ class TestInstanceJson:
         p.write_text(json.dumps(doc))
         with pytest.raises(InstanceError, match=f"{what} .* not valid"):
             load_instance(p)
+
+    @pytest.mark.parametrize("name", [5, None, ["x"], True])
+    def test_non_string_name_is_refused(self, lab, name):
+        doc = instance_to_dict(lab)
+        doc["name"] = name
+        with pytest.raises(InstanceError) as caught:
+            instance_from_dict(doc)
+        assert f"instance name must be a string, not {name!r}" \
+            in str(caught.value)
 
 
 class TestTaskCsv:

@@ -19,8 +19,6 @@ UNREFERENCED_ALLOWED = {
     # the reader of the schedule CSV format, for auditing external
     # schedules (ROADMAP item 6's `check` command)
     "read_schedule_csv",
-    # the writer of the documented task CSV format
-    "write_task_csv",
 }
 
 
